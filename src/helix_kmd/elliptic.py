@@ -72,27 +72,26 @@ class ScalarGrid:
 
 def _banded_mode_matrix(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
                         k2: float) -> np.ndarray:
-    """Banded (ab-form, bandwidth 2) matrix of beta f'' + beta_u f' - k^2 f."""
+    """Banded (ab-form, bandwidth 2) matrix of beta f'' + beta_u f' - k^2 f.
+
+    Entry (i, i - 2 + m) of the operator is stored at ab[4 - m, i - 2 + m].
+    """
     n = u.size
     du = u[1] - u[0]
     ab = np.zeros((5, n))
-
-    def put(i, j, val):
-        ab[2 + i - j, j] += val
-
-    for i in range(2, n - 2):
-        b, bu = beta[i], beta_u[i]
-        # 4th-order central stencils
-        c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * du * du)
-        c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * du)
-        for m in range(5):
-            put(i, i - 2 + m, b * c2[m] + bu * c1[m])
-        put(i, i, -k2)
+    # 4th-order central stencils on the interior rows i = 2 .. n-3
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * du * du)
+    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * du)
+    b, bu = beta[2:n - 2], beta_u[2:n - 2]
+    for m in range(5):
+        ab[4 - m, m:n - 4 + m] = b * c2[m] + bu * c1[m]
+    ab[2, 2:n - 2] += -k2
+    # 2nd-order stencils on the rows next to the edges
     for i in (1, n - 2):
         b, bu = beta[i], beta_u[i]
-        put(i, i - 1, b / du**2 - bu / (2.0 * du))
-        put(i, i, -2.0 * b / du**2 - k2)
-        put(i, i + 1, b / du**2 + bu / (2.0 * du))
+        ab[3, i - 1] = b / du**2 - bu / (2.0 * du)
+        ab[2, i] = -2.0 * b / du**2 - k2
+        ab[1, i + 1] = b / du**2 + bu / (2.0 * du)
     return ab
 
 

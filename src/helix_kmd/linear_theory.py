@@ -1,4 +1,4 @@
-"""Linearized Liouville operator: kernel, projections, radial solver.
+r"""Linearized Liouville operator: kernel, projections, radial solver.
 
 The linearization Delta + e^Gamma around the unit bubble has a
 three-dimensional bounded kernel
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.sparse import lil_matrix
+from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import spsolve
 
 from .errors import ODESolveFailure, QuadratureFailure, SlowDecay
@@ -88,47 +88,72 @@ def _z1_radial(rho: np.ndarray) -> np.ndarray:
     return -4.0 * rho / (1.0 + rho * rho)
 
 
-def _mode_matrix(u: np.ndarray, k: int) -> lil_matrix:
-    """Rows of phi_uu - k^2 phi + e^{2u} e^G phi on the log-radius grid."""
+def _mode_bands(u: np.ndarray, k: int) -> np.ndarray:
+    """Rows of phi_uu - k^2 phi + e^{2u} e^G phi on the log-radius grid.
+
+    Row-aligned bands: bands[m, i] multiplies phi[i - 2 + m] in row i.
+    The boundary rows 0 and n-1 are left empty for _apply_bcs.
+    """
     n = u.size
     du = u[1] - u[0]
     rho = np.exp(u)
     diag = np.exp(2.0 * u) * _e_gamma(rho) - float(k * k)
-    A = lil_matrix((n, n))
+    bands = np.zeros((5, n))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * du * du)
-    for i in range(2, n - 2):
-        for m in range(5):
-            A[i, i - 2 + m] = c2[m]
-        A[i, i] += diag[i]
+    bands[:, 2:n - 2] = c2[:, None]
+    bands[2, 2:n - 2] += diag[2:n - 2]
     for i in (1, n - 2):
-        A[i, i - 1] = 1.0 / du**2
-        A[i, i] = -2.0 / du**2 + diag[i]
-        A[i, i + 1] = 1.0 / du**2
-    return A
+        bands[1, i] = 1.0 / du**2
+        bands[2, i] = -2.0 / du**2 + diag[i]
+        bands[3, i] = 1.0 / du**2
+    return bands
 
 
-def _apply_bcs(A: lil_matrix, rhs: np.ndarray, u: np.ndarray, k: int):
+def _apply_bcs(bands: np.ndarray, rhs: np.ndarray, u: np.ndarray, k: int):
     """Inner regularity and outer decay-matched Robin rows."""
     n = u.size
     du = u[1] - u[0]
     if k == 0:
         # phi_u(umin) = 0 (radial regularity)
-        A[0, 0] = -1.5 / du
-        A[0, 1] = 2.0 / du
-        A[0, 2] = -0.5 / du
+        bands[2:, 0] = -1.5 / du, 2.0 / du, -0.5 / du
         # outer: kill the log branch, phi_u(umax) = 0
-        A[n - 1, n - 1] = 1.5 / du
-        A[n - 1, n - 2] = -2.0 / du
-        A[n - 1, n - 3] = 0.5 / du
+        bands[:3, n - 1] = 0.5 / du, -2.0 / du, 1.5 / du
     else:
-        A[0, 0] = 1.0
+        bands[2, 0] = 1.0
         # outer: phi ~ rho^-k, i.e. phi_u + k phi = 0
-        A[n - 1, n - 1] = 1.5 / du + float(k)
-        A[n - 1, n - 2] = -2.0 / du
-        A[n - 1, n - 3] = 0.5 / du
+        bands[:3, n - 1] = 0.5 / du, -2.0 / du, 1.5 / du + float(k)
     rhs[0] = 0.0
     rhs[n - 1] = 0.0
-    return A, rhs
+    return bands, rhs
+
+
+def _radial_system(u: np.ndarray, k: int, h_k: np.ndarray,
+                   border: np.ndarray | None):
+    """CSC matrix and right-hand side of one radial mode (see _solve_radial).
+
+    With a border the system gains the multiplier column -e^{2u} e^G border
+    and, for k = 0, an outer Dirichlet row, else an orthogonality row.
+    """
+    n = u.size
+    rho = np.exp(u)
+    e2u = np.exp(2.0 * u)
+    rhs = -(e2u * h_k).astype(float)
+    bands, rhs = _apply_bcs(_mode_bands(u, k), rhs, u, k)
+    A = diags([bands[0, 2:], bands[1, 1:], bands[2], bands[3, :-1], bands[4, :-2]],
+              [-2, -1, 0, 1, 2], format="csc")
+    if border is None:
+        return A, rhs
+    col = e2u * _e_gamma(rho) * border
+    col[0] = 0.0
+    col[-1] = 0.0
+    if k == 0:
+        row = np.zeros(n)
+        row[n - 1] = 1.0                       # outer Dirichlet row
+    else:
+        row = e2u * _e_gamma(rho) * border     # orthogonality row
+    # the dense blocks enter as COO, which stores no zeros (col's pinned ends)
+    B = bmat([[A, -col[:, None]], [row[None, :], None]], format="csc")
+    return B, np.concatenate([rhs, [0.0]])
 
 
 def _solve_radial(u: np.ndarray, k: int, h_k: np.ndarray,
@@ -142,32 +167,13 @@ def _solve_radial(u: np.ndarray, k: int, h_k: np.ndarray,
     e^Gamma-weighted orthogonality row instead.
     """
     n = u.size
-    du = u[1] - u[0]
-    rho = np.exp(u)
-    e2u = np.exp(2.0 * u)
-    A = _mode_matrix(u, k)
-    rhs = -(e2u * h_k).astype(float)
-    A, rhs = _apply_bcs(A, rhs, u, k)
-    if border is None:
-        sol = spsolve(A.tocsc(), rhs)
-        if not np.all(np.isfinite(sol)):
-            raise ODESolveFailure(f"mode {k} radial solve diverged")
-        return sol, 0.0
-    B = lil_matrix((n + 1, n + 1))
-    B[:n, :n] = A
-    col = e2u * _e_gamma(rho) * border
-    col[0] = 0.0
-    col[-1] = 0.0
-    B[:n, n] = -col[:, None]
-    big = np.concatenate([rhs, [0.0]])
-    if k == 0:
-        B[n, n - 1] = 1.0                      # outer Dirichlet row
-    else:
-        w = e2u * _e_gamma(rho) * border       # orthogonality row
-        B[n, :n] = w[None, :]
-    sol = spsolve(B.tocsc(), big)
+    M, rhs = _radial_system(u, k, h_k, border)
+    sol = spsolve(M, rhs)
     if not np.all(np.isfinite(sol)):
-        raise ODESolveFailure(f"bordered mode {k} radial solve diverged")
+        kind = "mode" if border is None else "bordered mode"
+        raise ODESolveFailure(f"{kind} {k} radial solve diverged")
+    if border is None:
+        return sol, 0.0
     return sol[:n], float(sol[n])
 
 

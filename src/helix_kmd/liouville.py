@@ -102,13 +102,15 @@ def dipole_coefficient(R: float, h: float) -> float:
 def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """w0, s0, w2 at t = v/a; series below _T_SWITCH, closed form above."""
     t = np.asarray(t, dtype=float)
+    w0, s0, w2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     small = t < _T_SWITCH
-    ts = np.where(small, t, 0.0)
-    w0 = np.polyval(_W0_C, ts)
-    s0 = np.polyval(_S0_C, ts)
-    w2 = np.polyval(_W2_C, ts)
-    if np.any(~small):
-        tl = np.where(small, 1.0, t)
+    ts = t[small]
+    w0[small] = np.polyval(_W0_C, ts)
+    s0[small] = np.polyval(_S0_C, ts)
+    w2[small] = np.polyval(_W2_C, ts)
+    large = ~small
+    if np.any(large):
+        tl = t[large]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s1l = (
                 0.5 / tl
@@ -116,12 +118,9 @@ def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 + 3.0 * np.log1p(tl) / tl**3
                 - 1.0 / (tl * tl * (1.0 + tl))
             )
-            w0l = 1.0 / (1.0 + tl) + s1l
-            s0l = s1l / tl
-            w2l = s1l / tl**2 - 0.25 / (tl * (1.0 + tl) ** 2)
-        w0 = np.where(small, w0, w0l)
-        s0 = np.where(small, s0, s0l)
-        w2 = np.where(small, w2, w2l)
+            w0[large] = 1.0 / (1.0 + tl) + s1l
+            s0[large] = s1l / tl
+            w2[large] = s1l / tl**2 - 0.25 / (tl * (1.0 + tl) ** 2)
     return w0, s0, w2
 
 
@@ -130,20 +129,23 @@ def h1_kernels_unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _kernels(t)
 
 
+def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W(v), W'(v), W''(v) from one kernel evaluation; a = (eps*mu)^2."""
+    w0, s0, w2 = _kernels(np.asarray(v, dtype=float) / a)
+    return w0 / (12.0 * a), -s0 / (4.0 * a * a), w2 / a**3
+
+
 def h1_weight(v: np.ndarray, a: float) -> np.ndarray:
     """W(v) with h1(r) = r^3 W(r^2); a = (eps*mu)^2."""
-    w0, _, _ = _kernels(np.asarray(v, dtype=float) / a)
-    return w0 / (12.0 * a)
+    return _h1_weights(v, a)[0]
 
 
 def h1_weight_prime(v: np.ndarray, a: float) -> np.ndarray:
-    _, s0, _ = _kernels(np.asarray(v, dtype=float) / a)
-    return -s0 / (4.0 * a * a)
+    return _h1_weights(v, a)[1]
 
 
 def h1_weight_second(v: np.ndarray, a: float) -> np.ndarray:
-    _, _, w2 = _kernels(np.asarray(v, dtype=float) / a)
-    return w2 / a**3
+    return _h1_weights(v, a)[2]
 
 
 def h1_profile(rho: np.ndarray, eps: float, mu: float) -> np.ndarray:
@@ -218,47 +220,43 @@ class LocalProfile:
             [3.0 * z[..., 0] ** 2 - 3.0 * z[..., 1] ** 2, -6.0 * z[..., 0] * z[..., 1]],
             axis=-1,
         )
-        W = h1_weight(v, self.a)
-        Wp = h1_weight_prime(v, self.a)
+        W, Wp, _ = _h1_weights(v, self.a)
         out = q[..., None] * dg + g[..., None] * dq
         out += self.kH * (2.0 * (Wp * p3)[..., None] * z + W[..., None] * dp3)
         return out
 
     def hess(self, z: np.ndarray) -> np.ndarray:
+        """Hessian (..., 2, 2), assembled one component at a time."""
         z, v = self._split(z)
+        x, y = z[..., 0], z[..., 1]
         av = self.a + v
         g = np.log(8.0) - 2.0 * np.log(av)
-        q = 1.0 + self.c1 * z[..., 0] + self.c2 * v
-        dg = (-4.0 / av)[..., None] * z
-        dq = np.stack(
-            [self.c1 + 2.0 * self.c2 * z[..., 0], 2.0 * self.c2 * z[..., 1]], axis=-1
+        q = 1.0 + self.c1 * x + self.c2 * v
+        # Gamma_em: grad = r z, hess = r I + s z z^T
+        r = -4.0 / av
+        s = 8.0 / av**2
+        dg1, dg2 = r * x, r * y
+        dq1, dq2 = self.c1 + 2.0 * self.c2 * x, 2.0 * self.c2 * y
+        p3 = x**3 - 3.0 * x * y**2
+        dp1, dp2 = 3.0 * x**2 - 3.0 * y**2, -6.0 * x * y
+        W, Wp, Ws = _h1_weights(v, self.a)
+        wz = 4.0 * (Ws * p3)
+        wd = 2.0 * Wp
+        xx, xy, yy = x * x, x * y, y * y
+        out = np.empty(z.shape[:-1] + (2, 2))
+        out[..., 0, 0] = (
+            q * (r + s * xx) + (dg1 * dq1 + dq1 * dg1) + g * (2.0 * self.c2)
+            + self.kH * (wz * xx + wd * (p3 + (x * dp1 + dp1 * x)) + W * (6.0 * x))
         )
-        eye = np.eye(2)
-        zz = z[..., :, None] * z[..., None, :]
-        hg = (-4.0 / av)[..., None, None] * eye + (8.0 / av**2)[..., None, None] * zz
-        hq = (2.0 * self.c2) * eye
-        p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
-        dp3 = np.stack(
-            [3.0 * z[..., 0] ** 2 - 3.0 * z[..., 1] ** 2, -6.0 * z[..., 0] * z[..., 1]],
-            axis=-1,
+        out[..., 1, 1] = (
+            q * (r + s * yy) + (dg2 * dq2 + dq2 * dg2) + g * (2.0 * self.c2)
+            + self.kH * (wz * yy + wd * (p3 + (y * dp2 + dp2 * y)) + W * (-6.0 * x))
         )
-        hp3 = np.empty(z.shape[:-1] + (2, 2))
-        hp3[..., 0, 0] = 6.0 * z[..., 0]
-        hp3[..., 0, 1] = -6.0 * z[..., 1]
-        hp3[..., 1, 0] = -6.0 * z[..., 1]
-        hp3[..., 1, 1] = -6.0 * z[..., 0]
-        W = h1_weight(v, self.a)
-        Wp = h1_weight_prime(v, self.a)
-        Ws = h1_weight_second(v, self.a)
-        out = q[..., None, None] * hg
-        out += dg[..., :, None] * dq[..., None, :] + dq[..., :, None] * dg[..., None, :]
-        out += g[..., None, None] * hq
-        zdp = z[..., :, None] * dp3[..., None, :] + dp3[..., :, None] * z[..., None, :]
-        out += self.kH * (
-            4.0 * (Ws * p3)[..., None, None] * zz
-            + 2.0 * Wp[..., None, None] * (p3[..., None, None] * eye + zdp)
-            + W[..., None, None] * hp3
+        out[..., 0, 1] = (
+            q * (s * xy) + (dg1 * dq2 + dq1 * dg2)
+            + self.kH * (wz * xy + wd * (x * dp2 + dp1 * y) + W * (-6.0 * y))
         )
+        out[..., 1, 0] = out[..., 0, 1]
         return out
 
     def laplacian(self, z: np.ndarray) -> np.ndarray:
@@ -296,9 +294,7 @@ class LocalProfile:
         q0 = 1.0 + self.c1 * z0[..., 0] + self.c2 * v0
         dq = self.c1 * dz[..., 0] + self.c2 * cross
         # H1 increment: first-order term plus explicit curvature correction
-        w = h1_weight(v0, self.a)
-        wp = h1_weight_prime(v0, self.a)
-        ws = h1_weight_second(v0, self.a)
+        w, wp, ws = _h1_weights(v0, self.a)
         p30 = z0[..., 0] ** 3 - 3.0 * z0[..., 0] * z0[..., 1] ** 2
         dp30 = np.stack(
             [

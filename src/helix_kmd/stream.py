@@ -384,7 +384,6 @@ def build_context(
     profile = lv.LocalProfile(eps, mu, R, h)
     partial = _PartialCtx(profile, frames, h)
     h2 = solve_H2(partial, grid)
-    h2.set_anchor(frames[0].P)
     h2_grad = np.array([h2.gradient(f.P) for f in frames])
     c1, c2 = lv.c_coefficients(R, h)
     ctx = StreamContext(

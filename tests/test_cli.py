@@ -115,6 +115,19 @@ class TestStreamCommands:
         assert lines[0] == "epsilon,outer_norm,inner_norm,slope"
         assert len(lines) == 3
 
+    def test_residual_scan_thread_independent(self, cfg_file, tmp_path):
+        # a tiny grid keeps the two scans fast; both epsilons run concurrently
+        cfg_file.write_text(
+            BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\ngrid.angular = 24\n")
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["residual-scan", "--config", str(cfg_file), "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append((out / "residual_scan.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_alpha_solve_json(self, cfg_file, tmp_path):
         out = tmp_path / "as"
         assert main(["alpha-solve", "--config", str(cfg_file), "--out", str(out),
