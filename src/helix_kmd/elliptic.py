@@ -24,6 +24,7 @@ gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -137,22 +138,31 @@ class H2Correction:
     Stores angular-mode radial profiles as cubic splines in log-radius.
     value() and gradient() work anywhere: inside rho_min the field is
     frozen at its inner value, outside rho_max the mode-0 far field
-    determined by the source flux continues analytically.
+    determined by the source flux continues analytically.  The sampled
+    field on the solver grid (`grid`) is assembled on first access.
     """
 
     def __init__(self, spec: PolarGridSpec, h: float, modes: np.ndarray,
-                 weights: np.ndarray, wavenumbers: np.ndarray, flux: float,
-                 grid_values: np.ndarray):
+                 weights: np.ndarray, wavenumbers: np.ndarray, flux: float):
         self.spec = spec
         self.h = float(h)
         self._u = spec.u_nodes()
+        self._modes = modes
         self._splines = [CubicSpline(self._u, m) for m in modes]
         self._dsplines = [s.derivative() for s in self._splines]
         self._w = weights
         self._k = wavenumbers
         self.flux = float(flux)
         self.offset = 0.0
-        self.grid = ScalarGrid(spec.radial_nodes(), spec.theta_nodes(), grid_values)
+
+    @cached_property
+    def grid(self) -> ScalarGrid:
+        """Mode sum on the solver grid, without the anchor offset."""
+        theta = self.spec.theta_nodes()
+        values = np.zeros((self.spec.n_radial, self.spec.n_angular))
+        for m, w, k in zip(self._modes, self._w, self._k):
+            values += w * (m[:, None] * np.exp(1j * k * theta)[None, :]).real
+        return ScalarGrid(self.spec.radial_nodes(), theta, values)
 
     def set_anchor(self, x: np.ndarray) -> None:
         """Shift the additive constant so the field vanishes at x."""
@@ -241,16 +251,6 @@ def solve_k_poisson(
         modes.append(sol)
         weights.append(w)
         ks.append(k)
-    field = H2Correction(
+    return H2Correction(
         spec, h, np.array(modes), np.array(weights), np.array(ks), flux,
-        grid_values=_reconstruct(modes, weights, ks, spec),
     )
-    return field
-
-
-def _reconstruct(modes, weights, ks, spec: PolarGridSpec) -> np.ndarray:
-    theta = spec.theta_nodes()
-    out = np.zeros((spec.n_radial, spec.n_angular))
-    for m, w, k in zip(modes, weights, ks):
-        out += w * (m[:, None] * np.exp(1j * k * theta)[None, :]).real
-    return out

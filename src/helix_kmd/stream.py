@@ -645,32 +645,55 @@ def calA(alpha: float, ctx: StreamContext, variant: str = "leading") -> float:
     return num / (ctx.eps_mu * UY1Z1)
 
 
+_SECANT_MAXITER = 8    # secant steps before falling back to bracket + brentq
+
+
 def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
     """Rotation speed zeroing the empirical kernel projection.
 
     Returns (alpha_root, diagnostics dict).  The projection is close to
-    linear in alpha with slope -r sqrt|log eps|, so the bracket is
-    centered on a first-order estimate and widened if needed.
+    linear in alpha with slope -r sqrt|log eps|, so a secant iteration
+    runs from the leading-order speed a* (projected on `ctx` itself) and
+    the first-order estimate a* + calA(a*) / (r sqrt|log eps|).  Should
+    the secant fail (see _secant), a bracket centered on the estimate is
+    widened until the projection changes sign and brentq finds the root.
+    Besides the root, the leading-order speed and the correction, the
+    diagnostics record the number of empirical projections
+    (`calA_evaluations`) and `root_method`, "secant" or "bracket".
     """
     from scipy.optimize import brentq
 
+    n_eval = 0
+
+    def f(alpha):
+        nonlocal n_eval
+        n_eval += 1
+        return calA(alpha, ctx, "empirical")
+
     a_star = ctx.leading_alpha()
-    f_star = calA(a_star, ctx, "empirical")
+    f_star = f(a_star)
     center = a_star + f_star / (ctx.r * ctx.sqrt_log)
     width = max(bracket, 0.75 * abs(center - a_star))
-    lo = hi = None
-    for _ in range(4):
-        lo, hi = center - width, center + width
-        f_lo = calA(lo, ctx, "empirical")
-        f_hi = calA(hi, ctx, "empirical")
-        if f_lo * f_hi <= 0.0:
-            break
-        width *= 2.0
-    else:
-        raise NoBracket(
-            f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {center:.4f}"
-        )
-    root = brentq(lambda a: calA(a, ctx, "empirical"), lo, hi, xtol=xtol)
+    # the secant projects at no speed beyond the widest bracket scanned
+    # below, so it reaches no alpha the old bracket search could not
+    root = _secant(f, a_star, f_star, center, xtol,
+                   (center - 8.0 * width, center + 8.0 * width))
+    method = "secant"
+    if root is None:
+        method = "bracket"
+        lo = hi = None
+        for _ in range(4):
+            lo, hi = center - width, center + width
+            f_lo = f(lo)
+            f_hi = f(hi)
+            if f_lo * f_hi <= 0.0:
+                break
+            width *= 2.0
+        else:
+            raise NoBracket(
+                f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {center:.4f}"
+            )
+        root = brentq(f, lo, hi, xtol=xtol)
     corr = root - a_star
     diag = {
         "alpha_root": float(root),
@@ -679,8 +702,35 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
         "correction_ratio": float(
             abs(corr) * ctx.abs_log_eps / ctx.loglog
         ),
+        "calA_evaluations": n_eval,
+        "root_method": method,
     }
     return float(root), diag
+
+
+def _secant(f, x0: float, f0: float, x1: float, xtol: float,
+            window: tuple[float, float]) -> float | None:
+    """Secant root of f from (x0, f0) and x1 (inside `window`), or None.
+
+    Stops once a step is at most `xtol` and returns the stepped point
+    without evaluating f there.  None when the secant stalls (f1 == f0),
+    a step is not finite, an iterate leaves `window` or _SECANT_MAXITER
+    steps do not converge.
+    """
+    lo, hi = window
+    f1 = f(x1)
+    for _ in range(_SECANT_MAXITER):
+        if f1 == f0:
+            return None
+        step = -f1 * (x1 - x0) / (f1 - f0)
+        x2 = x1 + step
+        if not lo <= x2 <= hi:    # also false for a non-finite step
+            return None
+        if abs(step) <= xtol:
+            return x2
+        x0, f0 = x1, f1
+        x1, f1 = x2, f(x2)
+    return None
 
 
 def outer_residual_norm(

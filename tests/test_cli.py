@@ -134,7 +134,22 @@ class TestStreamCommands:
                      "--epsilon-override", "e^-15"]) == 0
         rows = json.loads((out / "alpha_solve.json").read_text())
         assert rows[0]["alpha_leading"] == pytest.approx(-2.0)
-        assert {"alpha_root", "correction_ratio"} <= set(rows[0])
+        assert {"alpha_root", "correction_ratio", "calA_evaluations",
+                "root_method"} <= set(rows[0])
+
+    def test_alpha_solve_thread_independent(self, cfg_file, tmp_path):
+        # tiny grid; the two epsilons of the config solve concurrently
+        cfg_file.write_text(
+            BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\ngrid.angular = 24\n")
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["alpha-solve", "--config", str(cfg_file), "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append((out / "alpha_solve.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])) == 2
 
     def test_subcommand_isolation(self, cfg_file, tmp_path):
         # residual-scan runs in a fresh directory without simulate outputs

@@ -400,3 +400,67 @@ class TestScanDefaults:
                              "correction_ratio"}
         assert diag["alpha_leading"] == pytest.approx(-2.0)
         assert diag["alpha_root"] == pytest.approx(root)
+
+
+class TestSolveAlphaRoot:
+    """Secant selection of the rotation speed against the bracket fallback."""
+
+    GRID = PolarGridSpec(n_radial=96, n_angular=24)
+
+    @pytest.fixture(scope="class")
+    def roots(self):
+        from helix_kmd import stream
+
+        ctx = build_context(math.exp(-20.0), 1.0, 1.0, 3, grid=self.GRID)
+        secant = stream.solve_alpha(ctx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stream, "_SECANT_MAXITER", 0)
+            bracket = stream.solve_alpha(ctx)
+        return ctx, secant, bracket
+
+    def test_secant_matches_brentq(self, roots):
+        _, (a_sec, d_sec), (a_br, d_br) = roots
+        assert d_sec["root_method"] == "secant"
+        assert d_br["root_method"] == "bracket"
+        assert abs(a_sec - a_br) <= 1e-8
+        assert d_sec["calA_evaluations"] < d_br["calA_evaluations"]
+
+    def test_secant_residual_no_larger(self, roots):
+        ctx, (a_sec, _), (a_br, _) = roots
+        assert abs(calA(a_sec, ctx, "empirical")) <= abs(calA(a_br, ctx, "empirical"))
+
+
+class TestSolveAlphaFallback:
+    """Synthetic projections that force the bracket path or its failure."""
+
+    @staticmethod
+    def _solve(monkeypatch, func):
+        from types import SimpleNamespace
+
+        from helix_kmd import stream
+
+        monkeypatch.setattr(stream, "calA", lambda alpha, ctx, variant: func(alpha))
+        # leading speed 0 and unit slope scale: the first estimate is f(0)
+        ctx = SimpleNamespace(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0,
+                              abs_log_eps=20.0, loglog=math.log(20.0))
+        return stream.solve_alpha(ctx)
+
+    @pytest.mark.parametrize("func, expected", [
+        # flat between a* = 0 and the estimate 1: the secant stalls
+        (lambda a: min(1.0, 7.0 - 4.0 * a), 1.75),
+        # shallow near the start, steep beyond 1.5: the first secant step
+        # lands near 100, outside the scanned window
+        (lambda a: 1.0 - 0.01 * a if a <= 1.5 else 0.985 - 10.0 * (a - 1.5), 1.5985),
+    ], ids=["stall", "leaves-window"])
+    def test_bracket_path(self, monkeypatch, func, expected):
+        root, diag = self._solve(monkeypatch, func)
+        assert diag["root_method"] == "bracket"
+        assert root == pytest.approx(expected, abs=1e-8)
+        # a*, the estimate and at least one bracket pair before brentq
+        assert diag["calA_evaluations"] >= 4
+
+    def test_no_root_raises(self, monkeypatch):
+        from helix_kmd.errors import NoBracket
+
+        with pytest.raises(NoBracket):
+            self._solve(monkeypatch, lambda a: 1.0 + a * a)
