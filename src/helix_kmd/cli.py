@@ -62,12 +62,13 @@ def _grid_spec(cfg: ExperimentConfig):
 
 
 def _build_ctx(cfg: ExperimentConfig, eps: float, alpha=None):
+    """Context at `alpha`; None reads `[stream] alpha` (default: leading order)."""
     from .stream import build_context
 
     s = cfg.require("stream")
     return build_context(
         eps, s["r"], s["h"], s["n"],
-        alpha=s.get("alpha", alpha),
+        alpha=s.get("alpha") if alpha is None else alpha,
         delta=s.get("delta"), delta1=s.get("delta1"), grid=_grid_spec(cfg),
     )
 
@@ -223,12 +224,17 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
 
 
 def cmd_alpha_solve(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
+    from .configurations import HelixVariant, theorem_alpha
     from .stream import solve_alpha
 
     eps_values = _epsilons(args, cfg)
+    s = cfg.require("stream")
+    # solve_alpha projects first at the leading-order speed on the context
+    # it is given, so `[stream] alpha` is not used here
+    a_star = theorem_alpha(s["r"], s["h"], s["n"], HelixVariant.POLYGON_HELIX)
 
     def one(eps):
-        ctx = _build_ctx(cfg, eps)
+        ctx = _build_ctx(cfg, eps, alpha=a_star)
         _, diag = solve_alpha(ctx)
         diag["epsilon"] = eps
         return diag

@@ -16,9 +16,9 @@ with regularity at the inner edge (f_k = 0 for k >= 1, anchored value
 for k = 0) and the outer condition matching the quadratic-growth far
 field: beta d_u f_0 = -Q/(2 pi) carries the total source flux
 Q = integral of g, while true harmonics decay like exp(-k rho/h) and are
-clamped.  Banded 4th-order finite differences in u; mode profiles are
-wrapped in cubic splines for off-grid evaluation of values and
-gradients.
+clamped.  Banded 4th-order finite differences in u; all mode profiles
+share one cubic spline in u (one column per mode), which evaluates
+values and gradients off the grid.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import SolverDivergence
+
+# points per block when summing the modes: keeps the (points x modes)
+# temporaries of value() and gradient() at a few MB
+_BLOCK = 2048
 
 __all__ = ["ScalarGrid", "PolarGridSpec", "H2Correction", "solve_k_poisson"]
 
@@ -132,11 +136,18 @@ def _solve_mode0(u, beta, g0_hat):
     return f0, G
 
 
+def _add_columns(out: np.ndarray, terms: np.ndarray) -> None:
+    """out += terms[:, m] for each mode m in turn (mode order, no pairwise sum)."""
+    for m in range(terms.shape[1]):
+        out += terms[:, m]
+
+
 class H2Correction:
     """Solution field of div(K grad H) = -g with H(anchor) = 0.
 
-    Stores angular-mode radial profiles as cubic splines in log-radius.
-    value() and gradient() work anywhere: inside rho_min the field is
+    Stores the angular-mode radial profiles as one cubic spline in
+    log-radius with a column per mode.  value() and gradient() sum the
+    modes block by block and work anywhere: inside rho_min the field is
     frozen at its inner value, outside rho_max the mode-0 far field
     determined by the source flux continues analytically.  The sampled
     field on the solver grid (`grid`) is assembled on first access.
@@ -148,10 +159,11 @@ class H2Correction:
         self.h = float(h)
         self._u = spec.u_nodes()
         self._modes = modes
-        self._splines = [CubicSpline(self._u, m) for m in modes]
-        self._dsplines = [s.derivative() for s in self._splines]
+        self._spline = CubicSpline(self._u, modes.T, axis=0)
+        self._dspline = self._spline.derivative()
         self._w = weights
         self._k = wavenumbers
+        self._ik = 1j * wavenumbers
         self.flux = float(flux)
         self.offset = 0.0
 
@@ -180,9 +192,13 @@ class H2Correction:
         umin, umax = self._u[0], self._u[-1]
         u = np.log(np.maximum(rho, 1e-300))
         uc = np.clip(u, umin, umax)
-        out = np.zeros_like(rho)
-        for w, k, s in zip(self._w, self._k, self._splines):
-            out += w * (s(uc) * np.exp(1j * k * theta)).real
+        out = np.zeros(rho.size)
+        uf, tf = uc.ravel(), theta.ravel()
+        for i in range(0, rho.size, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            ph = np.exp(self._ik * tf[b, None])
+            _add_columns(out[b], self._w * (self._spline(uf[b]) * ph).real)
+        out = out.reshape(rho.shape)
         # mode-0 analytic continuation outside the disk
         far = u > umax
         if np.any(far):
@@ -197,12 +213,18 @@ class H2Correction:
         umin, umax = self._u[0], self._u[-1]
         u = np.log(np.maximum(rho, 1e-300))
         uc = np.clip(u, umin, umax)
-        d_rho = np.zeros_like(rho)
-        d_theta = np.zeros_like(rho)
-        for w, k, s, ds in zip(self._w, self._k, self._splines, self._dsplines):
-            ph = np.exp(1j * k * theta)
-            d_rho += w * (ds(uc) * ph).real
-            d_theta += w * ((1j * k) * s(uc) * ph).real
+        d_rho = np.zeros(rho.size)
+        d_theta = np.zeros(rho.size)
+        uf, tf = uc.ravel(), theta.ravel()
+        for i in range(0, rho.size, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            ph = np.exp(self._ik * tf[b, None])
+            _add_columns(d_rho[b], self._w * (self._dspline(uf[b]) * ph).real)
+            _add_columns(
+                d_theta[b], self._w * (self._ik * self._spline(uf[b]) * ph).real
+            )
+        d_rho = d_rho.reshape(rho.shape)
+        d_theta = d_theta.reshape(rho.shape)
         inside = u < umin
         d_rho = np.where(inside, 0.0, d_rho)
         d_theta = np.where(inside, 0.0, d_theta)

@@ -104,10 +104,11 @@ def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     w0, s0, w2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     small = t < _T_SWITCH
-    ts = t[small]
-    w0[small] = np.polyval(_W0_C, ts)
-    s0[small] = np.polyval(_S0_C, ts)
-    w2[small] = np.polyval(_W2_C, ts)
+    if np.any(small):
+        ts = t[small]
+        w0[small] = np.polyval(_W0_C, ts)
+        s0[small] = np.polyval(_S0_C, ts)
+        w2[small] = np.polyval(_W2_C, ts)
     large = ~small
     if np.any(large):
         tl = t[large]

@@ -51,7 +51,12 @@ import numpy as np
 
 from . import liouville as lv
 from .elliptic import H2Correction, PolarGridSpec, solve_k_poisson
-from .errors import FixedPointDivergence, NoBracket, QuadratureFailure
+from .errors import (
+    DegenerateConfig,
+    FixedPointDivergence,
+    NoBracket,
+    QuadratureFailure,
+)
 from .screw_operator import LocalFrame, b_operator, local_frame
 
 __all__ = [
@@ -298,17 +303,32 @@ def error_g(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
 
 
 def solve_H2(ctx_or_args, grid: PolarGridSpec | None = None) -> H2Correction:
-    """Solve div(K grad H2) = -g on the polar grid, anchored at P_1."""
+    """Solve div(K grad H2) = -g on the polar grid, anchored at P_1.
+
+    g is invariant under the dihedral group D_N of the polygon (rotations
+    by 2 pi/N and the reflection theta -> -theta through P_1), so error_g
+    runs only on the half-sector theta in [0, pi/N] of the rho <= 1.02
+    rings: the first n_angular/N // 2 + 1 columns.  With s = n_angular/N,
+    column k takes the values of column min(c, s - c), c = k mod s.
+    Raises DegenerateConfig when n_angular is not a multiple of N.
+    """
     ctx = ctx_or_args
     spec = grid if grid is not None else ctx.grid
+    n = len(ctx.frames)
+    if spec.n_angular % n:
+        raise DegenerateConfig(
+            f"n_angular = {spec.n_angular} is not a multiple of N = {n}"
+        )
+    sector = spec.n_angular // n
     rho = spec.radial_nodes()
-    theta = spec.theta_nodes()
-    pts = np.zeros((spec.n_radial, spec.n_angular, 2))
-    pts[..., 0] = rho[:, None] * np.cos(theta)[None, :]
-    pts[..., 1] = rho[:, None] * np.sin(theta)[None, :]
-    g = np.zeros((spec.n_radial, spec.n_angular))
+    theta = spec.theta_nodes()[: sector // 2 + 1]
     mask = rho <= 1.02
-    g[mask] = error_g(pts[mask], ctx)
+    pts = np.zeros((np.count_nonzero(mask), theta.size, 2))
+    pts[..., 0] = rho[mask, None] * np.cos(theta)[None, :]
+    pts[..., 1] = rho[mask, None] * np.sin(theta)[None, :]
+    c = np.arange(spec.n_angular) % sector
+    g = np.zeros((spec.n_radial, spec.n_angular))
+    g[mask] = error_g(pts, ctx)[:, np.minimum(c, sector - c)]
     h2 = solve_k_poisson(g, spec, ctx.h)
     h2.set_anchor(ctx.frames[0].P)
     return h2
@@ -360,7 +380,8 @@ def build_context(
         grid = PolarGridSpec()
     # angular sampling must respect the dihedral class: with n_angular a
     # multiple of lcm(2, N), aliasing folds modes onto the same class and
-    # the discrete H2 inherits the exact rotation/reflection symmetries
+    # the discrete H2 inherits the exact rotation/reflection symmetries;
+    # solve_H2 evaluates g on one half-sector and fills the rest by them
     block = math.lcm(2, n)
     if grid.n_angular % block:
         grid = PolarGridSpec(

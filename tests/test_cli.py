@@ -151,6 +151,31 @@ class TestStreamCommands:
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])) == 2
 
+    def test_alpha_solve_ignores_config_alpha(self, cfg_file, tmp_path, monkeypatch):
+        # solve_alpha starts at the leading-order speed, so a build at
+        # `[stream] alpha` would go unused
+        from helix_kmd import stream
+
+        build = stream.build_context
+        alphas = []
+
+        def counting(*args, **kwargs):
+            alphas.append(kwargs.get("alpha"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(stream, "build_context", counting)
+        grid = "[stream]\ngrid.radial = 64\ngrid.angular = 24\n"
+        counts = []
+        for extra in ("", "alpha = -3.0\n"):
+            cfg_file.write_text(BASE.replace("[stream]\n", grid + extra))
+            alphas.clear()
+            out = tmp_path / f"a{len(counts)}"
+            assert main(["alpha-solve", "--config", str(cfg_file), "--out", str(out),
+                         "--epsilon-override", "e^-20"]) == 0
+            assert alphas[0] == pytest.approx(-2.0)
+            counts.append(len(alphas))
+        assert counts[0] == counts[1]
+
     def test_subcommand_isolation(self, cfg_file, tmp_path):
         # residual-scan runs in a fresh directory without simulate outputs
         out = tmp_path / "iso"

@@ -3,16 +3,22 @@
 Each reference below is the earlier, straightforward implementation kept
 verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
-the banded mode matrix and an element-wise lil_matrix fill of the radial
-systems.  The arithmetic per entry is unchanged, so results must agree
-exactly, not to a tolerance.
+the banded mode matrix, an element-wise lil_matrix fill of the radial
+systems and one cubic spline per H2 mode.  The arithmetic per entry is
+unchanged, so results must agree exactly, not to a tolerance.  The one
+exception is the defect density g on the solver grid: it is evaluated on
+one dihedral half-sector and filled by symmetry, so the filled columns
+agree with a direct evaluation to rounding only.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.sparse import lil_matrix
 
-from helix_kmd import elliptic, linear_theory, liouville
+from helix_kmd import elliptic, linear_theory, liouville, stream
 from helix_kmd.liouville import LocalProfile
 
 
@@ -153,6 +159,73 @@ def _radial_system_ref(u, k, h_k, border):
     return B.tocsc(), np.concatenate([rhs, [0.0]])
 
 
+def _g_grid_ref(ctx, spec):
+    """error_g on every angular column of the rho <= 1.02 rings."""
+    rho = spec.radial_nodes()
+    theta = spec.theta_nodes()
+    pts = np.zeros((spec.n_radial, spec.n_angular, 2))
+    pts[..., 0] = rho[:, None] * np.cos(theta)[None, :]
+    pts[..., 1] = rho[:, None] * np.sin(theta)[None, :]
+    g = np.zeros((spec.n_radial, spec.n_angular))
+    mask = rho <= 1.02
+    g[mask] = stream.error_g(pts[mask], ctx)
+    return g
+
+
+def _h2_polar_ref(h2, x):
+    rho = np.hypot(x[..., 0], x[..., 1])
+    theta = np.arctan2(x[..., 1], x[..., 0])
+    u = np.log(np.maximum(rho, 1e-300))
+    return rho, theta, u, np.clip(u, h2._u[0], h2._u[-1])
+
+
+def _h2_value_ref(h2, x):
+    x = np.asarray(x, dtype=float)
+    splines = [CubicSpline(h2._u, m) for m in h2._modes]
+    rho, theta, u, uc = _h2_polar_ref(h2, x)
+    umax = h2._u[-1]
+    out = np.zeros_like(rho)
+    for w, k, s in zip(h2._w, h2._k, splines):
+        out += w * (s(uc) * np.exp(1j * k * theta)).real
+    far = u > umax
+    if np.any(far):
+        q = -h2.flux / (2.0 * np.pi)
+        du = u - umax
+        rr = np.exp(2.0 * u) - np.exp(2.0 * umax)
+        out = np.where(far, out + q * (du + rr / (2.0 * h2.h**2)), out)
+    return out - h2.offset
+
+
+def _h2_gradient_ref(h2, x):
+    x = np.asarray(x, dtype=float)
+    splines = [CubicSpline(h2._u, m) for m in h2._modes]
+    dsplines = [s.derivative() for s in splines]
+    rho, theta, u, uc = _h2_polar_ref(h2, x)
+    umin, umax = h2._u[0], h2._u[-1]
+    d_rho = np.zeros_like(rho)
+    d_theta = np.zeros_like(rho)
+    for w, k, s, ds in zip(h2._w, h2._k, splines, dsplines):
+        ph = np.exp(1j * k * theta)
+        d_rho += w * (ds(uc) * ph).real
+        d_theta += w * ((1j * k) * s(uc) * ph).real
+    inside = u < umin
+    d_rho = np.where(inside, 0.0, d_rho)
+    d_theta = np.where(inside, 0.0, d_theta)
+    far = u > umax
+    if np.any(far):
+        q = -h2.flux / (2.0 * np.pi)
+        beta = h2.h**2 / (h2.h**2 + np.exp(2.0 * u))
+        d_rho = np.where(far, q / beta, d_rho)
+        d_theta = np.where(far, 0.0, d_theta)
+    rho_safe = np.maximum(rho, 1e-300)
+    er = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    et = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    return (
+        (d_rho / rho_safe)[..., None] * er
+        + (d_theta / rho_safe)[..., None] * et
+    )
+
+
 # -- equivalence --------------------------------------------------------------
 
 class TestKernels:
@@ -176,6 +249,24 @@ class TestKernels:
     def test_empty_input(self):
         for new in liouville._kernels(np.empty(0)):
             assert new.shape == (0,)
+
+    def test_series_runs_only_when_needed(self, rng, monkeypatch):
+        calls = []
+        polyval = np.polyval
+
+        def counting(c, x):
+            calls.append(np.size(x))
+            return polyval(c, x)
+
+        monkeypatch.setattr(np, "polyval", counting)
+        large = rng.uniform(liouville._T_SWITCH, 50.0, 400)
+        mixed = np.concatenate([large, rng.uniform(0.0, liouville._T_SWITCH, 7)])
+        for t, series_sizes in ((large, []), (mixed, [7, 7, 7])):
+            calls.clear()
+            new = liouville._kernels(t)
+            assert calls == series_sizes
+            for a, b in zip(new, _kernels_ref(t)):
+                assert np.array_equal(a, b)
 
 
 class TestHessian:
@@ -227,3 +318,61 @@ class TestRadialSystem:
         assert np.array_equal(M.indices, M_ref.indices)
         assert np.array_equal(M.data, M_ref.data)
         assert np.array_equal(rhs, rhs_ref)
+
+
+class TestSectorFilledDefect:
+    # n_angular / N = 9, 8, 3 and 8 columns per sector: odd and even
+    @pytest.mark.parametrize("n,n_angular", [(2, 18), (3, 24), (4, 12), (5, 40)])
+    def test_matches_full_grid(self, monkeypatch, n, n_angular):
+        spec = elliptic.PolarGridSpec(n_radial=96, n_angular=n_angular)
+        ctx = stream.build_context(math.exp(-20.0), 1.0, 1.0, n, grid=spec)
+        assert ctx.grid == spec
+        seen = []
+
+        def capture(g, grid, h):
+            seen.append(g)
+            return elliptic.solve_k_poisson(g, grid, h)
+
+        monkeypatch.setattr(stream, "solve_k_poisson", capture)
+        h2 = stream.solve_H2(ctx, spec)
+        g_ref = _g_grid_ref(ctx, spec)
+        scale = np.max(np.abs(g_ref))
+        assert scale > 0.0
+        assert np.max(np.abs(seen[0] - g_ref)) <= 1e-12 * scale
+        # the half-sector columns are evaluated directly, not filled
+        half = n_angular // n // 2 + 1
+        assert np.array_equal(seen[0][:, :half], g_ref[:, :half])
+        ref_k = elliptic.solve_k_poisson(g_ref, spec, ctx.h)._k
+        assert np.array_equal(h2._k, ref_k)
+
+
+class TestH2SingleSpline:
+    @pytest.fixture(scope="class")
+    def h2(self):
+        spec = elliptic.PolarGridSpec(n_radial=128, n_angular=24)
+        rho = spec.radial_nodes()[:, None]
+        theta = spec.theta_nodes()[None, :]
+        g = np.exp(-rho**2 / 0.1) * (
+            1.0 + np.cos(3.0 * theta) + 0.5 * np.sin(2.0 * theta) + 0.2 * np.cos(12.0 * theta)
+        ) * (rho < 1.0)
+        h2 = elliptic.solve_k_poisson(g, spec, 0.8)
+        h2.set_anchor(np.array([0.3, 0.1]))
+        assert h2._k.size > 3 and h2.offset != 0.0
+        return h2
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (5000,), (3, 4)])
+    def test_matches_per_mode_loop(self, h2, rng, shape):
+        # radii from inside rho_min to beyond rho_max
+        rho = np.exp(rng.uniform(np.log(1e-8), np.log(40.0), shape))
+        theta = rng.uniform(-np.pi, np.pi, shape)
+        x = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+        value = h2.value(x)
+        gradient = h2.gradient(x)
+        assert value.shape == shape and gradient.shape == shape + (2,)
+        assert np.array_equal(value, _h2_value_ref(h2, x))
+        assert np.array_equal(gradient, _h2_gradient_ref(h2, x))
+
+    def test_single_point_input(self, h2):
+        for x in (np.array([0.2, -0.3]), np.array([1e-9, 0.0]), np.array([0.0, 30.0])):
+            assert h2.value(x) == _h2_value_ref(h2, x)
+            assert np.array_equal(h2.gradient(x), _h2_gradient_ref(h2, x))

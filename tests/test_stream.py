@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from helix_kmd.elliptic import PolarGridSpec, solve_k_poisson
+from helix_kmd.errors import DegenerateConfig, HelixKmdError
 from helix_kmd.liouville import liouville_unit
 from helix_kmd.stream import (
     build_context,
@@ -21,6 +22,7 @@ from helix_kmd.stream import (
     psi_star,
     residual_S,
     rotating_argument,
+    solve_H2,
     solve_mu,
     vertex_points,
 )
@@ -152,6 +154,13 @@ class TestGlobalCorrection:
         zm[:, 1] *= -1.0
         diff = ctx.h2.value(f1.P + z @ f1.M.T) - ctx.h2.value(f1.P + zm @ f1.M.T)
         assert np.max(np.abs(diff)) < 1e-11
+
+    def test_rejects_grid_off_the_dihedral_class(self, ctx_cache):
+        # the half-sector fill needs n_angular a multiple of N
+        ctx = ctx_cache(20.0)
+        with pytest.raises(DegenerateConfig, match="multiple of N = 3"):
+            solve_H2(ctx, PolarGridSpec(n_radial=64, n_angular=25))
+        assert issubclass(DegenerateConfig, HelixKmdError)
 
     def test_quadratic_growth_bound(self, ctx_cache):
         ctx = ctx_cache(20.0)
