@@ -34,7 +34,6 @@ from .errors import (                                          # noqa: F401
     InvalidTransform,
     NoBracket,
     NonFiniteError,
-    NumericalFailure,
     ODESolveFailure,
     QuadratureFailure,
     SlowDecay,

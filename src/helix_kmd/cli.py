@@ -34,6 +34,15 @@ def _threads(args, cfg: ExperimentConfig) -> int:
     return int(cfg.get("sweep", "threads", 1))
 
 
+def _map(args, cfg: ExperimentConfig, fn, items) -> list:
+    """[fn(x) for x in items], on a pool of `--threads` workers when above 1."""
+    nthreads = _threads(args, cfg)
+    if nthreads > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _epsilons(args, cfg: ExperimentConfig) -> list[float]:
     if args.epsilon_override:
         from .config import _parse_float
@@ -207,12 +216,7 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
         }
 
     man.start("scan")
-    nthreads = _threads(args, cfg)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            rows = list(pool.map(one, eps_values))
-    else:
-        rows = [one(e) for e in eps_values]
+    rows = _map(args, cfg, one, eps_values)
     man.stop("scan")
     slope = fit_loglog_slope([r["eps"] for r in rows], [r["outer_norm"] for r in rows])
     path = out / "residual_scan.csv"
@@ -240,12 +244,7 @@ def cmd_alpha_solve(args, cfg: ExperimentConfig, out: Path, man: RunManifest) ->
         return diag
 
     man.start("alpha_solve")
-    nthreads = _threads(args, cfg)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(one, eps_values))
-    else:
-        results = [one(e) for e in eps_values]
+    results = _map(args, cfg, one, eps_values)
     man.stop("alpha_solve")
     path = out / "alpha_solve.json"
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -315,10 +314,11 @@ def cmd_verify(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None
 
     man.seed = SEED
     man.start("verify")
-    failures = run_checks()
+    checks = run_checks()
     man.stop("verify")
+    failures = sum(not c["passed"] for c in checks)
     (out / "verify.json").write_text(
-        json.dumps({"failures": failures}, indent=2) + "\n"
+        json.dumps({"failures": failures, "checks": checks}, indent=2) + "\n"
     )
     man.add_file(out / "verify.json")
     if failures:

@@ -18,7 +18,10 @@ field: beta d_u f_0 = -Q/(2 pi) carries the total source flux
 Q = integral of g, while true harmonics decay like exp(-k rho/h) and are
 clamped.  Banded 4th-order finite differences in u; all mode profiles
 share one cubic spline in u (one column per mode), which evaluates
-values and gradients off the grid.
+values and gradients off the grid.  The spline and the cumulative
+Simpson rule of the radial mode are written here in numpy with the
+arithmetic of scipy's CubicSpline and cumulative_simpson, so that the
+library loads neither scipy.interpolate nor scipy.integrate.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import SolverDivergence
@@ -73,6 +75,77 @@ class ScalarGrid:
             raise SolverDivergence("non-finite grid values")
         if np.any(np.diff(self.rho) <= 0.0):
             raise ValueError("radial nodes must increase")
+
+
+class _ColumnSpline:
+    """Not-a-knot cubic spline through y[:, j] at increasing knots x.
+
+    Same coefficients and evaluation order as
+    scipy.interpolate.CubicSpline(x, y, axis=0) and its derivative(), so
+    values agree bit for bit; points outside [x[0], x[-1]] use the end
+    polynomials.  Real or complex columns; at least four knots.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        n = x.size
+        dx = np.diff(x)
+        dxr = dx[:, None]
+        slope = np.diff(y, axis=0) / dxr
+        # derivatives yp at the knots: tridiagonal system, not-a-knot ends
+        A = np.zeros((3, n))
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b = np.empty(y.shape, dtype=y.dtype)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        A[1, 0] = dx[1]
+        A[0, 1] = d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        yp = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                          check_finite=False)
+        # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
+        t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
+        c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
+        self.x = x
+        self._dtype = y.dtype
+        # real views: complex coefficients times a real offset need no
+        # complex products; one contiguous (n-1, columns) array per power
+        self._c = [np.ascontiguousarray(ck).view(float) for ck in c]
+        self._dc = [3.0 * self._c[0], 2.0 * self._c[1], self._c[2]]
+
+    def _eval(self, u: np.ndarray, polys: list) -> list:
+        """Each piecewise polynomial of `polys` at the 1-D points u."""
+        # interval index among the interior knots: points beyond an end
+        # knot fall in the end interval, as in scipy
+        i = np.searchsorted(self.x[1:-1], u, side="right")
+        s = (u - self.x[i])[:, None]
+        s2 = s * s
+        powers = (s, s2, s2 * s)
+        term = np.empty((u.size, self._c[0].shape[1]))
+        outs = []
+        for c in polys:
+            # scipy's order: ((c[3] + c[2] s) + c[1] s^2) + c[0] s^3;
+            # mode="clip" (all indices are in range) writes unbuffered
+            v = c[-1].take(i, axis=0)
+            for ck, p in zip(c[-2::-1], powers):
+                np.take(ck, i, axis=0, out=term, mode="clip")
+                term *= p
+                v += term
+            outs.append(v.view(self._dtype))
+        return outs
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Values at the 1-D points u, shape (u.size, columns)."""
+        return self._eval(u, [self._c])[0]
+
+    def with_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and first derivatives at u from one interval lookup."""
+        return tuple(self._eval(u, [self._c, self._dc]))
 
 
 def _banded_mode_matrix(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
@@ -126,14 +199,44 @@ def _solve_mode0(u, beta, g0_hat):
     quadratic-growth far field continues seamlessly at the outer edge.
     Returns (f0, G) with f0(umin) = 0.
     """
-    from scipy.integrate import cumulative_simpson
-
     e2u = np.exp(2.0 * u)
-    G = cumulative_simpson(e2u * g0_hat, x=u, initial=0.0)
-    f0 = -cumulative_simpson(G / beta, x=u, initial=0.0)
+    G = _cumulative_simpson(e2u * g0_hat, u)
+    f0 = -_cumulative_simpson(G / beta, u)
     if not np.all(np.isfinite(np.asarray(f0, dtype=complex).view(float))):
         raise SolverDivergence("radial mode produced non-finite values")
     return f0, G
+
+
+def _simpson_parts(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integrals over [x_i, x_i+1] from y_i, y_i+1, y_i+2 (unequal dx)."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of y(x) from x[0], starting at 0 (3+ points).
+
+    The arithmetic of scipy.integrate.cumulative_simpson(y, x=x,
+    initial=0.0): even intervals from the forward three-point rule, odd
+    ones and the last from the same rule run backwards.
+    """
+    dx = np.diff(x)
+    h1 = _simpson_parts(y, dx)
+    h2 = _simpson_parts(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(dx.size, dtype=np.result_type(y, dx))
+    parts[:-1:2] = h1[::2]
+    parts[1::2] = h2[::2]
+    parts[-1] = h2[-1]
+    # "+ 0.0" as scipy adds `initial`: it turns a -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
 
 
 def _add_columns(out: np.ndarray, terms: np.ndarray) -> None:
@@ -159,8 +262,7 @@ class H2Correction:
         self.h = float(h)
         self._u = spec.u_nodes()
         self._modes = modes
-        self._spline = CubicSpline(self._u, modes.T, axis=0)
-        self._dspline = self._spline.derivative()
+        self._spline = _ColumnSpline(self._u, modes.T)
         self._w = weights
         self._k = wavenumbers
         self._ik = 1j * wavenumbers
@@ -197,7 +299,9 @@ class H2Correction:
         for i in range(0, rho.size, _BLOCK):
             b = slice(i, i + _BLOCK)
             ph = np.exp(self._ik * tf[b, None])
-            _add_columns(out[b], self._w * (self._spline(uf[b]) * ph).real)
+            f = self._spline(uf[b])
+            f *= ph
+            _add_columns(out[b], self._w * f.real)
         out = out.reshape(rho.shape)
         # mode-0 analytic continuation outside the disk
         far = u > umax
@@ -219,10 +323,12 @@ class H2Correction:
         for i in range(0, rho.size, _BLOCK):
             b = slice(i, i + _BLOCK)
             ph = np.exp(self._ik * tf[b, None])
-            _add_columns(d_rho[b], self._w * (self._dspline(uf[b]) * ph).real)
-            _add_columns(
-                d_theta[b], self._w * (self._ik * self._spline(uf[b]) * ph).real
-            )
+            f, df = self._spline.with_derivative(uf[b])
+            df *= ph
+            _add_columns(d_rho[b], self._w * df.real)
+            np.multiply(self._ik, f, out=f)
+            f *= ph
+            _add_columns(d_theta[b], self._w * f.real)
         d_rho = d_rho.reshape(rho.shape)
         d_theta = d_theta.reshape(rho.shape)
         inside = u < umin

@@ -51,7 +51,3 @@ class SlowDecay(HelixKmdError):
 
 class ConfigError(HelixKmdError):
     """Experiment configuration file failed validation."""
-
-
-class NumericalFailure(HelixKmdError):
-    """A numerical stage of a CLI run failed."""

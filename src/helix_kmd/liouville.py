@@ -125,11 +125,6 @@ def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w0, s0, w2
 
 
-def h1_kernels_unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dimensionless (w0, s0, w2) kernels at t = |z|^2/(eps*mu)^2."""
-    return _kernels(t)
-
-
 def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W(v), W'(v), W''(v) from one kernel evaluation; a = (eps*mu)^2."""
     w0, s0, w2 = _kernels(np.asarray(v, dtype=float) / a)

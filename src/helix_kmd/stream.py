@@ -554,7 +554,7 @@ def delta_s_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndar
         ctx.c1 * em * y[..., 0] + ctx.c2 * em * em * yn2
     )
     # (b) third-harmonic correction, inner-scaled: kH*em*w0(|y|^2)*P3(y)/12
-    w0, _, _ = lv.h1_kernels_unit(yn2)
+    w0, _, _ = lv._kernels(yn2)
     p3 = y[..., 0] ** 3 - 3.0 * y[..., 0] * y[..., 1] ** 2
     term_b = ctx.kH * em * (w0 / 12.0) * p3
     # (c) increments of the other vertex profiles (mu relation cancels)
@@ -682,8 +682,6 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
     diagnostics record the number of empirical projections
     (`calA_evaluations`) and `root_method`, "secant" or "bracket".
     """
-    from scipy.optimize import brentq
-
     n_eval = 0
 
     def f(alpha):
@@ -714,6 +712,8 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
             raise NoBracket(
                 f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {center:.4f}"
             )
+        from scipy.optimize import brentq
+
         root = brentq(f, lo, hi, xtol=xtol)
     corr = root - a_star
     diag = {

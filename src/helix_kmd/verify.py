@@ -2,8 +2,9 @@
 
 Each check is a named predicate over desk-scale computations: exact
 solution families, operator identities, kernel projections, symmetry
-invariances.  Prints one PASS/FAIL line per check and returns the number
-of failures.  All sampling uses a fixed seed, recorded by the caller.
+invariances.  Prints one PASS/FAIL line per check and returns each
+check's name, verdict and detail.  All sampling uses a fixed seed,
+recorded by the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def _fd_linearized(f, y, d=1e-3):
     return lap + 8.0 / (1.0 + v) ** 2 * f(y)
 
 
-def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> int:
+def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> list[dict]:
+    """Run every check; returns {"name", "passed", "detail"} per check in order."""
     from . import (
         HelixConfig,
         HelixVariant,
@@ -54,17 +56,16 @@ def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> int:
         simulate,
         stationary_radius,
     )
+    from .linear_theory import _half_line_integral
     from .liouville import liouville_density
     from .stream import build_context, error_g, mu_relation_rhs, psi0_sum, psi_star
 
     rng = np.random.default_rng(SEED)
-    failures = 0
+    checks = []
 
     def check(name, ok, detail=""):
-        nonlocal failures
         status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
+        checks.append({"name": name, "passed": bool(ok), "detail": detail})
         if verbose:
             print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
 
@@ -124,8 +125,7 @@ def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> int:
     check("local frame round trip", rt < 1e-13, f"{rt:.2e}")
 
     # Liouville identities
-    from scipy.integrate import quad as _quad
-    mass = _quad(lambda s: np.pi * 8.0 / (1.0 + s) ** 2, 0.0, np.inf)[0]
+    mass, _ = _half_line_integral(lambda s: np.pi * 8.0 / (1.0 + s) ** 2)
     check("bubble mass 8 pi", abs(mass - 8.0 * np.pi) < 1e-6, f"{mass:.8f}")
     y = rng.normal(size=(24, 2)) * 1.5
     worst = max(
@@ -177,4 +177,4 @@ def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> int:
     defect = helical_symmetry_defect(fld, 0.37)
     check("helical symmetry identity", defect < 1e-12, f"{defect:.2e}")
 
-    return failures
+    return checks

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +208,41 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "[FAIL]" not in text
         assert text.count("[PASS]") >= 15
+        report = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert report["failures"] == 0
+        checks = report["checks"]
+        assert len(checks) == text.count("[PASS]")
+        assert all(set(c) == {"name", "passed", "detail"} and c["passed"] for c in checks)
+        assert "bubble mass 8 pi" in [c["name"] for c in checks]
+
+
+# scipy subpackages the library must not load: each pulls in several more
+# (scipy.interpolate alone loads special, optimize, spatial and fft)
+HEAVY_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
+               "scipy.special")
+
+
+def test_cli_runs_without_heavy_scipy(tmp_path):
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(
+        BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\ngrid.angular = 24\n")
+    )
+    script = textwrap.dedent(f"""
+        import sys
+        import helix_kmd.cli as cli
+        heavy = {HEAVY_SCIPY!r}
+        print("import", [m for m in heavy if m in sys.modules])
+        for cmd in ("residual-scan", "alpha-solve"):
+            code = cli.main([cmd, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r}])
+            print(cmd, code, [m for m in heavy if m in sys.modules])
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == [
+        "import []", "residual-scan 0 []", "alpha-solve 0 []",
+    ]
 
 
 class TestKmdOverrides:

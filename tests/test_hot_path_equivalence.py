@@ -4,17 +4,21 @@ Each reference below is the earlier, straightforward implementation kept
 verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
-systems and one cubic spline per H2 mode.  The arithmetic per entry is
-unchanged, so results must agree exactly, not to a tolerance.  The one
-exception is the defect density g on the solver grid: it is evaluated on
-one dihedral half-sector and filled by symmetry, so the filled columns
-agree with a direct evaluation to rounding only.
+systems and one cubic spline per H2 mode.  The numpy spline and
+cumulative Simpson rule of `elliptic` are compared with scipy's
+CubicSpline and cumulative_simpson, whose arithmetic they repeat.  The
+arithmetic per entry is unchanged, so results must agree exactly, not to
+a tolerance.  The one exception is the defect density g on the solver
+grid: it is evaluated on one dihedral half-sector and filled by
+symmetry, so the filled columns agree with a direct evaluation to
+rounding only.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.sparse import lil_matrix
 
@@ -226,6 +230,19 @@ def _h2_gradient_ref(h2, x):
     )
 
 
+def _phi_ref(sol, y):
+    """ProjectedSolution.phi with one CubicSpline per cos and sin mode."""
+    rho = np.hypot(y[..., 0], y[..., 1])
+    theta = np.arctan2(y[..., 1], y[..., 0])
+    uc = np.clip(np.log(np.maximum(rho, 1e-300)), sol.u[0], sol.u[-1])
+    out = np.zeros_like(rho)
+    for k, m in sol.cos_modes.items():
+        out += CubicSpline(sol.u, m)(uc) * np.cos(k * theta)
+    for k, m in sol.sin_modes.items():
+        out += CubicSpline(sol.u, m)(uc) * np.sin(k * theta)
+    return out
+
+
 # -- equivalence --------------------------------------------------------------
 
 class TestKernels:
@@ -376,3 +393,76 @@ class TestH2SingleSpline:
         for x in (np.array([0.2, -0.3]), np.array([1e-9, 0.0]), np.array([0.0, 30.0])):
             assert h2.value(x) == _h2_value_ref(h2, x)
             assert np.array_equal(h2.gradient(x), _h2_gradient_ref(h2, x))
+
+
+class TestColumnSpline:
+    @pytest.fixture(params=["real", "complex"])
+    def data(self, request):
+        rng = np.random.default_rng(7)
+        x = np.linspace(np.log(1e-6), np.log(20.0), 200)
+        y = rng.normal(size=(x.size, 6)) * np.exp(-np.exp(x))[:, None]
+        if request.param == "complex":
+            y = y + 1j * rng.normal(size=y.shape)
+        return x, y
+
+    @pytest.mark.parametrize("n_points", [1, 9, 5000])
+    def test_matches_cubic_spline(self, data, n_points):
+        x, y = data
+        rng = np.random.default_rng(n_points)
+        # interior points, every knot, both ends and points just beyond them
+        u = np.concatenate([rng.uniform(x[0], x[-1], n_points), x,
+                            [x[0] - 0.5, x[-1] + 0.5, np.nextafter(x[-1], 0.0)]])
+        ref = CubicSpline(x, y, axis=0)
+        spline = elliptic._ColumnSpline(x, y)
+        value, deriv = spline.with_derivative(u)
+        assert value.dtype == y.dtype and value.shape == (u.size, y.shape[1])
+        assert np.array_equal(spline(u), ref(u))
+        assert np.array_equal(value, ref(u))
+        assert np.array_equal(deriv, ref.derivative()(u))
+
+    def test_columns_are_independent(self, data):
+        x, y = data
+        u = np.linspace(x[0], x[-1], 777)
+        both = elliptic._ColumnSpline(x, y)(u)
+        for j in range(y.shape[1]):
+            assert np.array_equal(both[:, j], CubicSpline(x, y[:, j])(u))
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 129, 512])
+    def test_matches_scipy(self, rng, n):
+        x = np.cumsum(rng.uniform(0.1, 1.0, n))
+        y = np.sin(x) + rng.normal(size=n)
+        assert np.array_equal(elliptic._cumulative_simpson(y, x),
+                              cumulative_simpson(y, x=x, initial=0.0))
+
+    def test_radial_mode(self, rng):
+        spec = elliptic.PolarGridSpec(n_radial=257)
+        u = spec.u_nodes()
+        rho = np.exp(u)
+        beta = 0.64 / (0.64 + rho * rho)
+        g0 = np.exp(-rho**2) * (1.0 + rng.normal(size=u.size))
+        f0, G = elliptic._solve_mode0(u, beta, g0)
+        G_ref = cumulative_simpson(np.exp(2.0 * u) * g0, x=u, initial=0.0)
+        assert np.array_equal(G, G_ref)
+        assert np.array_equal(f0, -cumulative_simpson(G_ref / beta, x=u, initial=0.0))
+
+
+class TestProjectedSolutionSpline:
+    def test_phi_matches_per_mode_splines(self, rng):
+        h = lambda y: np.exp(-np.einsum("...i,...i->...", y, y)) * (
+            0.3 + 0.7 * y[..., 0] - 0.4 * y[..., 1] + 0.2 * y[..., 0] * y[..., 1]
+        )
+        sol = linear_theory.projected_solve(h, n_radial=512)
+        assert len(sol.cos_modes) > 1 and len(sol.sin_modes) > 1
+        rho = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), 50))
+        theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        y = np.stack([rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)],
+                     axis=-1)
+        assert np.array_equal(sol.phi(y), _phi_ref(sol, y))
+        assert sol.phi(y[3, 5]) == _phi_ref(sol, y[3, 5])
+
+
+def test_gamma_constants_fixed_rule():
+    for g in linear_theory.gamma_constants():
+        assert abs(g - 3.0 / (32.0 * math.pi)) <= 1e-14
