@@ -18,25 +18,33 @@ field: beta d_u f_0 = -Q/(2 pi) carries the total source flux
 Q = integral of g, while true harmonics decay like exp(-k rho/h) and are
 clamped.  Banded 4th-order finite differences in u; all mode profiles
 share one cubic spline in u (one column per mode), which evaluates
-values and gradients off the grid.  The spline and the cumulative
-Simpson rule of the radial mode are written here in numpy with the
-arithmetic of scipy's CubicSpline and cumulative_simpson, so that the
-library loads neither scipy.interpolate nor scipy.integrate.
+values and gradients off the grid.
+
+The module imports numpy only, and so does the library.  The k >= 1
+mode systems are solved together by `_Banded`, a block LU for stacked
+five-band matrices that linear_theory's radial systems use too; their
+factors depend on the grid, h and the kept modes, not on g, and are
+cached across builds.  The spline (its tridiagonal system is LAPACK
+dgtsv ported to numpy) and the cumulative Simpson rule of the radial
+mode repeat the arithmetic of scipy's CubicSpline and
+cumulative_simpson bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.fft import rfft
 
 from .errors import SolverDivergence
 
 # points per block when summing the modes: keeps the (points x modes)
 # temporaries of value() and gradient() at a few MB
 _BLOCK = 2048
+# rows per diagonal block of _Banded's block LU
+_LU_BLOCK = 8
 
 __all__ = ["ScalarGrid", "PolarGridSpec", "H2Correction", "solve_k_poisson"]
 
@@ -77,6 +85,123 @@ class ScalarGrid:
             raise ValueError("radial nodes must increase")
 
 
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> None:
+    """Solve the tridiagonal system (dl, d, du) x = b in place of b (n, columns).
+
+    LAPACK dgtsv's Gaussian elimination with partial pivoting by row
+    interchanges, so that x agrees bit for bit with scipy's
+    solve_banded((1, 1)).  The pivot decisions, multipliers and reduced
+    diagonals depend on the matrix alone and are computed once in Python
+    floats; the forward and back sweeps then act on whole rows of b.
+    """
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    n = len(d)
+    fact = [0.0] * (n - 1)
+    swap = [False] * (n - 1)
+    fill = [0.0] * (n - 1)  # second super-diagonal made by interchanges
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact[i] = f = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - f * du[i]
+        else:
+            fact[i] = f = d[i] / dl[i]
+            swap[i] = True
+            d[i] = dl[i]
+            t = d[i + 1]
+            d[i + 1] = du[i] - f * t
+            if i < n - 2:
+                fill[i] = du[i + 1]
+                du[i + 1] = -f * fill[i]
+            du[i] = t
+    rows = list(b)
+    for i in range(n - 1):
+        if swap[i]:
+            t = rows[i].copy()
+            rows[i][...] = rows[i + 1]
+            rows[i + 1][...] = t - fact[i] * rows[i + 1]
+        else:
+            rows[i + 1] -= fact[i] * rows[i]
+    rows[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        rows[i] -= du[i] * rows[i + 1]
+        if fill[i]:
+            rows[i] -= fill[i] * rows[i + 2]
+        rows[i] /= d[i]
+
+
+class _Banded:
+    """LU factors of m stacked n x n matrices with two sub- and super-diagonals.
+
+    Row-aligned bands: bands[d, i, j] multiplies x[i - 2 + d] in row i of
+    matrix j; entries that would reach outside [0, n) are ignored.  Block
+    LU over _LU_BLOCK-row diagonal blocks, n padded with identity rows:
+    each Schur-complemented diagonal block is inverted by np.linalg.inv
+    (partial pivoting inside the block), and consecutive blocks couple
+    only through 2 x 2 corners.  Nothing pivots across blocks, which the
+    radial mode systems here do not need.  solve() takes one Python step
+    per block, each a batched matmul over the m matrices, so a matrix's
+    solution does not depend on the other matrices of the batch.
+    """
+
+    def __init__(self, bands: np.ndarray):
+        _, n, m = bands.shape
+        b = _LU_BLOCK
+        p = -(-n // b)
+        self._bands = bands
+        padded = np.zeros((5, p * b, m))
+        padded[:, :n] = bands
+        padded[2, n:] = 1.0
+        # B[d, q, j, r]: band d of row q*b + r of matrix j
+        B = padded.reshape(5, p, b, m).transpose(0, 1, 3, 2)
+        blocks = np.zeros((p, m, b, b))
+        flat = blocks.reshape(p, m, b * b)
+        for dd in range(5):
+            # diagonal s of every block: a strided slice of the flat blocks
+            s = dd - 2
+            lo, hi = max(0, -s), b - max(0, s)
+            flat[..., lo * (b + 1) + s:(hi - 1) * (b + 1) + s + 1:b + 1] = B[dd][..., lo:hi]
+        # rows 0, 1 of block q on columns b-2, b-1 of block q-1, and
+        # rows b-2, b-1 of block q on columns 0, 1 of block q+1
+        self._low = low = np.zeros((p, m, 2, 2))
+        low[..., 0, 0], low[..., 0, 1], low[..., 1, 1] = B[0, ..., 0], B[1, ..., 0], B[0, ..., 1]
+        up = np.zeros((p, m, 2, 2))
+        up[..., 0, 0], up[..., 1, 0], up[..., 1, 1] = B[4, ..., -2], B[3, ..., -1], B[4, ..., -1]
+        self._inv = inv = np.empty((p, m, b, b))
+        # the inverse block's last two columns times the upper corner
+        self._w = w = np.empty((p, m, b, 2))
+        for q in range(p):
+            if q:
+                blocks[q, :, :2, :2] -= low[q] @ w[q - 1, :, -2:]
+            try:
+                inv[q] = np.linalg.inv(blocks[q])
+            except np.linalg.LinAlgError:
+                raise SolverDivergence("singular block in a banded solve") from None
+            np.matmul(inv[q, :, :, -2:], up[q], out=w[q])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x[:, j] solving matrix j against rhs[:, j]; rhs has shape (n, m, columns)."""
+        n, m, c = rhs.shape
+        p, b = self._inv.shape[0], _LU_BLOCK
+        y = np.zeros((p * b, m, c))
+        y[:n] = rhs
+        y = np.ascontiguousarray(y.reshape(p, b, m, c).transpose(0, 2, 1, 3))
+        x = np.empty_like(y)
+        for q in range(p):
+            if q:
+                y[q, :, :2] -= self._low[q] @ x[q - 1, :, -2:]
+            np.matmul(self._inv[q], y[q], out=x[q])
+        for q in range(p - 2, -1, -1):
+            x[q] -= self._w[q] @ x[q + 1, :, :2]
+        return x.transpose(0, 2, 1, 3).reshape(p * b, m, c)[:n]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The matrices times x of shape (n, m, columns)."""
+        n = x.shape[0]
+        xp = np.zeros((n + 4,) + x.shape[1:])
+        xp[2:-2] = x
+        return sum(self._bands[d][:, :, None] * xp[d:d + n] for d in range(5))
+
+
 class _ColumnSpline:
     """Not-a-knot cubic spline through y[:, j] at increasing knots x.
 
@@ -106,8 +231,9 @@ class _ColumnSpline:
         A[1, -1] = dx[-2]
         A[-1, -2] = d = x[-1] - x[-3]
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        yp = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                          check_finite=False)
+        # solved in place; complex columns as pairs of real ones
+        _gtsv(A[2, :-1], A[1], A[0, 1:], b.reshape(n, -1).view(float))
+        yp = b
         # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
         t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
         c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
@@ -173,23 +299,33 @@ def _banded_mode_matrix(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
     return ab
 
 
-def _solve_mode(u, beta, beta_u, k, rhs):
-    """Solve one angular mode k >= 1 with decay (Dirichlet) edge conditions."""
+def _beta(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """beta = h^2/(h^2 + rho^2) and its u-derivative at rho = e^u."""
+    rho = np.exp(u)
+    beta = h * h / (h * h + rho * rho)
+    return beta, -2.0 * beta * rho * rho / (h * h + rho * rho)
+
+
+@lru_cache(maxsize=4)
+def _mode_factor(spec: PolarGridSpec, h: float, ks: tuple) -> _Banded:
+    """Factors of the mode systems k in ks (>= 1), decay (Dirichlet) edges.
+
+    They depend on the grid, h and the kept wavenumbers but not on the
+    source, so builds that share these factor once.
+    """
+    u = spec.u_nodes()
     n = u.size
-    ab = _banded_mode_matrix(u, beta, beta_u, float(k * k))
-    b = rhs.astype(complex).copy()
-
-    def put(i, j, val):
-        ab[2 + i - j, j] += val
-
-    put(0, 0, 1.0)
-    b[0] = 0.0
-    put(n - 1, n - 1, 1.0)
-    b[-1] = 0.0
-    sol = solve_banded((2, 2), ab, b)
-    if not np.all(np.isfinite(sol.view(float))):
-        raise SolverDivergence("mode solve produced non-finite values")
-    return sol
+    beta, beta_u = _beta(u, h)
+    ab = np.empty((5, n, len(ks)))
+    for j, k in enumerate(ks):
+        ab[..., j] = _banded_mode_matrix(u, beta, beta_u, float(k * k))
+    # LAPACK storage ab[2 + i - j, j] to row-aligned bands[d, i], j = i - 2 + d
+    bands = np.zeros_like(ab)
+    for d in range(5):
+        s = d - 2
+        bands[d, max(0, -s):n - max(0, s)] = ab[4 - d, max(0, s):n + min(0, s)]
+    bands[2, 0] = bands[2, -1] = 1.0
+    return _Banded(bands)
 
 
 def _solve_mode0(u, beta, g0_hat):
@@ -358,27 +494,23 @@ def solve_k_poisson(
     if nr != spec.n_radial or nt != spec.n_angular:
         raise ValueError("sample shape does not match grid spec")
     u = spec.u_nodes()
-    rho = np.exp(u)
-    beta = h * h / (h * h + rho * rho)
-    beta_u = -2.0 * beta * rho * rho / (h * h + rho * rho)
-    ghat = np.fft.rfft(g_samples, axis=1)           # (nr, nt/2+1)
-    e2u = np.exp(2.0 * u)
-    n_modes = ghat.shape[1]
+    beta, _ = _beta(u, h)
+    ghat = rfft(g_samples, axis=1)                  # (nr, nt/2+1)
     scale = np.max(np.abs(ghat)) + 1e-300
-    modes, weights, ks = [], [], []
     sol0, G0 = _solve_mode0(u, beta, ghat[:, 0].real)
     flux = float(2.0 * np.pi * G0[-1] / nt)
-    modes.append(sol0.astype(complex))
-    weights.append(1.0 / nt)
-    ks.append(0)
-    for k in range(1, n_modes):
-        w = 1.0 / nt if k == nt // 2 else 2.0 / nt
-        if np.max(np.abs(ghat[:, k])) < mode_cut * scale:
-            continue
-        sol = _solve_mode(u, beta, beta_u, k, -e2u * ghat[:, k])
-        modes.append(sol)
-        weights.append(w)
-        ks.append(k)
-    return H2Correction(
-        spec, h, np.array(modes), np.array(weights), np.array(ks), flux,
-    )
+    ks = 1 + np.flatnonzero(~(np.max(np.abs(ghat[:, 1:]), axis=0) < mode_cut * scale))
+    rhs = -np.exp(2.0 * u)[:, None] * ghat[:, ks]
+    rhs[[0, -1]] = 0.0
+    # real and imaginary parts as two right-hand-side columns
+    sol = _mode_factor(spec, float(h), tuple(ks.tolist())).solve(
+        np.stack([rhs.real, rhs.imag], axis=-1))
+    if not np.all(np.isfinite(sol)):
+        raise SolverDivergence("mode solve produced non-finite values")
+    modes = np.empty((ks.size + 1, nr), dtype=complex)
+    modes[0] = sol0
+    modes[1:].real = sol[..., 0].T
+    modes[1:].imag = sol[..., 1].T
+    # the Nyquist mode of an even grid counts once, every other mode twice
+    weights = np.concatenate([[1.0 / nt], np.where(2 * ks == nt, 1.0 / nt, 2.0 / nt)])
+    return H2Correction(spec, h, modes, weights, np.concatenate([[0], ks]), flux)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fftfreq, ifft
 
 from .errors import CollisionError, InvalidTransform, NonFiniteError
 
@@ -86,7 +87,7 @@ class FilamentEnsemble:
     @property
     def wavenumbers(self) -> np.ndarray:
         m = self.n_modes
-        return 2.0 * np.pi * np.fft.fftfreq(m, d=self.axial_period / m)
+        return 2.0 * np.pi * fftfreq(m, d=self.axial_period / m)
 
     def with_positions(self, pos: np.ndarray, time: float) -> "FilamentEnsemble":
         return FilamentEnsemble(
@@ -164,9 +165,9 @@ def kmd_rhs(state: FilamentEnsemble, collision_threshold: float = 0.0) -> np.nda
     """Right-hand side dX_j/dt on the sample grid (complex (N, M) array)."""
     pos = state.positions
     coef = state.core_constants * state.circulations
-    xh = np.fft.fft(pos, axis=1)
+    xh = fft(pos, axis=1)
     k2 = state.wavenumbers**2
-    lin = 1.0j * coef[:, None] * np.fft.ifft(-k2[None, :] * xh, axis=1)
+    lin = 1.0j * coef[:, None] * ifft(-k2[None, :] * xh, axis=1)
     out = lin + _interaction(pos, state.circulations, collision_threshold)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteError("non-finite right-hand side")
@@ -190,9 +191,9 @@ def step(
     k2 = state.wavenumbers**2
     coef = state.core_constants * state.circulations
     half = np.exp(-1.0j * coef[:, None] * k2[None, :] * (0.5 * dt))
-    pos = np.fft.ifft(half * np.fft.fft(state.positions, axis=1), axis=1)
+    pos = ifft(half * fft(state.positions, axis=1), axis=1)
     pos = _rk4_interaction(pos, state.circulations, dt, collision_threshold)
-    pos = np.fft.ifft(half * np.fft.fft(pos, axis=1), axis=1)
+    pos = ifft(half * fft(pos, axis=1), axis=1)
     if not np.all(np.isfinite(pos.view(float))):
         raise NonFiniteError("non-finite state after step")
     return state.with_positions(pos, state.time + dt)
@@ -246,8 +247,8 @@ def _transform_state(
     t = state.time
     shift = 2.0 * kappa0 * nu * t
     k = state.wavenumbers
-    xh = np.fft.fft(state.positions, axis=1)
-    pos = np.fft.ifft(np.exp(-1.0j * k[None, :] * shift) * xh, axis=1)
+    xh = fft(state.positions, axis=1)
+    pos = ifft(np.exp(-1.0j * k[None, :] * shift) * xh, axis=1)
     s = state.s_grid
     phase = np.exp(-1.0j * kappa0 * nu * nu * t) * np.exp(1.0j * s * nu)
     return state.with_positions(phase[None, :] * pos, t)

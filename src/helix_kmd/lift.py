@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -202,7 +203,7 @@ def _core_quadrature(ctx, y_cap: float = 40.0, n_seg: int = 16, n_theta: int = 4
     edges = [0.0, 1.0]
     while edges[-1] < ymax:
         edges.append(min(2.0 * edges[-1], ymax))
-    nodes, weights = np.polynomial.legendre.leggauss(n_seg)
+    nodes, weights = leggauss(n_seg)
     rr, ww = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

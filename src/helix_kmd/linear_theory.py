@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bmat, diags
-from scipy.sparse.linalg import spsolve
+from numpy.fft import rfft
+from numpy.polynomial.legendre import leggauss
 
-from .elliptic import _ColumnSpline
+from .elliptic import _Banded, _ColumnSpline
 from .errors import ODESolveFailure, QuadratureFailure, SlowDecay
 
 __all__ = [
@@ -69,7 +70,7 @@ def _half_line_integral(f) -> tuple[float, float]:
     """
 
     def rule(n):
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = leggauss(n)
         t = 0.5 * (t + 1.0)
         return float(np.sum(0.5 * w * f(t / (1.0 - t)) / (1.0 - t) ** 2))
 
@@ -149,54 +150,82 @@ def _apply_bcs(bands: np.ndarray, rhs: np.ndarray, u: np.ndarray, k: int):
     return bands, rhs
 
 
-def _radial_system(u: np.ndarray, k: int, h_k: np.ndarray,
-                   border: np.ndarray | None):
-    """CSC matrix and right-hand side of one radial mode (see _solve_radial).
+def _radial_rows(u: np.ndarray, k: int, h_k: np.ndarray, border: np.ndarray | None):
+    """Bands, right-hand side and border of radial mode k.
 
-    With a border the system gains the multiplier column -e^{2u} e^G border
-    and, for k = 0, an outer Dirichlet row, else an orthogonality row.
+    Returns (bands, rhs, col, row): the mode operator's row-aligned bands
+    with its boundary rows, rhs = -e^{2u} h_k (h_k of shape (n, columns))
+    with pinned ends, and for a `border` the multiplier column
+    col = e^{2u} e^G border, zero at both ends, and the extra row: the outer
+    Dirichlet row for k = 0, else the e^G-weighted orthogonality row.  The
+    bordered system is [[A, -col], [row, 0]] [phi; d] = [rhs; 0].  col and
+    row are None without a border.
     """
-    n = u.size
-    rho = np.exp(u)
     e2u = np.exp(2.0 * u)
-    rhs = -(e2u * h_k).astype(float)
-    bands, rhs = _apply_bcs(_mode_bands(u, k), rhs, u, k)
-    A = diags([bands[0, 2:], bands[1, 1:], bands[2], bands[3, :-1], bands[4, :-2]],
-              [-2, -1, 0, 1, 2], format="csc")
+    bands, rhs = _apply_bcs(_mode_bands(u, k), -(e2u[:, None] * h_k), u, k)
     if border is None:
-        return A, rhs
-    col = e2u * _e_gamma(rho) * border
-    col[0] = 0.0
-    col[-1] = 0.0
+        return bands, rhs, None, None
+    col = e2u * _e_gamma(np.exp(u)) * border
     if k == 0:
-        row = np.zeros(n)
-        row[n - 1] = 1.0                       # outer Dirichlet row
+        row = np.zeros(u.size)
+        row[-1] = 1.0
     else:
-        row = e2u * _e_gamma(rho) * border     # orthogonality row
-    # the dense blocks enter as COO, which stores no zeros (col's pinned ends)
-    B = bmat([[A, -col[:, None]], [row[None, :], None]], format="csc")
-    return B, np.concatenate([rhs, [0.0]])
+        row = col.copy()
+    col[0] = col[-1] = 0.0
+    return bands, rhs, col, row
 
 
-def _solve_radial(u: np.ndarray, k: int, h_k: np.ndarray,
-                  border: np.ndarray | None):
-    """Solve one mode; bordered with multiplier d when `border` is given.
+def _radial_solve(u: np.ndarray, hc: np.ndarray, hs: np.ndarray):
+    """Solve the radial modes k = 0 .. K for cos and sin sources hc, hs (n, K+1).
 
-    k = 0: the multiplier removes the log branch, so both the value and
-    the slope can be pinned at the outer edge and the solution decays;
-    no kernel ambiguity remains.  k = 1: the bounded kernel element
-    satisfies the homogeneous problem, so the border is paired with an
-    e^Gamma-weighted orthogonality row instead.
+    Returns phi (n, K+1, 2), the cos and sin solutions, and the
+    multipliers d (2, 2) of the bordered modes k = 0 (Z0, cos column) and
+    k = 1 (Z1, both columns), zero for a mode beyond K.  k = 0: the
+    multiplier removes the log branch, so both the value and the slope
+    are pinned at the outer edge and the solution decays; no kernel
+    ambiguity remains.  k = 1: the bounded kernel element satisfies the
+    homogeneous problem, so the border is paired with an e^Gamma-weighted
+    orthogonality row instead.
+
+    All modes share one _Banded factor, with the border column as a third
+    right-hand side; the bordered modes take the Schur complement
+    phi = y1 + d y2, with d from the border row.  One step of iterative
+    refinement follows, since A_1 is nearly singular along Z1.
     """
-    n = u.size
-    M, rhs = _radial_system(u, k, h_k, border)
-    sol = spsolve(M, rhs)
-    if not np.all(np.isfinite(sol)):
-        kind = "mode" if border is None else "bordered mode"
-        raise ODESolveFailure(f"{kind} {k} radial solve diverged")
-    if border is None:
-        return sol, 0.0
-    return sol[:n], float(sol[n])
+    n, m = hc.shape
+    nb = min(m, 2)                               # bordered modes
+    rho = np.exp(u)
+    borders = (_z0_radial(rho), _z1_radial(rho))
+    bands = np.empty((5, n, m))
+    rhs = np.zeros((n, m, 3))
+    rows = np.empty((nb, n))
+    for k in range(m):
+        border = borders[k] if k < nb else None
+        bands[..., k], rhs[:, k, :2], col, row = _radial_rows(
+            u, k, np.stack([hc[:, k], hs[:, k]], axis=1), border)
+        if border is not None:
+            rhs[:, k, 2], rows[k] = col, row
+    system = _Banded(bands)
+    y = system.solve(rhs)
+    phi, y2 = y[..., :2], y[:, :nb, 2]
+    ry2 = np.einsum("kn,nk->k", rows, y2)
+
+    def border_step(w, s):
+        """Add the multiple of y2 that makes row . w = s; return it."""
+        dd = (s - np.einsum("kn,nkc->kc", rows, w[:, :nb])) / ry2[:, None]
+        w[:, :nb] += y2[:, :, None] * dd
+        return dd
+
+    d = np.zeros((2, 2))
+    d[:nb] = border_step(phi, 0.0)
+    res = rhs[..., :2] - system.matvec(phi)
+    res[:, :nb] += rhs[:, :nb, 2:] * d[:nb]
+    z = system.solve(res)
+    d[:nb] += border_step(z, -np.einsum("kn,nkc->kc", rows, phi[:, :nb]))
+    phi += z
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(d))):
+        raise ODESolveFailure("radial mode solve diverged")
+    return phi, d
 
 
 @dataclass
@@ -209,9 +238,10 @@ class ProjectedSolution:
     d: tuple[float, float, float]
     rho_max: float
 
-    def __post_init__(self):
-        # one spline over the cos columns followed by the sin columns
-        self._spline = _ColumnSpline(
+    @cached_property
+    def _spline(self) -> _ColumnSpline:
+        """One spline over the cos columns followed by the sin columns."""
+        return _ColumnSpline(
             self.u, np.stack([*self.cos_modes.values(), *self.sin_modes.values()],
                              axis=1),
         )
@@ -281,29 +311,20 @@ def projected_solve(
     y = np.zeros((n_radial, n_theta, 2))
     y[..., 0] = rho[:, None] * np.cos(th)[None, :]
     y[..., 1] = rho[:, None] * np.sin(th)[None, :]
-    hh = np.fft.rfft(h_func(y), axis=1)
-    cos_modes, sin_modes = {}, {}
-    d0 = d1 = d2 = 0.0
-    z0 = _z0_radial(rho)
+    hh = rfft(h_func(y), axis=1)
+    # n_theta > 2 modes: no solved mode is the Nyquist mode
+    scale = np.full(modes + 1, 2.0 / n_theta)
+    scale[0] = 1.0 / n_theta
+    phi, d = _radial_solve(u, scale * hh[:, :modes + 1].real,
+                           -scale * hh[:, :modes + 1].imag)
+    cos_modes = {0: phi[:, 0, 0]}
+    sin_modes = {}
+    for k in range(1, modes + 1):
+        if np.max(np.abs(phi[:, k, 0])) > 0.0:
+            cos_modes[k] = phi[:, k, 0]
+        if np.max(np.abs(phi[:, k, 1])) > 0.0:
+            sin_modes[k] = phi[:, k, 1]
     z1 = _z1_radial(rho)
-    for k in range(min(modes, n_theta // 2) + 1):
-        scale = 1.0 / n_theta if k in (0, n_theta // 2) else 2.0 / n_theta
-        hc = scale * hh[:, k].real
-        hs = -scale * hh[:, k].imag
-        if k == 0:
-            sol, d0 = _solve_radial(u, 0, hc, border=z0)
-            cos_modes[0] = sol
-            continue
-        if k == 1:
-            solc, d1 = _solve_radial(u, 1, hc, border=z1)
-            sols, d2 = _solve_radial(u, 1, hs, border=z1)
-        else:
-            solc, _ = _solve_radial(u, k, hc, border=None)
-            sols, _ = _solve_radial(u, k, hs, border=None)
-        if np.max(np.abs(solc)) > 0.0:
-            cos_modes[k] = solc
-        if np.max(np.abs(sols)) > 0.0:
-            sin_modes[k] = sols
     # remove residual k=1 kernel components in the e^Gamma-weighted product
     # (mode 0 is already unique: its far field is pinned to zero)
     e2u = np.exp(2.0 * u)
@@ -315,7 +336,7 @@ def projected_solve(
         sin_modes[1] = sin_modes[1] - (np.sum(wq * z1 * sin_modes[1]) / nz1) * z1
     return ProjectedSolution(
         u=u, cos_modes=cos_modes, sin_modes=sin_modes,
-        d=(float(d0), float(d1), float(d2)), rho_max=rho_max,
+        d=(float(d[0, 0]), float(d[1, 0]), float(d[1, 1])), rho_max=rho_max,
     )
 
 

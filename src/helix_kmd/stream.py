@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import liouville as lv
 from .elliptic import H2Correction, PolarGridSpec, solve_k_poisson
@@ -622,7 +623,7 @@ def _inner_quadrature(ctx: StreamContext, y_cap: float = 50.0, n_theta: int = 64
     edges = [0.0, 1.0]
     while edges[-1] < ymax:
         edges.append(min(2.0 * edges[-1], ymax))
-    nodes, weights = np.polynomial.legendre.leggauss(n_seg)
+    nodes, weights = leggauss(n_seg)
     rr, ww = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -666,7 +667,9 @@ def calA(alpha: float, ctx: StreamContext, variant: str = "leading") -> float:
     return num / (ctx.eps_mu * UY1Z1)
 
 
-_SECANT_MAXITER = 8    # secant steps before falling back to bracket + brentq
+_SECANT_MAXITER = 8    # secant steps before falling back to bracket + Brent
+_BRENT_MAXITER = 100
+_BRENT_RTOL = 4.0 * np.finfo(float).eps     # brentq's default relative tolerance
 
 
 def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
@@ -677,7 +680,8 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
     runs from the leading-order speed a* (projected on `ctx` itself) and
     the first-order estimate a* + calA(a*) / (r sqrt|log eps|).  Should
     the secant fail (see _secant), a bracket centered on the estimate is
-    widened until the projection changes sign and brentq finds the root.
+    widened until the projection changes sign and Brent's method finds
+    the root.
     Besides the root, the leading-order speed and the correction, the
     diagnostics record the number of empirical projections
     (`calA_evaluations`) and `root_method`, "secant" or "bracket".
@@ -712,9 +716,7 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
             raise NoBracket(
                 f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {center:.4f}"
             )
-        from scipy.optimize import brentq
-
-        root = brentq(f, lo, hi, xtol=xtol)
+        root = _brent(f, lo, f_lo, hi, f_hi, xtol)
     corr = root - a_star
     diag = {
         "alpha_root": float(root),
@@ -752,6 +754,52 @@ def _secant(f, x0: float, f0: float, x1: float, xtol: float,
         x0, f0 = x1, f1
         x1, f1 = x2, f(x2)
     return None
+
+
+def _brent(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> float:
+    """Root of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in sign.
+
+    Brent's method in the steps of scipy.optimize.brentq (inverse
+    quadratic or secant steps, bisection when they would be too long), so
+    that for the same f, bracket and tolerances it returns the same root.
+    Stops when the bracket is below xtol + _BRENT_RTOL |x|.  Raises NoBracket
+    after _BRENT_MAXITER steps.
+    """
+    xpre, fpre, xcur, fcur = xa, fa, xb, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)           # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                   # inverse quadratic
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if fcur == 0.0:
+            return xcur
+    raise NoBracket(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
 def outer_residual_norm(

@@ -216,33 +216,78 @@ class TestVerify:
         assert "bubble mass 8 pi" in [c["name"] for c in checks]
 
 
-# scipy subpackages the library must not load: each pulls in several more
-# (scipy.interpolate alone loads special, optimize, spatial and fft)
-HEAVY_SCIPY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
-               "scipy.special")
+def _run_cli_script(tmp_path, body: str) -> subprocess.CompletedProcess:
+    """Run `body` in a fresh interpreter on src/ after the tiny-grid CLI runs.
 
-
-def test_cli_runs_without_heavy_scipy(tmp_path):
+    `body` starts with `import sys` done and sees `commands`, the argv
+    lists of tiny-grid residual-scan, alpha-solve, lift-3d and verify runs.
+    """
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(
         BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\ngrid.angular = 24\n")
     )
-    script = textwrap.dedent(f"""
-        import sys
-        import helix_kmd.cli as cli
-        heavy = {HEAVY_SCIPY!r}
-        print("import", [m for m in heavy if m in sys.modules])
-        for cmd in ("residual-scan", "alpha-solve"):
-            code = cli.main([cmd, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r}])
-            print(cmd, code, [m for m in heavy if m in sys.modules])
-    """)
+    out = str(tmp_path / "out")
+    commands = [
+        ["residual-scan", "--config", str(cfg), "--out", out],
+        ["alpha-solve", "--config", str(cfg), "--out", out],
+        ["lift-3d", "--config", str(cfg), "--out", out, "--epsilon-override", "e^-20"],
+        ["verify", "--out", out],
+    ]
+    script = f"import sys\ncommands = {commands!r}\n" + textwrap.dedent(body)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.splitlines() == [
-        "import []", "residual-scan 0 []", "alpha-solve 0 []",
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_cli_runs_without_heavy_scipy(tmp_path):
+    """No scipy module is loaded by the import or by any subcommand."""
+    run = _run_cli_script(tmp_path, """
+        import helix_kmd.cli as cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        print("loaded after import", scipy_modules())
+        for argv in commands:
+            code = cli.main(argv)
+            print("loaded after", argv[0], code, scipy_modules())
+    """)
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded after import []", "loaded after residual-scan 0 []",
+        "loaded after alpha-solve 0 []", "loaded after lift-3d 0 []", "loaded after verify 0 []",
     ]
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    """Every subcommand and solve_alpha's bracket fallback run where scipy cannot load."""
+    run = _run_cli_script(tmp_path, """
+        import math
+        from types import SimpleNamespace
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ModuleNotFoundError(f"No module named {name!r}")
+                return None
+
+        sys.meta_path.insert(0, RefuseScipy())
+        import helix_kmd.cli as cli
+        from helix_kmd import stream
+
+        for argv in commands:
+            if cli.main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+        # flat between a* = 0 and the estimate 1: the secant stalls
+        stream.calA = lambda alpha, ctx, variant: min(1.0, 7.0 - 4.0 * alpha)
+        ctx = SimpleNamespace(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0,
+                              abs_log_eps=20.0, loglog=math.log(20.0))
+        root, diag = stream.solve_alpha(ctx)
+        if diag["root_method"] != "bracket" or abs(root - 1.75) > 1e-8:
+            sys.exit(f"fallback gave {root} by {diag['root_method']}")
+    """)
+    assert run.returncode == 0, run.stderr
 
 
 class TestKmdOverrides:

@@ -94,6 +94,19 @@ class TestManufacturedMode:
         got = field.value(pts)
         assert np.max(np.abs(got - pred) / np.abs(pred)) < 1e-4
 
+    def test_highest_mode_of_odd_grid(self):
+        # k = 12 is the Nyquist mode of 24 angles but an ordinary mode of
+        # 25 and 50, where it carries twice the Nyquist weight
+        values = []
+        for nt in (25, 50):
+            spec = PolarGridSpec(n_radial=128, n_angular=nt)
+            rho = spec.radial_nodes()[:, None]
+            g = np.exp(-rho**2 / 0.1) * np.cos(12.0 * spec.theta_nodes())[None, :]
+            field = solve_k_poisson(g, spec, 1.0)
+            assert 12 in field._k
+            values.append(field.value(np.array([[0.1 * np.cos(0.3), 0.1 * np.sin(0.3)]])))
+        assert values[0] == pytest.approx(values[1], rel=1e-10)
+
     def test_gradient_matches_fd(self, spec, rng):
         h = 1.0
         rho = spec.radial_nodes()

@@ -8,10 +8,10 @@ systems and one cubic spline per H2 mode.  The numpy spline and
 cumulative Simpson rule of `elliptic` are compared with scipy's
 CubicSpline and cumulative_simpson, whose arithmetic they repeat.  The
 arithmetic per entry is unchanged, so results must agree exactly, not to
-a tolerance.  The one exception is the defect density g on the solver
-grid: it is evaluated on one dihedral half-sector and filled by
-symmetry, so the filled columns agree with a direct evaluation to
-rounding only.
+a tolerance.  Two exceptions agree to rounding only: the defect density
+g on the solver grid, which is evaluated on one dihedral half-sector and
+filled by symmetry, and the block LU of `elliptic._Banded`, which
+eliminates in another order than scipy's solve_banded and spsolve.
 """
 
 import math
@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.sparse import lil_matrix
+from scipy.sparse.linalg import spsolve
 
 from helix_kmd import elliptic, linear_theory, liouville, stream
 from helix_kmd.liouville import LocalProfile
@@ -317,7 +319,20 @@ class TestBandedModeMatrix:
         assert np.array_equal(new, _banded_mode_matrix_ref(u, beta, beta_u, k2))
 
 
+def _dense(bands):
+    """Dense n x n form of one matrix's row-aligned bands."""
+    n = bands.shape[1]
+    A = np.zeros((n, n))
+    for d in range(5):
+        for i in range(n):
+            if 0 <= i - 2 + d < n:
+                A[i, i - 2 + d] = bands[d, i]
+    return A
+
+
 class TestRadialSystem:
+    """Bands, right-hand side and border of a radial mode against the lil reference."""
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("bordered", [False, True])
     def test_csc_matches_lil_reference(self, rng, k, bordered):
@@ -327,14 +342,112 @@ class TestRadialSystem:
         border = None
         if bordered:
             border = linear_theory._z0_radial(rho) if k == 0 else linear_theory._z1_radial(rho)
-        M, rhs = linear_theory._radial_system(u, k, h_k, border)
+        bands, rhs, col, row = linear_theory._radial_rows(u, k, h_k[:, None], border)
+        M, rhs = _dense(bands), rhs[:, 0]
+        if bordered:
+            M = np.block([[M, -col[:, None]], [row[None, :], np.zeros((1, 1))]])
+            rhs = np.concatenate([rhs, [0.0]])
+        else:
+            assert col is None and row is None
         M_ref, rhs_ref = _radial_system_ref(u, k, h_k, border)
-        assert M.format == "csc"
-        assert M.shape == M_ref.shape
-        assert np.array_equal(M.indptr, M_ref.indptr)
-        assert np.array_equal(M.indices, M_ref.indices)
-        assert np.array_equal(M.data, M_ref.data)
+        assert np.array_equal(M, M_ref.toarray())
         assert np.array_equal(rhs, rhs_ref)
+
+
+def _mode_system(spec, h, k):
+    """solve_banded form of the H2 mode-k system with its Dirichlet edge rows."""
+    u = spec.u_nodes()
+    beta, beta_u = elliptic._beta(u, h)
+    ab = elliptic._banded_mode_matrix(u, beta, beta_u, float(k * k))
+    ab[2, 0] = ab[2, -1] = 1.0
+    return ab
+
+
+class TestBanded:
+    KS = tuple(range(1, 129))
+
+    # n = 5 is below the block size and 100 no multiple of it
+    @pytest.mark.parametrize("n", [5, 64, 96, 100, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 1.0, 2.0, 4.0, -1.0])
+    def test_mode_systems_match_solve_banded(self, rng, h, n):
+        spec = elliptic.PolarGridSpec(n_radial=n)
+        rho = spec.radial_nodes()
+        factor = elliptic._mode_factor(spec, h, self.KS)
+        # smooth sources of the H2 form e^{2u} g(rho), one per mode
+        g = (rho**2 * np.exp(-rho**2 / 0.1))[:, None] * (
+            1.0 + np.sin(np.array(self.KS)) * rho[:, None])
+        smooth = np.stack([g, -0.3 * g], axis=-1)
+        noise = rng.normal(size=smooth.shape)
+        for rhs in (smooth, noise):
+            rhs[[0, -1]] = 0.0
+        x, x_noise = factor.solve(smooth), factor.solve(noise)
+        # the condition number of these systems grows like n^2; at n = 1024
+        # solve_banded is itself 1.1e-13 from an extended-precision solution
+        tol = 1e-13 * max(1.0, (n / 512) ** 2)
+        for j, k in enumerate(self.KS):
+            ab = _mode_system(spec, h, k)
+            ref = solve_banded((2, 2), ab, smooth[:, j])
+            assert np.max(np.abs(x[:, j] - ref)) <= tol * np.max(np.abs(ref))
+        # random sources: backward stable, normwise residual at rounding level
+        norm_a = np.max(np.sum(np.abs(factor._bands), axis=0), axis=0)
+        resid = np.max(np.abs(factor.matvec(x_noise) - noise), axis=0)
+        assert np.all(resid <= 1e-15 * norm_a[:, None] * np.max(np.abs(x_noise), axis=0))
+
+    @pytest.mark.parametrize("n", [5, 100, 512])
+    def test_solution_independent_of_batch(self, rng, n):
+        spec = elliptic.PolarGridSpec(n_radial=n)
+        rhs = rng.normal(size=(n, len(self.KS), 3))
+        full = elliptic._mode_factor(spec, 0.8, self.KS).solve(rhs)
+        for ks in [(17,), (90, 3, 17), self.KS[::-1], self.KS[40:]]:
+            cols = [self.KS.index(k) for k in ks]
+            part = elliptic._mode_factor(spec, 0.8, ks).solve(rhs[:, cols])
+            assert np.array_equal(part, full[:, cols])
+
+
+def _bordered_ref(u, k, h_k, border):
+    """spsolve of the lil reference bordered system: (phi, d, matrix, rhs)."""
+    B, rhs = _radial_system_ref(u, k, h_k, border)
+    B = B.tocsc()
+    x = spsolve(B, rhs)
+    return x[:-1], x[-1], B, rhs
+
+
+class TestBorderedSolve:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sources_match_spsolve(self, seed):
+        rng = np.random.default_rng(seed)
+        u = np.linspace(np.log(1e-5), np.log(100.0), 3072)
+        rho = np.exp(u)
+        hc, hs = rng.normal(size=(2, u.size, 2)) / (1.0 + rho**4)[:, None]
+        phi, d = linear_theory._radial_solve(u, hc, hs)
+        z0, z1 = linear_theory._z0_radial(rho), linear_theory._z1_radial(rho)
+        cases = [(0, hc[:, 0], z0, phi[:, 0, 0], d[0, 0]),
+                 (1, hc[:, 1], z1, phi[:, 1, 0], d[1, 0]),
+                 (1, hs[:, 1], z1, phi[:, 1, 1], d[1, 1])]
+        for k, h_k, border, phi_k, d_k in cases:
+            phi_ref, d_ref, B, rhs = _bordered_ref(u, k, h_k, border)
+            x = np.concatenate([phi_k, [d_k]])
+            norm_b = abs(B).sum(axis=1).max()
+            resid = np.max(np.abs(B @ x - rhs))
+            assert resid <= 1e-14 * (norm_b * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+            assert np.max(np.abs(phi_k - phi_ref)) <= 1e-9 * np.max(np.abs(phi_ref))
+            assert abs(d_k - d_ref) <= 1e-8 * max(1.0, abs(d_ref))
+
+
+def test_h2_modes_independent_of_factor_cache():
+    spec = elliptic.PolarGridSpec(n_radial=96, n_angular=24)
+
+    def modes():
+        return stream.build_context(math.exp(-20.0), 1.0, 1.0, 3, grid=spec).h2._modes
+
+    elliptic._mode_factor.cache_clear()
+    cold = modes()
+    elliptic._mode_factor.cache_clear()
+    stream.build_context(math.exp(-20.0), 1.0, 0.7, 3, grid=spec)
+    warm = modes()
+    assert np.array_equal(cold, warm)
+    # and once more with this factor already cached
+    assert np.array_equal(cold, modes())
 
 
 class TestSectorFilledDefect:
@@ -419,6 +532,18 @@ class TestColumnSpline:
         assert np.array_equal(spline(u), ref(u))
         assert np.array_equal(value, ref(u))
         assert np.array_equal(deriv, ref.derivative()(u))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    def test_gtsv_matches_solve_banded(self, n):
+        # random diagonals: rows are interchanged wherever |dl| > |d|,
+        # which the well-conditioned spline systems never need
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            ab = rng.normal(size=(3, n))
+            b = rng.normal(size=(n, 3))
+            ref = solve_banded((1, 1), ab, b)
+            elliptic._gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+            assert np.array_equal(b, ref)
 
     def test_columns_are_independent(self, data):
         x, y = data

@@ -439,6 +439,15 @@ class TestSolveAlphaRoot:
         assert abs(calA(a_sec, ctx, "empirical")) <= abs(calA(a_br, ctx, "empirical"))
 
 
+# synthetic projections with leading speed 0 and unit slope scale
+# flat between a* = 0 and the estimate 1: the secant stalls
+_STALL = lambda a: min(1.0, 7.0 - 4.0 * a)                          # noqa: E731
+# shallow near the start, steep beyond 1.5: the first secant step lands
+# near 100, outside the scanned window
+_LEAVES_WINDOW = lambda a: (1.0 - 0.01 * a if a <= 1.5                # noqa: E731
+                            else 0.985 - 10.0 * (a - 1.5))
+
+
 class TestSolveAlphaFallback:
     """Synthetic projections that force the bracket path or its failure."""
 
@@ -454,18 +463,13 @@ class TestSolveAlphaFallback:
                               abs_log_eps=20.0, loglog=math.log(20.0))
         return stream.solve_alpha(ctx)
 
-    @pytest.mark.parametrize("func, expected", [
-        # flat between a* = 0 and the estimate 1: the secant stalls
-        (lambda a: min(1.0, 7.0 - 4.0 * a), 1.75),
-        # shallow near the start, steep beyond 1.5: the first secant step
-        # lands near 100, outside the scanned window
-        (lambda a: 1.0 - 0.01 * a if a <= 1.5 else 0.985 - 10.0 * (a - 1.5), 1.5985),
-    ], ids=["stall", "leaves-window"])
+    @pytest.mark.parametrize("func, expected", [(_STALL, 1.75), (_LEAVES_WINDOW, 1.5985)],
+                             ids=["stall", "leaves-window"])
     def test_bracket_path(self, monkeypatch, func, expected):
         root, diag = self._solve(monkeypatch, func)
         assert diag["root_method"] == "bracket"
         assert root == pytest.approx(expected, abs=1e-8)
-        # a*, the estimate and at least one bracket pair before brentq
+        # a*, the estimate and at least one bracket pair before Brent
         assert diag["calA_evaluations"] >= 4
 
     def test_no_root_raises(self, monkeypatch):
@@ -473,3 +477,23 @@ class TestSolveAlphaFallback:
 
         with pytest.raises(NoBracket):
             self._solve(monkeypatch, lambda a: 1.0 + a * a)
+
+
+class TestBrent:
+    """stream._brent against scipy.optimize.brentq on the same brackets."""
+
+    @pytest.mark.parametrize("func, lo, hi, root", [
+        (_STALL, 0.0, 2.0, 1.75),
+        (_LEAVES_WINDOW, 0.0, 2.0, 1.5985),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: x**3 - 2.0 * x - 5.0, 3.0, 2.0, 2.0945514815423265),
+    ], ids=["stall", "leaves-window", "cos", "cubic"])
+    @pytest.mark.parametrize("xtol", [1e-8, 1e-12])
+    def test_matches_brentq(self, func, lo, hi, root, xtol):
+        from scipy.optimize import brentq
+
+        from helix_kmd import stream
+
+        got = stream._brent(func, lo, func(lo), hi, func(hi), xtol)
+        assert got == brentq(func, lo, hi, xtol=xtol)
+        assert abs(got - root) <= xtol
