@@ -103,5 +103,4 @@ from .stream import (                                          # noqa: F401
     solve_H2,
     solve_alpha,
     solve_mu,
-    vertex_points,
 )

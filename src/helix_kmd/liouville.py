@@ -34,7 +34,11 @@ residual evaluations limited by roundoff instead of an ODE tolerance.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+from .errors import DegenerateConfig
 
 _SERIES_TERMS = 140
 _T_SWITCH = 0.7
@@ -136,14 +140,6 @@ def h1_weight(v: np.ndarray, a: float) -> np.ndarray:
     return _h1_weights(v, a)[0]
 
 
-def h1_weight_prime(v: np.ndarray, a: float) -> np.ndarray:
-    return _h1_weights(v, a)[1]
-
-
-def h1_weight_second(v: np.ndarray, a: float) -> np.ndarray:
-    return _h1_weights(v, a)[2]
-
-
 def h1_profile(rho: np.ndarray, eps: float, mu: float) -> np.ndarray:
     """Radial third-harmonic profile h1 with H1(z) = h1(|z|) cos(3 theta).
 
@@ -165,11 +161,40 @@ def h1_value(z: np.ndarray, eps: float, mu: float) -> np.ndarray:
     return h1_weight(v, (eps * mu) ** 2) * p3
 
 
+class _Terms(NamedTuple):
+    """Intermediates of Psi shared by value, grad, hess and laplacian.
+
+    The first-order pieces (r, dg, dq, dp3) are None in a value-only record.
+    """
+
+    z: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    av: np.ndarray         # a + |z|^2
+    g: np.ndarray          # Gamma_em
+    q: np.ndarray          # 1 + c1 z1 + c2 |z|^2
+    p3: np.ndarray         # Re(z^3)
+    W: np.ndarray
+    Wp: np.ndarray
+    Ws: np.ndarray
+    r: np.ndarray | None = None      # -4/(a+|z|^2): grad Gamma_em = r z
+    dg: np.ndarray | None = None
+    dq: np.ndarray | None = None
+    dp3: np.ndarray | None = None
+
+
 class LocalProfile:
     """Regularized local stream profile Psi with analytic derivatives.
 
     Psi(z) = Gamma_em(z) q(z) + kH W(|z|^2) P3(z), q = 1 + c1 z1 + c2|z|^2,
     P3 = Re(z^3).  All methods are vectorized over z of shape (..., 2).
+
+    value, grad, hess and laplacian share one set of intermediates:
+    a+|z|^2, Gamma_em, q, P3, the gradients of Gamma_em, q and P3, and the
+    H1 weights W, W', W'' from a single kernel evaluation.  `_terms(z)`
+    computes them once; pass the record as `terms=` to evaluate several
+    derivatives at the same points (each method builds its own when called
+    alone).  The arithmetic per entry is the same either way.
     """
 
     def __init__(self, eps: float, mu: float, R: float, h: float):
@@ -180,66 +205,56 @@ class LocalProfile:
         self.eps_mu = self.eps * self.mu
         self.a = self.eps_mu**2
         if not np.isfinite(self.a) or self.a <= 0.0:
-            raise ValueError("eps*mu underflowed; out of supported range")
+            raise DegenerateConfig("eps*mu underflowed; out of supported range")
         self.c1, self.c2 = c_coefficients(R, h)
         self.kH = mode3_amplitude(R, h)
         self.kE = dipole_coefficient(R, h)
 
-    # -- scalar building blocks -------------------------------------------
-    def _split(self, z):
+    def _terms(self, z: np.ndarray, derivatives: bool = True) -> _Terms:
+        """Shared intermediates at z; value-only when derivatives is False."""
         z = np.asarray(z, dtype=float)
-        v = np.einsum("...i,...i->...", z, z)
-        return z, v
-
-    def gamma(self, z: np.ndarray) -> np.ndarray:
-        z, v = self._split(z)
-        return np.log(8.0) - 2.0 * np.log(self.a + v)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        z, v = self._split(z)
-        g = np.log(8.0) - 2.0 * np.log(self.a + v)
-        q = 1.0 + self.c1 * z[..., 0] + self.c2 * v
-        p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
-        return g * q + self.kH * h1_weight(v, self.a) * p3
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        z, v = self._split(z)
-        av = self.a + v
-        g = np.log(8.0) - 2.0 * np.log(av)
-        q = 1.0 + self.c1 * z[..., 0] + self.c2 * v
-        dg = (-4.0 / av)[..., None] * z
-        dq = np.stack(
-            [self.c1 + 2.0 * self.c2 * z[..., 0], 2.0 * self.c2 * z[..., 1]], axis=-1
-        )
-        p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
-        dp3 = np.stack(
-            [3.0 * z[..., 0] ** 2 - 3.0 * z[..., 1] ** 2, -6.0 * z[..., 0] * z[..., 1]],
-            axis=-1,
-        )
-        W, Wp, _ = _h1_weights(v, self.a)
-        out = q[..., None] * dg + g[..., None] * dq
-        out += self.kH * (2.0 * (Wp * p3)[..., None] * z + W[..., None] * dp3)
-        return out
-
-    def hess(self, z: np.ndarray) -> np.ndarray:
-        """Hessian (..., 2, 2), assembled one component at a time."""
-        z, v = self._split(z)
         x, y = z[..., 0], z[..., 1]
+        v = np.einsum("...i,...i->...", z, z)
         av = self.a + v
         g = np.log(8.0) - 2.0 * np.log(av)
         q = 1.0 + self.c1 * x + self.c2 * v
-        # Gamma_em: grad = r z, hess = r I + s z z^T
-        r = -4.0 / av
-        s = 8.0 / av**2
-        dg1, dg2 = r * x, r * y
-        dq1, dq2 = self.c1 + 2.0 * self.c2 * x, 2.0 * self.c2 * y
         p3 = x**3 - 3.0 * x * y**2
-        dp1, dp2 = 3.0 * x**2 - 3.0 * y**2, -6.0 * x * y
         W, Wp, Ws = _h1_weights(v, self.a)
-        wz = 4.0 * (Ws * p3)
-        wd = 2.0 * Wp
+        t = _Terms(z, x, y, av, g, q, p3, W, Wp, Ws)
+        if not derivatives:
+            return t
+        r = -4.0 / av
+        return t._replace(
+            r=r,
+            dg=r[..., None] * z,
+            dq=np.stack([self.c1 + 2.0 * self.c2 * x, 2.0 * self.c2 * y], axis=-1),
+            dp3=np.stack([3.0 * x**2 - 3.0 * y**2, -6.0 * x * y], axis=-1),
+        )
+
+    def value(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
+        t = self._terms(z, derivatives=False) if terms is None else terms
+        return t.g * t.q + self.kH * t.W * t.p3
+
+    def grad(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
+        t = self._terms(z) if terms is None else terms
+        out = t.q[..., None] * t.dg + t.g[..., None] * t.dq
+        out += self.kH * (2.0 * (t.Wp * t.p3)[..., None] * t.z + t.W[..., None] * t.dp3)
+        return out
+
+    def hess(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
+        """Hessian (..., 2, 2), assembled one component at a time."""
+        t = self._terms(z) if terms is None else terms
+        x, y, q, g, r, p3 = t.x, t.y, t.q, t.g, t.r, t.p3
+        # Gamma_em: grad = r z, hess = r I + s z z^T
+        s = 8.0 / t.av**2
+        dg1, dg2 = t.dg[..., 0], t.dg[..., 1]
+        dq1, dq2 = t.dq[..., 0], t.dq[..., 1]
+        dp1, dp2 = t.dp3[..., 0], t.dp3[..., 1]
+        W = t.W
+        wz = 4.0 * (t.Ws * p3)
+        wd = 2.0 * t.Wp
         xx, xy, yy = x * x, x * y, y * y
-        out = np.empty(z.shape[:-1] + (2, 2))
+        out = np.empty(t.z.shape[:-1] + (2, 2))
         out[..., 0, 0] = (
             q * (r + s * xx) + (dg1 * dq1 + dq1 * dg1) + g * (2.0 * self.c2)
             + self.kH * (wz * xx + wd * (p3 + (x * dp1 + dp1 * x)) + W * (6.0 * x))
@@ -255,20 +270,15 @@ class LocalProfile:
         out[..., 1, 0] = out[..., 0, 1]
         return out
 
-    def laplacian(self, z: np.ndarray) -> np.ndarray:
+    def laplacian(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
         """Delta Psi; the H1 block contributes exactly -P3/(a+|z|^2)^2."""
-        z, v = self._split(z)
-        av = self.a + v
-        g = np.log(8.0) - 2.0 * np.log(av)
-        q = 1.0 + self.c1 * z[..., 0] + self.c2 * v
-        dg = (-4.0 / av)[..., None] * z
-        dq = np.stack(
-            [self.c1 + 2.0 * self.c2 * z[..., 0], 2.0 * self.c2 * z[..., 1]], axis=-1
+        t = self._terms(z) if terms is None else terms
+        lap_g = -8.0 * self.a / t.av**2
+        out = (
+            t.q * lap_g + 2.0 * np.einsum("...i,...i->...", t.dg, t.dq)
+            + 4.0 * self.c2 * t.g
         )
-        lap_g = -8.0 * self.a / av**2
-        p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
-        out = q * lap_g + 2.0 * np.einsum("...i,...i->...", dg, dq) + 4.0 * self.c2 * g
-        out += self.kH * (-p3 / av**2)
+        out += self.kH * (-t.p3 / t.av**2)
         return out
 
     def delta_value(self, z0: np.ndarray, dz: np.ndarray) -> np.ndarray:

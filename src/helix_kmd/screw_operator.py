@@ -215,6 +215,9 @@ def b_operator(
 ) -> np.ndarray:
     """B[Psi](z) for a local field bundle Psi with .grad and .hess.
 
+    Each of field.hess(z) and field.grad(z) is called once, so a bundle
+    may evaluate both from intermediates it computed once for z (as the
+    defect density does with the local profile's shared terms).
     Satisfies div(K grad psi)(x) = Delta Psi(z) + B[Psi](z) for
     psi(x) = Psi(M_j^-1 (x - P_j)); B is the same in every vertex frame
     by rotational invariance of the operator.

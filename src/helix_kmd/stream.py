@@ -63,7 +63,6 @@ from .screw_operator import LocalFrame, b_operator, local_frame
 __all__ = [
     "StreamContext",
     "build_context",
-    "vertex_points",
     "solve_mu",
     "mu_relation_rhs",
     "error_g",
@@ -192,11 +191,6 @@ class StreamContext:
         return 2.0 * (1.0 / self.h**2 - (self.n - 1.0) / self.r**2)
 
 
-def vertex_points(ctx: StreamContext) -> np.ndarray:
-    """Vertices P_j = R Q_j (1,0), shape (N, 2)."""
-    return ctx.vertices
-
-
 def _far_geometry(frames):
     """Per-vertex tables z0[i][j] = M_j^-1 (P_i - P_j), D[i][j] = M_j^-1 M_i."""
     n = len(frames)
@@ -253,14 +247,30 @@ def mu_relation_rhs(ctx: StreamContext, i: int) -> float:
 
 # -- error density g and the global correction ----------------------------
 
-def _local_defect(ctx_like, z: np.ndarray, frame1: LocalFrame) -> np.ndarray:
-    """E(z): conjugated operator on Psi minus the retained singular terms."""
-    prof = ctx_like
-    z = np.asarray(z, dtype=float)
-    v = np.einsum("...i,...i->...", z, z)
-    av = prof.a + v
-    lap = prof.laplacian(z)
-    bb = b_operator(prof, z, frame1)
+class _AtTerms:
+    """Field bundle for b_operator: the profile's grad and hess at shared terms."""
+
+    def __init__(self, profile: lv.LocalProfile, terms):
+        self.profile = profile
+        self.terms = terms
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        return self.profile.grad(z, terms=self.terms)
+
+    def hess(self, z: np.ndarray) -> np.ndarray:
+        return self.profile.hess(z, terms=self.terms)
+
+
+def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> np.ndarray:
+    """E(z): conjugated operator on Psi minus the retained singular terms.
+
+    The profile's intermediates are computed once and shared by the
+    Laplacian, the Hessian and the gradient.
+    """
+    t = prof._terms(z)
+    z, av = t.z, t.av
+    lap = prof.laplacian(z, terms=t)
+    bb = b_operator(_AtTerms(prof, t), z, frame1)
     retained = -8.0 * prof.a / av**2 + prof.kE * prof.a * z[..., 0] / av**2
     return lap + bb - retained
 
@@ -292,10 +302,12 @@ def error_g(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
         lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
         rhat = xr / rr[..., None]
         acc = np.zeros(xr.shape[:-1])
+        prof = ctx.profile
         for f in ctx.frames:
             z = np.einsum("ij,...j->...i", f.Mj_inv, xr - f.P)
-            psi_j = ctx.profile.value(z)
-            grad_x = np.einsum("ji,...j->...i", f.Mj_inv, ctx.profile.grad(z))
+            t = prof._terms(z)
+            psi_j = prof.value(z, terms=t)
+            grad_x = np.einsum("ji,...j->...i", f.Mj_inv, prof.grad(z, terms=t))
             acc += psi_j * lap_eta + 2.0 * e0p * beta * np.einsum(
                 "...i,...i->...", rhat, grad_x
             )
@@ -356,27 +368,27 @@ def build_context(
 ) -> StreamContext:
     """Construct the full stream context: geometry, mu, defect field, H2."""
     if not 0.0 < eps < math.exp(-1.0):
-        raise ValueError("need 0 < eps < e^-1")
+        raise DegenerateConfig("need 0 < eps < e^-1")
     if r <= 0.0 or h == 0.0 or n < 2:
-        raise ValueError("invalid geometry")
+        raise DegenerateConfig("invalid geometry")
     abs_log = -math.log(eps)
     R = r / math.sqrt(abs_log)
     if R > 0.45:
-        raise ValueError("polygon radius r/sqrt|log eps| too close to the cutoff")
+        raise DegenerateConfig("polygon radius r/sqrt|log eps| too close to the cutoff")
     if alpha is None:
         alpha = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
     alpha0 = max(10.0, 4.0 * abs(2.0 * (1.0 / h**2 - (n - 1.0) / r**2)) + 4.0)
     if abs(alpha) > alpha0:
-        raise ValueError("rotation speed outside the admissible band")
+        raise DegenerateConfig("rotation speed outside the admissible band")
     r0 = 2.0 * math.sin(math.pi / n)          # unit-scale nearest-vertex gap
     if delta is None:
         delta = 0.8 * min(r0 / 4.0, 0.5)
     if not 0.0 < delta < min(r0 / 4.0, 0.5) + 1e-12:
-        raise ValueError("delta must satisfy 0 < delta < min(r0/4, 1/2)")
+        raise DegenerateConfig("delta must satisfy 0 < delta < min(r0/4, 1/2)")
     if delta1 is None:
         delta1 = 0.4 * delta * delta
     if not 2.0 * delta1 < delta * delta:
-        raise ValueError("need 2 delta1 < delta^2")
+        raise DegenerateConfig("need 2 delta1 < delta^2")
     if grid is None:
         grid = PolarGridSpec()
     # angular sampling must respect the dihedral class: with n_angular a
@@ -399,10 +411,10 @@ def build_context(
     mu = math.exp(log_mu)
     loglog = math.log(abs_log)
     if not 0.1 * loglog < abs(log_mu) < 10.0 * loglog:
-        raise ValueError("mu escaped the admissible logarithmic band")
+        raise DegenerateConfig("mu escaped the admissible logarithmic band")
     eps_mu = math.exp(math.log(eps) + log_mu)
     if eps_mu < 1e-300:
-        raise ValueError("eps*mu underflows float64")
+        raise DegenerateConfig("eps*mu underflows float64")
     profile = lv.LocalProfile(eps, mu, R, h)
     partial = _PartialCtx(profile, frames, h)
     h2 = solve_H2(partial, grid)

@@ -181,6 +181,23 @@ class TestStreamCommands:
             counts.append(len(alphas))
         assert counts[0] == counts[1]
 
+    def test_out_of_band_stream_config_exits_3(self, tmp_path):
+        # R = 3/sqrt(20) > 0.45: build_context rejects the geometry
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text("[stream]\nepsilon = e^-20\nr = 3.0\nh = 1.0\nn = 3\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-m", "helix_kmd", "alpha-solve", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines() == [
+            "numerical failure: polygon radius r/sqrt|log eps| too close to the cutoff"
+        ]
+
     def test_subcommand_isolation(self, cfg_file, tmp_path):
         # residual-scan runs in a fresh directory without simulate outputs
         out = tmp_path / "iso"

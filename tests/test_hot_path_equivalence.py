@@ -4,7 +4,9 @@ Each reference below is the earlier, straightforward implementation kept
 verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
-systems and one cubic spline per H2 mode.  The numpy spline and
+systems, one cubic spline per H2 mode, and a local defect that lets the
+Laplacian, Hessian and gradient of the profile each recompute the
+profile's intermediates.  The numpy spline and
 cumulative Simpson rule of `elliptic` are compared with scipy's
 CubicSpline and cumulative_simpson, whose arithmetic they repeat.  The
 arithmetic per entry is unchanged, so results must agree exactly, not to
@@ -26,6 +28,7 @@ from scipy.sparse.linalg import spsolve
 
 from helix_kmd import elliptic, linear_theory, liouville, stream
 from helix_kmd.liouville import LocalProfile
+from helix_kmd.screw_operator import b_operator, local_frame
 
 
 # -- references ---------------------------------------------------------------
@@ -93,6 +96,16 @@ def _hess_ref(prof, z):
         + W[..., None, None] * hp3
     )
     return out
+
+
+def _local_defect_ref(prof, z, frame1):
+    z = np.asarray(z, dtype=float)
+    v = np.einsum("...i,...i->...", z, z)
+    av = prof.a + v
+    lap = prof.laplacian(z)
+    bb = b_operator(prof, z, frame1)
+    retained = -8.0 * prof.a / av**2 + prof.kE * prof.a * z[..., 0] / av**2
+    return lap + bb - retained
 
 
 def _banded_mode_matrix_ref(u, beta, beta_u, k2):
@@ -304,6 +317,78 @@ class TestHessian:
         prof = LocalProfile(np.exp(-10.0), 1.2, 0.3, 1.0)
         z = rng.normal(size=(7, 5, 2)) * 0.1
         assert np.array_equal(prof.hess(z), _hess_ref(prof, z))
+
+
+def _half_sector_frames(eps, r, h, n):
+    """Profile, vertex frames and the solver's half-sector points of g."""
+    R = r / math.sqrt(-math.log(eps))
+    alpha = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
+    mu = math.exp(stream.solve_mu(eps, r, h, n, alpha))
+    prof = LocalProfile(eps, mu, R, h)
+    frames = [local_frame(j, n, R, h) for j in range(1, n + 1)]
+    spec = elliptic.PolarGridSpec(n_angular=60)
+    rho = spec.radial_nodes()
+    rho = rho[rho <= 1.02]
+    theta = spec.theta_nodes()[: spec.n_angular // n // 2 + 1]
+    x = np.stack(np.broadcast_arrays(rho[:, None] * np.cos(theta),
+                                     rho[:, None] * np.sin(theta)), axis=-1)
+    return prof, frames, x
+
+
+_RANDOM_RH = [tuple(np.random.default_rng(seed).uniform([0.6, 0.5], [1.3, 2.0]))
+              for seed in (7, 8)]
+
+
+class TestSharedProfileTerms:
+    @pytest.mark.parametrize("exponent,n,r,h", [
+        # r = 1.2 at N = 5: the mu iteration diverges at r = 1, eps = e^-10
+        *[(e, n, 1.2 if n == 5 else 1.0, 1.0)
+          for e in (10.0, 20.0, 80.0) for n in (2, 4, 5)],
+        *[(20.0, 3, r, h) for r, h in _RANDOM_RH],
+    ])
+    def test_local_defect_matches_three_call_reference(self, exponent, n, r, h):
+        prof, frames, x = _half_sector_frames(math.exp(-exponent), r, h, n)
+        for f in frames:
+            z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
+            new = stream._local_defect(prof, z, frames[0])
+            assert new.shape == x.shape[:-1]
+            assert np.array_equal(new, _local_defect_ref(prof, z, frames[0]))
+
+    @pytest.mark.parametrize("exponent", [10.0, 80.0])
+    def test_each_method_matches_its_standalone_call(self, rng, exponent):
+        prof = LocalProfile(math.exp(-exponent), 2.3, 0.3, -0.8)
+        s = prof.eps_mu
+        for z in (
+            np.concatenate([rng.normal(size=(200, 2)) * c for c in (s, 1e-5, 0.3)]),
+            rng.normal(size=(4, 6, 2)) * 0.2,
+            np.array([0.1, -0.2]),
+        ):
+            t = prof._terms(z)
+            for method in ("value", "grad", "hess", "laplacian"):
+                shared = getattr(prof, method)(z, terms=t)
+                alone = getattr(prof, method)(z)
+                assert shared.shape == alone.shape
+                assert np.array_equal(shared, alone), method
+
+    def test_error_g_evaluates_the_kernels_once_per_frame_and_block(self, ctx_cache,
+                                                                    rng, monkeypatch):
+        ctx = ctx_cache(20.0)
+        calls = []
+        kernels = liouville._kernels
+
+        def counting(t):
+            calls.append(np.size(t))
+            return kernels(t)
+
+        monkeypatch.setattr(liouville, "_kernels", counting)
+        rho = np.concatenate([rng.uniform(0.0, 0.5, 40), rng.uniform(0.5, 1.0, 30)])
+        phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
+        x = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+        stream.error_g(x, ctx)
+        # inner block: one per frame for grad and hess together; ring block:
+        # one per frame for value and grad together (the three-call path made 12)
+        assert len(ctx.frames) == 3
+        assert calls == [70, 70, 70, 30, 30, 30]
 
 
 class TestBandedModeMatrix:

@@ -24,14 +24,13 @@ from helix_kmd.stream import (
     rotating_argument,
     solve_H2,
     solve_mu,
-    vertex_points,
 )
 
 
 class TestVertices:
     def test_quarter_rotation(self, ctx_cache):
         ctx = build_context(math.exp(-10.0), 1.0, 1.0, 4)
-        P = vertex_points(ctx)
+        P = ctx.vertices
         R = 1.0 / math.sqrt(10.0)
         assert np.allclose(P[1], [0.0, R], atol=1e-15)
 
@@ -41,9 +40,36 @@ class TestVertices:
         assert ctx.R == pytest.approx(0.316228, abs=1e-6)
 
     def test_equal_norms(self, ctx_cache):
-        P = vertex_points(ctx_cache(20.0))
+        P = ctx_cache(20.0).vertices
         norms = np.hypot(P[:, 0], P[:, 1])
         assert np.max(np.abs(norms - norms[0])) < 1e-15
+
+
+
+class TestAdmissibility:
+    """Every admissibility check of build_context raises DegenerateConfig."""
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"eps": 0.5}, "0 < eps < e"),
+        ({"eps": 0.0}, "0 < eps < e"),
+        ({"r": -1.0}, "invalid geometry"),
+        ({"h": 0.0}, "invalid geometry"),
+        ({"n": 1}, "invalid geometry"),
+        ({"r": 3.0}, "too close to the cutoff"),
+        ({"alpha": 40.0}, "rotation speed outside the admissible band"),
+        ({"alpha": -40.0}, "rotation speed outside the admissible band"),
+        ({"delta": 0.5}, "0 < delta"),
+        ({"delta1": 0.1}, "2 delta1 < delta"),
+        # |log mu| = 0.01 here, below the band's 0.1 log|log eps|
+        ({"eps": math.exp(-10.0), "r": 1.42, "n": 2, "alpha": 1.85},
+         "mu escaped the admissible logarithmic band"),
+        ({"eps": math.exp(-400.0)}, "eps\\*mu underflow"),
+    ])
+    def test_out_of_band_inputs(self, kwargs, match):
+        args = {"eps": math.exp(-20.0), "r": 1.0, "h": 1.0, "n": 3, **kwargs}
+        with pytest.raises(DegenerateConfig, match=match):
+            build_context(args.pop("eps"), args.pop("r"), args.pop("h"), args.pop("n"),
+                          grid=PolarGridSpec(n_radial=64, n_angular=24), **args)
 
 
 class TestMu:
@@ -143,7 +169,7 @@ class TestGlobalCorrection:
 
     def test_vanishes_at_all_vertices(self, ctx_cache):
         ctx = ctx_cache(20.0)
-        vals = ctx.h2.value(vertex_points(ctx))
+        vals = ctx.h2.value(ctx.vertices)
         assert np.max(np.abs(vals)) < 1e-12
 
     def test_evenness_of_vertex_map(self, ctx_cache, rng):
