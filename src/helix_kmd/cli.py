@@ -273,16 +273,9 @@ def cmd_lift_3d(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> Non
     zs = np.linspace(0.0, 2.0 * np.pi * abs(ctx.h), nz, endpoint=False)
     field = lifted_field(stream_vorticity(ctx), ctx.h)
     man.start("box_sampling")
-    rows = []
-    for x in xs:
-        for y in ys:
-            pts = np.stack(
-                [np.full_like(zs, x), np.full_like(zs, y), zs], axis=-1
-            )
-            w = field(pts)
-            for k, z in enumerate(zs):
-                rows.append((float(x), float(y), float(z),
-                             float(w[k, 0]), float(w[k, 1]), float(w[k, 2])))
+    # the whole box in one call, rows ordered by x, then y, then z
+    pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    rows = np.concatenate([pts, field(pts)], axis=1).tolist()
     man.stop("box_sampling")
     path = out / "omega_box.csv"
     write_csv(path, ["x", "y", "z", "w1", "w2", "w3"], rows)

@@ -133,8 +133,9 @@ def min_sep_positions(pos: np.ndarray) -> float:
     if n < 2:
         return np.inf
     diff = np.abs(pos[:, None, :] - pos[None, :, :])
-    iu = np.triu_indices(n, k=1)
-    return float(diff[iu].min())
+    idx = np.arange(n)
+    diff[idx, idx, :] = np.inf      # symmetric in (j, k): the minimum is the j<k one
+    return float(diff.min())
 
 
 def min_separation(state: FilamentEnsemble) -> float:
@@ -148,13 +149,13 @@ def _interaction(pos: np.ndarray, kappa: np.ndarray, threshold: float) -> np.nda
         return np.zeros_like(pos)
     diff = pos[:, None, :] - pos[None, :, :]          # (j, k, s)
     d2 = (diff * diff.conj()).real
-    iu = np.triu_indices(n, k=1)
-    dmin = np.sqrt(d2[iu].min())
+    idx = np.arange(n)
+    d2[idx, idx, :] = np.inf        # symmetric in (j, k): the minimum is the j<k one
+    dmin = np.sqrt(d2.min())
     if dmin < threshold or dmin == 0.0:
         raise CollisionError(
             f"filament separation {dmin:.3e} below threshold {threshold:.3e}"
         )
-    idx = np.arange(n)
     d2[idx, idx, :] = 1.0
     diff[idx, idx, :] = 0.0
     out = 2.0j * np.einsum("k,jks->js", kappa, diff / d2)

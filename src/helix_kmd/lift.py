@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -177,18 +176,15 @@ def bump_test_field(
     axial_radius: float, component: int = 2,
 ) -> VectorField3:
     """Compactly supported C^2 test field along one coordinate axis."""
-    center = np.asarray(center, dtype=float)
+    from .stream import _smoothstep
 
-    def smooth_bump(t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        q = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-        return q
+    center = np.asarray(center, dtype=float)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         rp = np.hypot(x[..., 0] - center[0], x[..., 1] - center[1])
         ax = np.abs(x[..., 2] - axial_center)
-        val = smooth_bump(rp / radius) * smooth_bump(ax / axial_radius)
+        val = (1.0 - _smoothstep(rp / radius)) * (1.0 - _smoothstep(ax / axial_radius))
         out = np.zeros(x.shape)
         out[..., component] = val
         return out
@@ -197,26 +193,13 @@ def bump_test_field(
 
 
 def _core_quadrature(ctx, y_cap: float = 40.0, n_seg: int = 16, n_theta: int = 48):
+    from .stream import _polar_gauss_rule
+
     ymax = min(y_cap, 0.9 * ctx.inner_radius_y)
     if ymax <= 2.0:
         raise QuadratureFailure("inner region too small for core quadrature")
-    edges = [0.0, 1.0]
-    while edges[-1] < ymax:
-        edges.append(min(2.0 * edges[-1], ymax))
-    nodes, weights = leggauss(n_seg)
-    rr, ww = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rr.append(mid + half * nodes)
-        ww.append(half * weights)
-    rr = np.concatenate(rr)
-    ww = np.concatenate(ww)
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = np.zeros((rr.size, n_theta, 2))
-    y[..., 0] = rr[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rr[:, None] * np.sin(th)[None, :]
-    w2d = (ww * rr)[:, None] * np.ones(n_theta)[None, :] * (2.0 * np.pi / n_theta)
-    return y.reshape(-1, 2), w2d.ravel()
+    y, w = _polar_gauss_rule(ymax, n_seg, n_theta)
+    return y.reshape(-1, 2), w.ravel()
 
 
 def weak_convergence_gap(

@@ -215,25 +215,36 @@ def solve_mu(
     """Fixed point for log mu from the vertex relation (damping 0.5).
 
     Returns log_mu.  H2 does not enter: it vanishes at the vertices by
-    normalization.
+    normalization.  Where the relation's slope in log mu is near or
+    below -3 the damped step overshoots and the iterates oscillate
+    around the root; if the last two of them bracket it when max_iter
+    runs out, Brent's method finishes on that bracket.
     """
     abs_log = -math.log(eps)
     R = r / math.sqrt(abs_log)
     if frames is None:
         frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
     z0, _ = _far_geometry(frames)
-    log_mu = (n - 1.0) * math.log(abs_log)
     alpha_term = 0.5 * alpha * r * r        # (alpha/2) |log eps| R^2 exactly
+
+    def excess(log_mu):                     # rhs(log mu) - log mu
+        prof = lv.LocalProfile(eps, math.exp(log_mu), R, h)
+        return 0.5 * (_far_sum(prof, z0[0]) - alpha_term) - log_mu
+
+    log_mu = (n - 1.0) * math.log(abs_log)
+    prev = last = None
     for _ in range(max_iter):
-        mu = math.exp(log_mu)
-        prof = lv.LocalProfile(eps, mu, R, h)
-        rhs = 0.5 * (_far_sum(prof, z0[0]) - alpha_term)
-        new = log_mu + 0.5 * (rhs - log_mu)
+        f = excess(log_mu)
+        new = log_mu + 0.5 * f
         if not math.isfinite(new):
             raise FixedPointDivergence("mu iteration produced non-finite value")
         if abs(new - log_mu) <= tol * max(1.0, abs(new)):
             return new
+        prev, last = last, (log_mu, f)
         log_mu = new
+    if prev is not None and prev[1] * last[1] < 0.0:
+        (xa, fa), (xb, fb) = sorted((prev, last))
+        return float(_brent(excess, xa, fa, xb, fb, _BRENT_RTOL))
     raise FixedPointDivergence("mu iteration did not converge")
 
 
@@ -626,12 +637,13 @@ def b_eps_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarra
 
 # -- projections, norms, and the speed selection ---------------------------
 
-def _inner_quadrature(ctx: StreamContext, y_cap: float = 50.0, n_theta: int = 64,
-                      n_seg: int = 24):
-    """Polar Gauss-Legendre nodes/weights on the inner disk (y variables)."""
-    ymax = min(y_cap, 0.98 * ctx.inner_radius_y)
-    if ymax <= 1.0:
-        raise QuadratureFailure("inner region too small for projection")
+def _polar_gauss_rule(ymax: float, n_seg: int, n_theta: int):
+    """Nodes (n_r, n_theta, 2) and weights (n_r, n_theta) on the disk |y| <= ymax.
+
+    Radially, n_seg Gauss-Legendre nodes on each of the segments [0, 1],
+    [1, 2], [2, 4], ... (the last one ends at ymax); angularly, the
+    n_theta-point midpoint rule.
+    """
     edges = [0.0, 1.0]
     while edges[-1] < ymax:
         edges.append(min(2.0 * edges[-1], ymax))
@@ -649,6 +661,15 @@ def _inner_quadrature(ctx: StreamContext, y_cap: float = 50.0, n_theta: int = 64
     y[..., 1] = rr[:, None] * np.sin(th)[None, :]
     w2d = (ww * rr)[:, None] * (2.0 * np.pi / n_theta)
     return y, np.broadcast_to(w2d, (rr.size, n_theta))
+
+
+def _inner_quadrature(ctx: StreamContext, y_cap: float = 50.0, n_theta: int = 64,
+                      n_seg: int = 24):
+    """Polar Gauss-Legendre nodes/weights on the inner disk (y variables)."""
+    ymax = min(y_cap, 0.98 * ctx.inner_radius_y)
+    if ymax <= 1.0:
+        raise QuadratureFailure("inner region too small for projection")
+    return _polar_gauss_rule(ymax, n_seg, n_theta)
 
 
 def calA(alpha: float, ctx: StreamContext, variant: str = "leading") -> float:

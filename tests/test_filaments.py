@@ -57,6 +57,16 @@ class TestRhs:
         with pytest.raises(CollisionError):
             kmd_rhs(st, collision_threshold=1e-6)
 
+    @pytest.mark.parametrize("positions", [[0.5, -0.5], [4.0, 0.0, 1.0], [0.0, 3.0, 2.0]])
+    def test_collision_guard_at_the_threshold(self, positions):
+        # the closest pair (gap exactly 1) is not always (0, 1)
+        st = straight(positions)
+        assert min_separation(st) == 1.0
+        with pytest.raises(CollisionError):
+            kmd_rhs(st, collision_threshold=np.nextafter(1.0, 2.0))
+        rhs = kmd_rhs(st, collision_threshold=1.0)
+        assert np.all(np.isfinite(rhs.view(float)))
+
 
 class TestStep:
     def test_straight_single_filament_fixed_point(self):

@@ -6,7 +6,8 @@ built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
 systems, one cubic spline per H2 mode, and a local defect that lets the
 Laplacian, Hessian and gradient of the profile each recompute the
-profile's intermediates.  The numpy spline and
+profile's intermediates, and a lift-3d box sampled one (x, y) column at
+a time.  The numpy spline and
 cumulative Simpson rule of `elliptic` are compared with scipy's
 CubicSpline and cumulative_simpson, whose arithmetic they repeat.  The
 arithmetic per entry is unchanged, so results must agree exactly, not to
@@ -26,7 +27,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
-from helix_kmd import elliptic, linear_theory, liouville, stream
+from helix_kmd import cli, elliptic, linear_theory, liouville, stream
 from helix_kmd.liouville import LocalProfile
 from helix_kmd.screw_operator import b_operator, local_frame
 
@@ -243,6 +244,21 @@ def _h2_gradient_ref(h2, x):
         (d_rho / rho_safe)[..., None] * er
         + (d_theta / rho_safe)[..., None] * et
     )
+
+
+def _box_rows_ref(field, xs, ys, zs):
+    """lift-3d's box rows with one field call per (x, y) column."""
+    rows = []
+    for x in xs:
+        for y in ys:
+            pts = np.stack(
+                [np.full_like(zs, x), np.full_like(zs, y), zs], axis=-1
+            )
+            w = field(pts)
+            for k, z in enumerate(zs):
+                rows.append((float(x), float(y), float(z),
+                             float(w[k, 0]), float(w[k, 1]), float(w[k, 2])))
+    return rows
 
 
 def _phi_ref(sol, y):
@@ -676,3 +692,66 @@ class TestProjectedSolutionSpline:
 def test_gamma_constants_fixed_rule():
     for g in linear_theory.gamma_constants():
         assert abs(g - 3.0 / (32.0 * math.pi)) <= 1e-14
+
+
+_TINY_LIFT = """
+[stream]
+epsilon = e^-20
+r = 1.0
+h = 1.0
+n = 3
+grid.radial = 64
+grid.angular = 24
+
+[grid]
+extent = 0.8
+nx = 5
+ny = 5
+nz = 3
+"""
+
+
+class TestLiftBox:
+    @pytest.fixture()
+    def run(self, tmp_path, monkeypatch):
+        """Run a tiny lift-3d; return its box rows, context and psi_star call count."""
+        seen = {"psi_star": 0}
+        build, write, psi = cli._build_ctx, cli.write_csv, stream.psi_star
+
+        def build_spy(cfg, eps, alpha=None):
+            seen["ctx"] = build(cfg, eps, alpha)
+            return seen["ctx"]
+
+        def write_spy(path, header, rows):
+            rows = list(rows)
+            if path.name == "omega_box.csv":
+                seen["rows"] = rows
+            write(path, header, rows)
+
+        def psi_spy(x, ctx):
+            seen["psi_star"] += 1
+            return psi(x, ctx)
+
+        monkeypatch.setattr(cli, "_build_ctx", build_spy)
+        monkeypatch.setattr(cli, "write_csv", write_spy)
+        monkeypatch.setattr(stream, "psi_star", psi_spy)
+        cfg = tmp_path / "lift.ini"
+        cfg.write_text(_TINY_LIFT)
+        assert cli.main(["lift-3d", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        return seen
+
+    def test_rows_match_column_loop(self, run):
+        from helix_kmd.lift import lifted_field, stream_vorticity
+
+        ctx = run["ctx"]
+        xs = ys = np.linspace(-0.8, 0.8, 5)
+        zs = np.linspace(0.0, 2.0 * np.pi * abs(ctx.h), 3, endpoint=False)
+        ref = _box_rows_ref(lifted_field(stream_vorticity(ctx), ctx.h), xs, ys, zs)
+        assert len(run["rows"]) == 75
+        assert all(type(v) is float for row in run["rows"] for v in row)
+        assert np.array_equal(np.array(run["rows"]), np.array(ref))
+
+    def test_box_is_one_psi_star_call(self, run):
+        # one call for the box, the rest for the symmetry defect; one call
+        # per (x, y) column would make more than 25
+        assert run["psi_star"] <= 5

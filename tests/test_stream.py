@@ -90,6 +90,26 @@ class TestMu:
             vals.append(2.0 * lm - 4.0 * math.log(ex))
         assert max(abs(v) for v in vals) < 5.0
 
+    def test_oscillating_iteration_finishes_on_its_bracket(self):
+        # N = 5, r = h = 1, e^-10: the relation's slope is about -3 at the
+        # root, so the damped iterates still straddle it after max_iter
+        ctx = build_context(math.exp(-10.0), 1.0, 1.0, 5,
+                            grid=PolarGridSpec(n_radial=64, n_angular=40))
+        assert ctx.log_mu == 9.031435912259754
+        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) < 1e-10
+        vals = [mu_relation_rhs(ctx, i) for i in range(1, 6)]
+        assert max(vals) - min(vals) < 1e-12
+
+    def test_converging_iteration_needs_no_bracket(self, monkeypatch):
+        from helix_kmd import stream
+
+        def refuse(*args):
+            raise AssertionError("Brent's method called on a converging iteration")
+
+        monkeypatch.setattr(stream, "_brent", refuse)
+        lm = solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
+        assert math.isfinite(lm)
+
     def test_admissible_band(self, ctx_cache):
         # delta log|log eps| < |log mu| < log|log eps|/delta for delta = 0.1
         for ex in (10.0, 20.0, 40.0):
