@@ -168,12 +168,10 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
               zip(pts.reshape(-1, 2)[:, 0], pts.reshape(-1, 2)[:, 1], vals))
     man.add_file(path)
     grid = ctx.h2.grid
-    rows = []
-    for i, rho in enumerate(grid.rho):
-        for j, th in enumerate(grid.theta):
-            rows.append((float(rho), float(th), float(grid.values[i, j] - ctx.h2.offset)))
+    rr, tt = np.meshgrid(grid.rho, grid.theta, indexing="ij")
+    rows = np.stack([rr, tt, grid.values - ctx.h2.offset], axis=-1).reshape(-1, 3)
     path2 = out / "h2_correction.csv"
-    write_csv(path2, ["rho", "theta", "h2"], rows)
+    write_csv(path2, ["rho", "theta", "h2"], rows.tolist())
     man.add_file(path2)
     context = {
         "eps": ctx.eps,

@@ -8,19 +8,26 @@ on (e_r, e_theta), so
     beta(rho) = h^2/(h^2 + rho^2),
 
 and the equation div(K grad H) = -g separates into angular Fourier
-modes.  Each mode solves, on a log-radius grid u = log(rho),
+modes.  The sources here are dihedral: even in theta and of period
+2 pi/N, so g and H are real cosine series in N theta,
 
-    d_u(beta d_u f_k) - k^2 f_k = -e^{2u} g_k(u),
+    g = sum_m g_m(rho) cos(N m theta),   H = sum_m f_m(rho) cos(N m theta),
 
-with regularity at the inner edge (f_k = 0 for k >= 1, anchored value
-for k = 0) and the outer condition matching the quadratic-growth far
+and each mode k = N m solves, on a log-radius grid u = log(rho),
+
+    d_u(beta d_u f_m) - k^2 f_m = -e^{2u} g_m(u),
+
+with regularity at the inner edge (f_m = 0 for m >= 1, anchored value
+for m = 0) and the outer condition matching the quadratic-growth far
 field: beta d_u f_0 = -Q/(2 pi) carries the total source flux
 Q = integral of g, while true harmonics decay like exp(-k rho/h) and are
-clamped.  Banded 4th-order finite differences in u; all mode profiles
-share one cubic spline in u (one column per mode), which evaluates
-values and gradients off the grid.
+clamped.  g_m comes from a cosine sum over one half-sector of samples.
+Banded 4th-order finite differences in u; all mode profiles share one
+cubic spline in u (one column per mode), which evaluates values and
+gradients off the grid, with cos(N m theta) and sin(N m theta) from a
+Chebyshev recurrence in m.
 
-The module imports numpy only, and so does the library.  The k >= 1
+The module imports numpy only, and so does the library.  The m >= 1
 mode systems are solved together by `_Banded`, a block LU for stacked
 five-band matrices that linear_theory's radial systems use too; their
 factors depend on the grid, h and the kept modes, not on g, and are
@@ -36,12 +43,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.fft import rfft
 
 from .errors import SolverDivergence
 
-# points per block when summing the modes: keeps the (points x modes)
-# temporaries of value() and gradient() at a few MB
+# points per block when summing the modes: keeps the (modes x points)
+# buffers of value() and gradient() below 1 MB each
 _BLOCK = 2048
 # rows per diagonal block of _Banded's block LU
 _LU_BLOCK = 8
@@ -208,12 +214,12 @@ class _ColumnSpline:
     Same coefficients and evaluation order as
     scipy.interpolate.CubicSpline(x, y, axis=0) and its derivative(), so
     values agree bit for bit; points outside [x[0], x[-1]] use the end
-    polynomials.  Real or complex columns; at least four knots.
+    polynomials.  Real columns; at least four knots.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y)
+        y = np.asarray(y, dtype=float)
         n = x.size
         dx = np.diff(x)
         dxr = dx[:, None]
@@ -223,7 +229,7 @@ class _ColumnSpline:
         A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
         A[0, 2:] = dx[:-1]
         A[-1, :-2] = dx[1:]
-        b = np.empty(y.shape, dtype=y.dtype)
+        b = np.empty(y.shape)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         A[1, 0] = dx[1]
         A[0, 1] = d = x[2] - x[0]
@@ -231,47 +237,47 @@ class _ColumnSpline:
         A[1, -1] = dx[-2]
         A[-1, -2] = d = x[-1] - x[-3]
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        # solved in place; complex columns as pairs of real ones
-        _gtsv(A[2, :-1], A[1], A[0, 1:], b.reshape(n, -1).view(float))
+        _gtsv(A[2, :-1], A[1], A[0, 1:], b.reshape(n, -1))
         yp = b
         # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
         t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
         c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
         self.x = x
-        self._dtype = y.dtype
-        # real views: complex coefficients times a real offset need no
-        # complex products; one contiguous (n-1, columns) array per power
-        self._c = [np.ascontiguousarray(ck).view(float) for ck in c]
+        # one contiguous (n-1, columns) array per power
+        self._c = [np.ascontiguousarray(ck) for ck in c]
         self._dc = [3.0 * self._c[0], 2.0 * self._c[1], self._c[2]]
 
-    def _eval(self, u: np.ndarray, polys: list) -> list:
-        """Each piecewise polynomial of `polys` at the 1-D points u."""
+    def _eval(self, u: np.ndarray, polys: list, buf: np.ndarray | None) -> list:
+        """Each piecewise polynomial of `polys` at the 1-D points u, written
+        into buf (len(polys) + 1, >= u.size, columns) or a new array."""
+        if buf is None:
+            buf = np.empty((len(polys) + 1, u.size, self._c[0].shape[1]))
+        term = buf[-1, :u.size]
         # interval index among the interior knots: points beyond an end
         # knot fall in the end interval, as in scipy
         i = np.searchsorted(self.x[1:-1], u, side="right")
         s = (u - self.x[i])[:, None]
         s2 = s * s
         powers = (s, s2, s2 * s)
-        term = np.empty((u.size, self._c[0].shape[1]))
         outs = []
-        for c in polys:
+        for c, v in zip(polys, buf):
             # scipy's order: ((c[3] + c[2] s) + c[1] s^2) + c[0] s^3;
             # mode="clip" (all indices are in range) writes unbuffered
-            v = c[-1].take(i, axis=0)
+            v = np.take(c[-1], i, axis=0, out=v[:u.size], mode="clip")
             for ck, p in zip(c[-2::-1], powers):
                 np.take(ck, i, axis=0, out=term, mode="clip")
                 term *= p
                 v += term
-            outs.append(v.view(self._dtype))
+            outs.append(v)
         return outs
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
         """Values at the 1-D points u, shape (u.size, columns)."""
-        return self._eval(u, [self._c])[0]
+        return self._eval(u, [self._c], buf)[0]
 
-    def with_derivative(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def with_derivative(self, u: np.ndarray, buf: np.ndarray | None = None) -> tuple:
         """Values and first derivatives at u from one interval lookup."""
-        return tuple(self._eval(u, [self._c, self._dc]))
+        return tuple(self._eval(u, [self._c, self._dc], buf))
 
 
 def _banded_mode_matrix(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
@@ -338,7 +344,7 @@ def _solve_mode0(u, beta, g0_hat):
     e2u = np.exp(2.0 * u)
     G = _cumulative_simpson(e2u * g0_hat, u)
     f0 = -_cumulative_simpson(G / beta, u)
-    if not np.all(np.isfinite(np.asarray(f0, dtype=complex).view(float))):
+    if not np.all(np.isfinite(f0)):
         raise SolverDivergence("radial mode produced non-finite values")
     return f0, G
 
@@ -375,16 +381,39 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
 
 
+def _polar_points(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Points rho_i (cos theta_j, sin theta_j), shape (rho.size, theta.size, 2)."""
+    return rho[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
 def _add_columns(out: np.ndarray, terms: np.ndarray) -> None:
     """out += terms[:, m] for each mode m in turn (mode order, no pairwise sum)."""
     for m in range(terms.shape[1]):
         out += terms[:, m]
 
 
-class H2Correction:
-    """Solution field of div(K grad H) = -g with H(anchor) = 0.
+def _harmonics(t: np.ndarray, *rows: np.ndarray) -> None:
+    """cos(m t) into row m of rows[0] and, if given, sin(m t) into rows[1], by
+    the Chebyshev recurrence T_{p+j} = 2 T_p T_j - T_{p-j} (for the sines
+    S_{p+j} = 2 T_p S_j + S_{p-j}), doubling the known orders p per step."""
+    for y, start in zip(rows, ((1.0, np.cos(t)), (0.0, np.sin(t)))):
+        y[0], y[1:2] = start
+    p, top = 1, len(rows[0]) - 1
+    while p < top:
+        q = min(2 * p, top)
+        two_tp = 2.0 * rows[0][p]
+        for y, op in zip(rows, (np.subtract, np.add)):
+            new = np.multiply(two_tp, y[1:q - p + 1], out=y[p + 1:q + 1])
+            op(new, y[2 * p - q:p][::-1], out=new)
+        p = q
 
-    Stores the angular-mode radial profiles as one cubic spline in
+
+class H2Correction:
+    """Solution field of div(K grad H) = -g, a cosine series in n theta.
+
+    H = sum_m f_m(rho) cos(k_m theta) - offset with k_m = n m, where the
+    constant offset makes H vanish at the constructor's anchor point (it
+    is 0 without one).  The radial profiles f_m share one cubic spline in
     log-radius with a column per mode.  value() and gradient() sum the
     modes block by block and work anywhere: inside rho_min the field is
     frozen at its inner value, outside rho_max the mode-0 far field
@@ -392,54 +421,68 @@ class H2Correction:
     field on the solver grid (`grid`) is assembled on first access.
     """
 
-    def __init__(self, spec: PolarGridSpec, h: float, modes: np.ndarray,
-                 weights: np.ndarray, wavenumbers: np.ndarray, flux: float):
+    def __init__(self, spec: PolarGridSpec, h: float, n: int, modes: np.ndarray,
+                 flux: float, anchor: np.ndarray | None = None):
         self.spec = spec
         self.h = float(h)
+        self.n = int(n)
         self._u = spec.u_nodes()
         self._modes = modes
         self._spline = _ColumnSpline(self._u, modes.T)
-        self._w = weights
-        self._k = wavenumbers
-        self._ik = 1j * wavenumbers
+        self._k = self.n * np.arange(len(modes))
         self.flux = float(flux)
         self.offset = 0.0
+        if anchor is not None:
+            self.offset = float(self.value(np.asarray(anchor, dtype=float)))
 
     @cached_property
     def grid(self) -> ScalarGrid:
         """Mode sum on the solver grid, without the anchor offset."""
         theta = self.spec.theta_nodes()
+        cos = np.empty((self._k.size, theta.size))
+        _harmonics(self.n * theta, cos)
         values = np.zeros((self.spec.n_radial, self.spec.n_angular))
-        for m, w, k in zip(self._modes, self._w, self._k):
-            values += w * (m[:, None] * np.exp(1j * k * theta)[None, :]).real
+        for f, c in zip(self._modes, cos):
+            values += f[:, None] * c[None, :]
         return ScalarGrid(self.spec.radial_nodes(), theta, values)
-
-    def set_anchor(self, x: np.ndarray) -> None:
-        """Shift the additive constant so the field vanishes at x."""
-        self.offset = 0.0
-        self.offset = float(self.value(np.asarray(x, dtype=float)))
 
     def _polar(self, x):
         x = np.asarray(x, dtype=float)
         rho = np.hypot(x[..., 0], x[..., 1])
         theta = np.arctan2(x[..., 1], x[..., 0])
-        return rho, theta
+        u = np.log(np.maximum(rho, 1e-300))
+        return rho, theta, u
+
+    def _sums(self, u: np.ndarray, theta: np.ndarray, derivative: bool) -> np.ndarray:
+        """[sum_m f_m cos(k_m theta)], or [sum_m f_m' cos(k_m theta),
+        -sum_m k_m f_m sin(k_m theta)] with derivative, at u clipped to the
+        grid; in blocks that reuse one spline and one trig buffer."""
+        uf = np.clip(u, self._u[0], self._u[-1]).ravel()
+        tf = self.n * theta.ravel()
+        nb = min(uf.size, _BLOCK)
+        buf = np.empty((2 + derivative, nb, self._k.size))
+        trig = np.empty((1 + derivative, self._k.size, nb))
+        sums = np.zeros((1 + derivative, uf.size))
+        for i in range(0, uf.size, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            t = trig[..., :tf[b].size]
+            _harmonics(tf[b], *t)
+            if derivative:
+                f, df = self._spline.with_derivative(uf[b], buf)
+                df *= t[0].T
+                _add_columns(sums[0, b], df)
+                f *= -self._k
+            else:
+                f = self._spline(uf[b], buf)
+            f *= t[-1].T
+            _add_columns(sums[-1, b], f)
+        return sums.reshape((-1,) + u.shape)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        rho, theta = self._polar(x)
-        umin, umax = self._u[0], self._u[-1]
-        u = np.log(np.maximum(rho, 1e-300))
-        uc = np.clip(u, umin, umax)
-        out = np.zeros(rho.size)
-        uf, tf = uc.ravel(), theta.ravel()
-        for i in range(0, rho.size, _BLOCK):
-            b = slice(i, i + _BLOCK)
-            ph = np.exp(self._ik * tf[b, None])
-            f = self._spline(uf[b])
-            f *= ph
-            _add_columns(out[b], self._w * f.real)
-        out = out.reshape(rho.shape)
+        rho, theta, u = self._polar(x)
+        out = self._sums(u, theta, False)[0]
         # mode-0 analytic continuation outside the disk
+        umax = self._u[-1]
         far = u > umax
         if np.any(far):
             q = -self.flux / (2.0 * np.pi)
@@ -449,33 +492,15 @@ class H2Correction:
         return out - self.offset
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        rho, theta = self._polar(x)
-        umin, umax = self._u[0], self._u[-1]
-        u = np.log(np.maximum(rho, 1e-300))
-        uc = np.clip(u, umin, umax)
-        d_rho = np.zeros(rho.size)
-        d_theta = np.zeros(rho.size)
-        uf, tf = uc.ravel(), theta.ravel()
-        for i in range(0, rho.size, _BLOCK):
-            b = slice(i, i + _BLOCK)
-            ph = np.exp(self._ik * tf[b, None])
-            f, df = self._spline.with_derivative(uf[b])
-            df *= ph
-            _add_columns(d_rho[b], self._w * df.real)
-            np.multiply(self._ik, f, out=f)
-            f *= ph
-            _add_columns(d_theta[b], self._w * f.real)
-        d_rho = d_rho.reshape(rho.shape)
-        d_theta = d_theta.reshape(rho.shape)
-        inside = u < umin
-        d_rho = np.where(inside, 0.0, d_rho)
-        d_theta = np.where(inside, 0.0, d_theta)
-        far = u > umax
+        rho, theta, u = self._polar(x)
+        d_rho, d_theta = self._sums(u, theta, True)
+        d_rho = np.where(u < self._u[0], 0.0, d_rho)
+        far = u > self._u[-1]
+        d_theta = np.where((u < self._u[0]) | far, 0.0, d_theta)
         if np.any(far):
             q = -self.flux / (2.0 * np.pi)
             beta = self.h**2 / (self.h**2 + np.exp(2.0 * u))
             d_rho = np.where(far, q / beta, d_rho)
-            d_theta = np.where(far, 0.0, d_theta)
         rho_safe = np.maximum(rho, 1e-300)
         er = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         et = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
@@ -486,31 +511,35 @@ class H2Correction:
 
 
 def solve_k_poisson(
-    g_samples: np.ndarray, spec: PolarGridSpec, h: float,
-    mode_cut: float = 1e-13,
+    g_half: np.ndarray, spec: PolarGridSpec, h: float, n: int,
+    anchor: np.ndarray | None = None, mode_cut: float = 1e-13,
 ) -> H2Correction:
-    """Solve div(K grad H) = -g from samples g[i_rho, j_theta]."""
-    nr, nt = g_samples.shape
-    if nr != spec.n_radial or nt != spec.n_angular:
-        raise ValueError("sample shape does not match grid spec")
+    """Solve div(K grad H) = -g for g even in theta and of period 2 pi/n.
+
+    g_half[i, j] samples g at rho_i and theta_j = 2 pi j/n_angular for the
+    half-sector j = 0 .. s//2, s = n_angular/n.  The series keeps every
+    mode up to the last one whose coefficient reaches mode_cut times the
+    largest.  H vanishes at `anchor` when one is given.
+    """
+    s = spec.n_angular // n
+    if spec.n_angular % n or np.shape(g_half) != (spec.n_radial, s // 2 + 1):
+        raise ValueError("samples do not cover one half-sector of the grid spec")
     u = spec.u_nodes()
-    beta, _ = _beta(u, h)
-    ghat = rfft(g_samples, axis=1)                  # (nr, nt/2+1)
-    scale = np.max(np.abs(ghat)) + 1e-300
-    sol0, G0 = _solve_mode0(u, beta, ghat[:, 0].real)
-    flux = float(2.0 * np.pi * G0[-1] / nt)
-    ks = 1 + np.flatnonzero(~(np.max(np.abs(ghat[:, 1:]), axis=0) < mode_cut * scale))
-    rhs = -np.exp(2.0 * u)[:, None] * ghat[:, ks]
+    # b_m = (1/s) sum_{j<s} g_j cos(2 pi j m/s), each column inside the
+    # half-sector standing for its mirror too; einsum sums in a fixed order
+    j = np.arange(s // 2 + 1)
+    twice = np.where((j == 0) | (2 * j == s), 1.0, 2.0)
+    cos = twice[:, None] * np.cos((2.0 * np.pi / s) * (np.outer(j, j) % s)) / s
+    b = np.einsum("ij,jm->im", g_half, cos)
+    scale = np.max(np.abs(b)) + 1e-300
+    above = np.flatnonzero(~(np.max(np.abs(b[:, 1:]), axis=0) < mode_cut * scale))
+    kept = above[-1] + 2 if above.size else 1
+    # series coefficients: modes other than 0 and Nyquist pair with -m
+    a = b[:, :kept] * twice[:kept]
+    sol0, G0 = _solve_mode0(u, _beta(u, h)[0], a[:, 0])
+    rhs = -np.exp(2.0 * u)[:, None] * a[:, 1:]
     rhs[[0, -1]] = 0.0
-    # real and imaginary parts as two right-hand-side columns
-    sol = _mode_factor(spec, float(h), tuple(ks.tolist())).solve(
-        np.stack([rhs.real, rhs.imag], axis=-1))
+    sol = _mode_factor(spec, float(h), tuple(range(n, n * kept, n))).solve(rhs[..., None])
     if not np.all(np.isfinite(sol)):
         raise SolverDivergence("mode solve produced non-finite values")
-    modes = np.empty((ks.size + 1, nr), dtype=complex)
-    modes[0] = sol0
-    modes[1:].real = sol[..., 0].T
-    modes[1:].imag = sol[..., 1].T
-    # the Nyquist mode of an even grid counts once, every other mode twice
-    weights = np.concatenate([[1.0 / nt], np.where(2 * ks == nt, 1.0 / nt, 2.0 / nt)])
-    return H2Correction(spec, h, modes, weights, np.concatenate([[0], ks]), flux)
+    return H2Correction(spec, h, n, np.vstack([sol0, sol[..., 0].T]), 2.0 * np.pi * G0[-1], anchor)

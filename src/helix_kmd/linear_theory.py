@@ -29,7 +29,7 @@ import numpy as np
 from numpy.fft import rfft
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import _Banded, _ColumnSpline
+from .elliptic import _Banded, _ColumnSpline, _polar_points
 from .errors import ODESolveFailure, QuadratureFailure, SlowDecay
 
 __all__ = [
@@ -264,9 +264,7 @@ class ProjectedSolution:
         """sup (1+|y|)^{m-2} |phi| over the solved disk."""
         rho = np.geomspace(np.exp(self.u[0]), self.rho_max, n_samples)
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        y = np.zeros((rho.size, th.size, 2))
-        y[..., 0] = rho[:, None] * np.cos(th)[None, :]
-        y[..., 1] = rho[:, None] * np.sin(th)[None, :]
+        y = _polar_points(rho, th)
         vals = np.abs(self.phi(y))
         w = (1.0 + rho) ** (m - 2.0)
         return float(np.max(vals * w[:, None]))
@@ -276,9 +274,7 @@ def _decay_exponent(h_func, rho_max: float) -> float:
     """Fitted decay rate of max_theta |h| over the outer decade."""
     rho = np.geomspace(rho_max / 10.0, rho_max, 12)
     th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    y = np.zeros((rho.size, th.size, 2))
-    y[..., 0] = rho[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rho[:, None] * np.sin(th)[None, :]
+    y = _polar_points(rho, th)
     prof = np.max(np.abs(h_func(y)), axis=1)
     if np.max(prof) < 1e-14:
         return np.inf
@@ -308,9 +304,7 @@ def projected_solve(
     u = np.linspace(math.log(rho_min), math.log(rho_max), n_radial)
     rho = np.exp(u)
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    y = np.zeros((n_radial, n_theta, 2))
-    y[..., 0] = rho[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rho[:, None] * np.sin(th)[None, :]
+    y = _polar_points(rho, th)
     hh = rfft(h_func(y), axis=1)
     # n_theta > 2 modes: no solved mode is the Nyquist mode
     scale = np.full(modes + 1, 2.0 / n_theta)
@@ -352,9 +346,7 @@ def b_eps_bound_check(ctx, a_decay: float = 0.8, y_cap: float = 200.0,
     ymax = min(y_cap, 0.9 * ctx.inner_radius_y)
     rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
     th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = np.zeros((rr.size, n_theta, 2))
-    y[..., 0] = rr[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rr[:, None] * np.sin(th)[None, :]
+    y = _polar_points(rr, th)
     vals = b_eps_inner(y.reshape(-1, 2), ctx)
     yn = np.hypot(y[..., 0], y[..., 1]).ravel()
     weight = (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import liouville as lv
-from .elliptic import H2Correction, PolarGridSpec, solve_k_poisson
+from .elliptic import H2Correction, PolarGridSpec, _polar_points, solve_k_poisson
 from .errors import (
     DegenerateConfig,
     FixedPointDivergence,
@@ -217,8 +217,9 @@ def solve_mu(
     Returns log_mu.  H2 does not enter: it vanishes at the vertices by
     normalization.  Where the relation's slope in log mu is near or
     below -3 the damped step overshoots and the iterates oscillate
-    around the root; if the last two of them bracket it when max_iter
-    runs out, Brent's method finishes on that bracket.
+    around the root; once two successive iterates bracket it and the
+    later one has not halved the excess, Brent's method finishes on
+    that bracket.
     """
     abs_log = -math.log(eps)
     R = r / math.sqrt(abs_log)
@@ -232,7 +233,7 @@ def solve_mu(
         return 0.5 * (_far_sum(prof, z0[0]) - alpha_term) - log_mu
 
     log_mu = (n - 1.0) * math.log(abs_log)
-    prev = last = None
+    prev = None
     for _ in range(max_iter):
         f = excess(log_mu)
         new = log_mu + 0.5 * f
@@ -240,11 +241,11 @@ def solve_mu(
             raise FixedPointDivergence("mu iteration produced non-finite value")
         if abs(new - log_mu) <= tol * max(1.0, abs(new)):
             return new
-        prev, last = last, (log_mu, f)
+        if prev is not None and prev[1] * f < 0.0 and abs(f) > 0.5 * abs(prev[1]):
+            (xa, fa), (xb, fb) = sorted((prev, (log_mu, f)))
+            return float(_brent(excess, xa, fa, xb, fb, _BRENT_RTOL))
+        prev = (log_mu, f)
         log_mu = new
-    if prev is not None and prev[1] * last[1] < 0.0:
-        (xa, fa), (xb, fb) = sorted((prev, last))
-        return float(_brent(excess, xa, fa, xb, fb, _BRENT_RTOL))
     raise FixedPointDivergence("mu iteration did not converge")
 
 
@@ -286,26 +287,27 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
     return lap + bb - retained
 
 
-def error_g(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
-    """Compactly supported defect density driving the H2 correction."""
+def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
+    """Compactly supported defect density driving the H2 correction, from
+    the vertex profile and frames alone (build_context needs it first)."""
     x = np.asarray(x, dtype=float)
     rho = np.hypot(x[..., 0], x[..., 1])
     out = np.zeros(x.shape[:-1])
     e0 = eta0(rho)
     inside = e0 > 0.0
-    frame1 = ctx.frames[0]
+    frame1 = frames[0]
     if np.any(inside):
         xi = x[inside]
         acc = np.zeros(xi.shape[:-1])
-        for f in ctx.frames:
+        for f in frames:
             z = np.einsum("ij,...j->...i", f.Mj_inv, xi - f.P)
-            acc += _local_defect(ctx.profile, z, frame1)
+            acc += _local_defect(profile, z, frame1)
         out[inside] = e0[inside] * acc
     ring = (rho > 0.5) & (rho < 1.0)
     if np.any(ring):
         xr = x[ring]
         rr = rho[ring]
-        h = ctx.h
+        h = profile.h
         beta = h * h / (h * h + rr * rr)
         beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
         e0p = eta0_prime(rr)
@@ -313,12 +315,11 @@ def error_g(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
         lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
         rhat = xr / rr[..., None]
         acc = np.zeros(xr.shape[:-1])
-        prof = ctx.profile
-        for f in ctx.frames:
+        for f in frames:
             z = np.einsum("ij,...j->...i", f.Mj_inv, xr - f.P)
-            t = prof._terms(z)
-            psi_j = prof.value(z, terms=t)
-            grad_x = np.einsum("ji,...j->...i", f.Mj_inv, prof.grad(z, terms=t))
+            t = profile._terms(z)
+            psi_j = profile.value(z, terms=t)
+            grad_x = np.einsum("ji,...j->...i", f.Mj_inv, profile.grad(z, terms=t))
             acc += psi_j * lap_eta + 2.0 * e0p * beta * np.einsum(
                 "...i,...i->...", rhat, grad_x
             )
@@ -326,45 +327,29 @@ def error_g(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     return out
 
 
-def solve_H2(ctx_or_args, grid: PolarGridSpec | None = None) -> H2Correction:
+def solve_H2(profile: lv.LocalProfile, frames, h: float,
+             grid: PolarGridSpec) -> H2Correction:
     """Solve div(K grad H2) = -g on the polar grid, anchored at P_1.
 
     g is invariant under the dihedral group D_N of the polygon (rotations
-    by 2 pi/N and the reflection theta -> -theta through P_1), so error_g
-    runs only on the half-sector theta in [0, pi/N] of the rho <= 1.02
-    rings: the first n_angular/N // 2 + 1 columns.  With s = n_angular/N,
-    column k takes the values of column min(c, s - c), c = k mod s.
-    Raises DegenerateConfig when n_angular is not a multiple of N.
+    by 2 pi/N and the reflection theta -> -theta through P_1), so it is a
+    cosine series in N theta.  error_g runs only on the half-sector theta
+    in [0, pi/N] of the rho <= 1.02 rings, the first n_angular/N // 2 + 1
+    angular nodes, and solve_k_poisson takes the series' coefficients from
+    these samples.  Raises DegenerateConfig when n_angular is not a
+    multiple of N.
     """
-    ctx = ctx_or_args
-    spec = grid if grid is not None else ctx.grid
-    n = len(ctx.frames)
-    if spec.n_angular % n:
+    n = len(frames)
+    if grid.n_angular % n:
         raise DegenerateConfig(
-            f"n_angular = {spec.n_angular} is not a multiple of N = {n}"
+            f"n_angular = {grid.n_angular} is not a multiple of N = {n}"
         )
-    sector = spec.n_angular // n
-    rho = spec.radial_nodes()
-    theta = spec.theta_nodes()[: sector // 2 + 1]
+    rho = grid.radial_nodes()
+    theta = grid.theta_nodes()[: grid.n_angular // n // 2 + 1]
     mask = rho <= 1.02
-    pts = np.zeros((np.count_nonzero(mask), theta.size, 2))
-    pts[..., 0] = rho[mask, None] * np.cos(theta)[None, :]
-    pts[..., 1] = rho[mask, None] * np.sin(theta)[None, :]
-    c = np.arange(spec.n_angular) % sector
-    g = np.zeros((spec.n_radial, spec.n_angular))
-    g[mask] = error_g(pts, ctx)[:, np.minimum(c, sector - c)]
-    h2 = solve_k_poisson(g, spec, ctx.h)
-    h2.set_anchor(ctx.frames[0].P)
-    return h2
-
-
-class _PartialCtx:
-    """Just enough context for error_g before the full dataclass exists."""
-
-    def __init__(self, profile, frames, h):
-        self.profile = profile
-        self.frames = frames
-        self.h = h
+    g = np.zeros((grid.n_radial, theta.size))
+    g[mask] = error_g(_polar_points(rho[mask], theta), profile, frames)
+    return solve_k_poisson(g, grid, h, n, anchor=frames[0].P)
 
 
 def build_context(
@@ -405,7 +390,7 @@ def build_context(
     # angular sampling must respect the dihedral class: with n_angular a
     # multiple of lcm(2, N), aliasing folds modes onto the same class and
     # the discrete H2 inherits the exact rotation/reflection symmetries;
-    # solve_H2 evaluates g on one half-sector and fills the rest by them
+    # solve_H2 samples g on one half-sector of it
     block = math.lcm(2, n)
     if grid.n_angular % block:
         grid = PolarGridSpec(
@@ -427,8 +412,7 @@ def build_context(
     if eps_mu < 1e-300:
         raise DegenerateConfig("eps*mu underflows float64")
     profile = lv.LocalProfile(eps, mu, R, h)
-    partial = _PartialCtx(profile, frames, h)
-    h2 = solve_H2(partial, grid)
+    h2 = solve_H2(profile, frames, h, grid)
     h2_grad = np.array([h2.gradient(f.P) for f in frames])
     c1, c2 = lv.c_coefficients(R, h)
     ctx = StreamContext(
@@ -656,9 +640,7 @@ def _polar_gauss_rule(ymax: float, n_seg: int, n_theta: int):
     rr = np.concatenate(rr)
     ww = np.concatenate(ww)
     th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = np.zeros((rr.size, n_theta, 2))
-    y[..., 0] = rr[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rr[:, None] * np.sin(th)[None, :]
+    y = _polar_points(rr, th)
     w2d = (ww * rr)[:, None] * (2.0 * np.pi / n_theta)
     return y, np.broadcast_to(w2d, (rr.size, n_theta))
 
@@ -847,9 +829,7 @@ def outer_residual_norm(
     """
     rr = np.geomspace(ctx.R / 8.0, rho_max, n_r)
     th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    x = np.zeros((n_r, n_theta, 2))
-    x[..., 0] = rr[:, None] * np.cos(th)[None, :]
-    x[..., 1] = rr[:, None] * np.sin(th)[None, :]
+    x = _polar_points(rr, th)
     flat = x.reshape(-1, 2)
     # outer region: every concentrated coordinate beyond delta/sqrt(log)
     keep = np.ones(flat.shape[0], dtype=bool)
@@ -877,9 +857,7 @@ def inner_residual_norm(
     ymax = min(y_cap, 0.98 * ctx.inner_radius_y)
     rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
     th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = np.zeros((rr.size, n_theta, 2))
-    y[..., 0] = rr[:, None] * np.cos(th)[None, :]
-    y[..., 1] = rr[:, None] * np.sin(th)[None, :]
+    y = _polar_points(rr, th)
     flat = y.reshape(-1, 2)
     yn2 = np.einsum("...i,...i->...", flat, flat)
     deep = np.sqrt(yn2) <= ctx.switch_radius_y

@@ -157,7 +157,8 @@ def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> list[dict]
     Q = ctx.frames[1].Q
     dih = float(np.max(np.abs(psi0_sum(xs @ Q.T, ctx) - psi0_sum(xs, ctx))))
     check("dihedral invariance of the vertex sum", dih < 1e-12, f"{dih:.2e}")
-    gd = float(np.max(np.abs(error_g(xs @ Q.T, ctx) - error_g(xs, ctx))))
+    gd = float(np.max(np.abs(error_g(xs @ Q.T, ctx.profile, ctx.frames)
+                             - error_g(xs, ctx.profile, ctx.frames))))
     check("dihedral invariance of the defect density", gd < 1e-12, f"{gd:.2e}")
     f1 = ctx.frames[0]
     zz = rng.normal(size=(12, 2)) * 0.25

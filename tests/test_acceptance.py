@@ -205,7 +205,8 @@ def test_criterion_08_symmetry_suite(ctx_cache, rng):
             psi0_sum(x @ Q.T, ctx) - psi0_sum(x, ctx)
         ))))
         worst = max(worst, float(np.max(np.abs(
-            error_g(x @ Q.T, ctx) - error_g(x, ctx)
+            error_g(x @ Q.T, ctx.profile, ctx.frames)
+            - error_g(x, ctx.profile, ctx.frames)
         ))))
         f1 = ctx.frames[0]
         z = rng.normal(size=(25, 2)) * 0.3
@@ -215,7 +216,8 @@ def test_criterion_08_symmetry_suite(ctx_cache, rng):
             psi0_sum(f1.P + z @ f1.M.T, ctx) - psi0_sum(f1.P + zm @ f1.M.T, ctx)
         ))))
         worst = max(worst, float(np.max(np.abs(
-            error_g(f1.P + z @ f1.M.T, ctx) - error_g(f1.P + zm @ f1.M.T, ctx)
+            error_g(f1.P + z @ f1.M.T, ctx.profile, ctx.frames)
+            - error_g(f1.P + zm @ f1.M.T, ctx.profile, ctx.frames)
         ))))
         rhs = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
         worst = max(worst, max(rhs) - min(rhs))

@@ -4,23 +4,27 @@ Each reference below is the earlier, straightforward implementation kept
 verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
-systems, one cubic spline per H2 mode, and a local defect that lets the
-Laplacian, Hessian and gradient of the profile each recompute the
-profile's intermediates, and a lift-3d box sampled one (x, y) column at
-a time.  The numpy spline and
-cumulative Simpson rule of `elliptic` are compared with scipy's
-CubicSpline and cumulative_simpson, whose arithmetic they repeat.  The
-arithmetic per entry is unchanged, so results must agree exactly, not to
-a tolerance.  Two exceptions agree to rounding only: the defect density
-g on the solver grid, which is evaluated on one dihedral half-sector and
-filled by symmetry, and the block LU of `elliptic._Banded`, which
-eliminates in another order than scipy's solve_banded and spsolve.
+systems, a local defect that lets the Laplacian, Hessian and gradient of
+the profile each recompute the profile's intermediates, and a lift-3d box
+sampled one (x, y) column at a time.  The numpy spline and cumulative
+Simpson rule of `elliptic` are compared with scipy's CubicSpline and
+cumulative_simpson, whose arithmetic they repeat.  The arithmetic per
+entry is unchanged, so results must agree exactly, not to a tolerance.
+Three exceptions agree to rounding only: the defect density g on the
+solver grid, which is evaluated on one dihedral half-sector; the block LU
+of `elliptic._Banded`, which eliminates in another order than scipy's
+solve_banded and spsolve; and H2, a real cosine series in N theta, which
+is compared with the complex exp(i k theta) modes of the earlier solver
+(full-grid rfft, solve_banded, one spline per mode) to 1e-13 of max|H2|.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
@@ -188,8 +192,43 @@ def _g_grid_ref(ctx, spec):
     pts[..., 1] = rho[:, None] * np.sin(theta)[None, :]
     g = np.zeros((spec.n_radial, spec.n_angular))
     mask = rho <= 1.02
-    g[mask] = stream.error_g(pts[mask], ctx)
+    g[mask] = stream.error_g(pts[mask], ctx.profile, ctx.frames)
     return g
+
+
+def _h2_complex_ref(g, spec, h, anchor, mode_cut=1e-13):
+    """H2 as complex exp(i k theta) modes from full-grid samples g[i_rho, j_theta].
+
+    The earlier solver: rfft over all angles, every mode k above the cut
+    solved by solve_banded on its real and imaginary parts, one complex
+    CubicSpline per mode profile, and the real part of the mode sum.
+    Returns an object with value(x), gradient(x), grid and the kept _k.
+    """
+    nr, nt = g.shape
+    u = spec.u_nodes()
+    beta, _ = elliptic._beta(u, h)
+    ghat = np.fft.rfft(g, axis=1)
+    scale = np.max(np.abs(ghat)) + 1e-300
+    sol0, G0 = elliptic._solve_mode0(u, beta, ghat[:, 0].real)
+    ks = 1 + np.flatnonzero(~(np.max(np.abs(ghat[:, 1:]), axis=0) < mode_cut * scale))
+    modes = [sol0.astype(complex)]
+    for k in ks:
+        rhs = -np.exp(2.0 * u) * ghat[:, k]
+        rhs[[0, -1]] = 0.0
+        ab = _mode_system(spec, h, k)
+        modes.append(solve_banded((2, 2), ab, rhs.real) + 1j * solve_banded((2, 2), ab, rhs.imag))
+    ref = types.SimpleNamespace(
+        h=h, _u=u, _k=np.concatenate([[0], ks]), flux=2.0 * np.pi * G0[-1] / nt, offset=0.0,
+        # the Nyquist mode of an even grid counts once, every other mode twice
+        _w=np.concatenate([[1.0 / nt], np.where(2 * ks == nt, 1.0 / nt, 2.0 / nt)]),
+        _splines=[CubicSpline(u, m) for m in modes])
+    ref.value = lambda x: _h2_value_ref(ref, x)
+    ref.gradient = lambda x: _h2_gradient_ref(ref, x)
+    ref.offset = float(ref.value(anchor))
+    theta = spec.theta_nodes()
+    ref.grid = sum(w * (m[:, None] * np.exp(1j * k * theta)[None, :]).real
+                   for m, w, k in zip(modes, ref._w, ref._k))
+    return ref
 
 
 def _h2_polar_ref(h2, x):
@@ -201,11 +240,10 @@ def _h2_polar_ref(h2, x):
 
 def _h2_value_ref(h2, x):
     x = np.asarray(x, dtype=float)
-    splines = [CubicSpline(h2._u, m) for m in h2._modes]
     rho, theta, u, uc = _h2_polar_ref(h2, x)
     umax = h2._u[-1]
     out = np.zeros_like(rho)
-    for w, k, s in zip(h2._w, h2._k, splines):
+    for w, k, s in zip(h2._w, h2._k, h2._splines):
         out += w * (s(uc) * np.exp(1j * k * theta)).real
     far = u > umax
     if np.any(far):
@@ -218,15 +256,13 @@ def _h2_value_ref(h2, x):
 
 def _h2_gradient_ref(h2, x):
     x = np.asarray(x, dtype=float)
-    splines = [CubicSpline(h2._u, m) for m in h2._modes]
-    dsplines = [s.derivative() for s in splines]
     rho, theta, u, uc = _h2_polar_ref(h2, x)
     umin, umax = h2._u[0], h2._u[-1]
     d_rho = np.zeros_like(rho)
     d_theta = np.zeros_like(rho)
-    for w, k, s, ds in zip(h2._w, h2._k, splines, dsplines):
+    for w, k, s in zip(h2._w, h2._k, h2._splines):
         ph = np.exp(1j * k * theta)
-        d_rho += w * (ds(uc) * ph).real
+        d_rho += w * (s.derivative()(uc) * ph).real
         d_theta += w * ((1j * k) * s(uc) * ph).real
     inside = u < umin
     d_rho = np.where(inside, 0.0, d_rho)
@@ -244,6 +280,28 @@ def _h2_gradient_ref(h2, x):
         (d_rho / rho_safe)[..., None] * er
         + (d_theta / rho_safe)[..., None] * et
     )
+
+
+def _sector_fill(g_half, n_angular, n):
+    """Full-grid samples from half-sector ones: column k takes column
+    min(c, s - c), c = k mod s, s = n_angular/n."""
+    s = n_angular // n
+    c = np.arange(n_angular) % s
+    return g_half[:, np.minimum(c, s - c)]
+
+
+def _assert_h2_matches(h2, ref, x):
+    """value, gradient and grid of h2 against the complex reference."""
+    scale = np.max(np.abs(ref.grid))
+    assert scale > 0.0
+    assert set(ref._k) <= set(h2._k)
+    assert np.max(np.abs(h2.grid.values - ref.grid)) <= 1e-13 * scale
+    assert abs(h2.offset - ref.offset) <= 1e-13 * scale
+    value, gradient = h2.value(x), h2.gradient(x)
+    assert value.shape == x.shape[:-1] and gradient.shape == x.shape
+    assert np.max(np.abs(value - ref.value(x))) <= 1e-13 * scale
+    grad_ref = ref.gradient(x)
+    assert np.max(np.abs(gradient - grad_ref)) <= 1e-13 * np.max(np.abs(grad_ref))
 
 
 def _box_rows_ref(field, xs, ys, zs):
@@ -400,7 +458,7 @@ class TestSharedProfileTerms:
         rho = np.concatenate([rng.uniform(0.0, 0.5, 40), rng.uniform(0.5, 1.0, 30)])
         phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
         x = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        stream.error_g(x, ctx)
+        stream.error_g(x, ctx.profile, ctx.frames)
         # inner block: one per frame for grad and hess together; ring block:
         # one per frame for value and grad together (the three-call path made 12)
         assert len(ctx.frames) == 3
@@ -554,69 +612,94 @@ def test_h2_modes_independent_of_factor_cache():
 class TestSectorFilledDefect:
     # n_angular / N = 9, 8, 3 and 8 columns per sector: odd and even
     @pytest.mark.parametrize("n,n_angular", [(2, 18), (3, 24), (4, 12), (5, 40)])
-    def test_matches_full_grid(self, monkeypatch, n, n_angular):
+    def test_matches_full_grid(self, monkeypatch, rng, n, n_angular):
         spec = elliptic.PolarGridSpec(n_radial=96, n_angular=n_angular)
         ctx = stream.build_context(math.exp(-20.0), 1.0, 1.0, n, grid=spec)
         assert ctx.grid == spec
         seen = []
 
-        def capture(g, grid, h):
+        def capture(g, grid, h, n, anchor):
             seen.append(g)
-            return elliptic.solve_k_poisson(g, grid, h)
+            return elliptic.solve_k_poisson(g, grid, h, n, anchor=anchor)
 
         monkeypatch.setattr(stream, "solve_k_poisson", capture)
-        h2 = stream.solve_H2(ctx, spec)
+        h2 = stream.solve_H2(ctx.profile, ctx.frames, ctx.h, spec)
         g_ref = _g_grid_ref(ctx, spec)
-        scale = np.max(np.abs(g_ref))
-        assert scale > 0.0
-        assert np.max(np.abs(seen[0] - g_ref)) <= 1e-12 * scale
-        # the half-sector columns are evaluated directly, not filled
+        # the half-sector columns are evaluated directly, and the symmetry
+        # gives every other column to rounding
         half = n_angular // n // 2 + 1
-        assert np.array_equal(seen[0][:, :half], g_ref[:, :half])
-        ref_k = elliptic.solve_k_poisson(g_ref, spec, ctx.h)._k
-        assert np.array_equal(h2._k, ref_k)
+        assert np.array_equal(seen[0], g_ref[:, :half])
+        g_full = _sector_fill(seen[0], n_angular, n)
+        assert np.max(np.abs(g_full - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        ref = _h2_complex_ref(g_full, spec, ctx.h, ctx.frames[0].P)
+        assert np.array_equal(h2._k, ref._k)
+        rho = np.exp(rng.uniform(np.log(1e-8), np.log(40.0), 500))
+        theta = rng.uniform(-np.pi, np.pi, 500)
+        _assert_h2_matches(h2, ref, np.stack([rho * np.cos(theta), rho * np.sin(theta)], -1))
 
 
-class TestH2SingleSpline:
-    @pytest.fixture(scope="class")
-    def h2(self):
-        spec = elliptic.PolarGridSpec(n_radial=128, n_angular=24)
-        rho = spec.radial_nodes()[:, None]
-        theta = spec.theta_nodes()[None, :]
-        g = np.exp(-rho**2 / 0.1) * (
-            1.0 + np.cos(3.0 * theta) + 0.5 * np.sin(2.0 * theta) + 0.2 * np.cos(12.0 * theta)
-        ) * (rho < 1.0)
-        h2 = elliptic.solve_k_poisson(g, spec, 0.8)
-        h2.set_anchor(np.array([0.3, 0.1]))
-        assert h2._k.size > 3 and h2.offset != 0.0
-        return h2
+def _dihedral_source(spec, n):
+    """Half-sector samples of a D_n-symmetric source with several modes."""
+    rho = spec.radial_nodes()[:, None]
+    theta = spec.theta_nodes()[None, : spec.n_angular // n // 2 + 1]
+    return np.exp(-rho**2 / 0.1) * (
+        1.0 + np.cos(n * theta) + 0.5 * np.cos(2 * n * theta) + 0.2 * np.cos(4 * n * theta)
+    ) * (rho < 1.0)
+
+
+class TestH2CosineSeries:
+    # sectors of s = n_angular/N = 9, 12, 9, 8, 7, 8, 5 and 8 angles
+    CASES = [(2, 18), (2, 24), (3, 27), (3, 24), (4, 28), (4, 32), (5, 25), (5, 40)]
+
+    @pytest.fixture(scope="class", params=CASES, ids=[f"N{n}-{nt}" for n, nt in CASES])
+    def pair(self, request):
+        n, n_angular = request.param
+        spec = elliptic.PolarGridSpec(n_radial=128, n_angular=n_angular)
+        g = _dihedral_source(spec, n)
+        anchor = np.array([0.3, 0.1])
+        h2 = elliptic.solve_k_poisson(g, spec, 0.8, n, anchor=anchor)
+        assert h2._k.size > 1 and h2.offset != 0.0
+        return h2, _h2_complex_ref(_sector_fill(g, n_angular, n), spec, 0.8, anchor)
 
     @pytest.mark.parametrize("shape", [(1,), (9,), (5000,), (3, 4)])
-    def test_matches_per_mode_loop(self, h2, rng, shape):
+    def test_matches_complex_modes(self, pair, rng, shape):
         # radii from inside rho_min to beyond rho_max
         rho = np.exp(rng.uniform(np.log(1e-8), np.log(40.0), shape))
         theta = rng.uniform(-np.pi, np.pi, shape)
-        x = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
-        value = h2.value(x)
-        gradient = h2.gradient(x)
-        assert value.shape == shape and gradient.shape == shape + (2,)
-        assert np.array_equal(value, _h2_value_ref(h2, x))
-        assert np.array_equal(gradient, _h2_gradient_ref(h2, x))
+        _assert_h2_matches(*pair, np.stack([rho * np.cos(theta), rho * np.sin(theta)], -1))
 
-    def test_single_point_input(self, h2):
+    def test_single_point_input(self, pair):
         for x in (np.array([0.2, -0.3]), np.array([1e-9, 0.0]), np.array([0.0, 30.0])):
-            assert h2.value(x) == _h2_value_ref(h2, x)
-            assert np.array_equal(h2.gradient(x), _h2_gradient_ref(h2, x))
+            _assert_h2_matches(*pair, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rho=st.floats(1e-7, 30.0), theta=st.floats(-np.pi, np.pi), j=st.integers(1, 4))
+    def test_dihedral_invariance(self, pair, rho, theta, j):
+        h2, _ = pair
+        scale = np.max(np.abs(h2.grid.values))
+        x = rho * np.array([np.cos(theta), np.sin(theta)])
+        rot = j * 2.0 * np.pi / h2.n
+        Q = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
+        v = h2.value(x)
+        assert abs(h2.value(Q @ x) - v) <= 1e-14 * scale
+        assert abs(h2.value(x * np.array([1.0, -1.0])) - v) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n,width", [(3, 22), (3, 24), (4, 16), (5, 14)])
+    def test_rejects_samples_off_the_half_sector(self, n, width):
+        # 24 angles: 5 half-sector columns for N = 3, 4 for N = 4; 5 does not divide 24
+        spec = elliptic.PolarGridSpec(n_radial=64, n_angular=24)
+        with pytest.raises(ValueError, match="half-sector"):
+            elliptic.solve_k_poisson(np.zeros((64, width)), spec, 1.0, n)
+        with pytest.raises(ValueError, match="half-sector"):
+            elliptic.solve_k_poisson(np.zeros((63, 24 // n // 2 + 1)), spec, 1.0, n)
 
 
 class TestColumnSpline:
-    @pytest.fixture(params=["real", "complex"])
-    def data(self, request):
+    @pytest.fixture
+    def data(self):
         rng = np.random.default_rng(7)
         x = np.linspace(np.log(1e-6), np.log(20.0), 200)
         y = rng.normal(size=(x.size, 6)) * np.exp(-np.exp(x))[:, None]
-        if request.param == "complex":
-            y = y + 1j * rng.normal(size=y.shape)
         return x, y
 
     @pytest.mark.parametrize("n_points", [1, 9, 5000])

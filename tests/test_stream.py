@@ -110,6 +110,23 @@ class TestMu:
         lm = solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
         assert math.isfinite(lm)
 
+    def test_oscillating_iteration_brackets_early(self, monkeypatch):
+        # N = 5, r = h = 1, e^-10: the damped step flips the sign of the
+        # excess without halving it, so Brent takes over after a few steps
+        from helix_kmd import stream
+
+        calls = []
+        far_sum = stream._far_sum
+
+        def counting(*args):
+            calls.append(args)
+            return far_sum(*args)
+
+        monkeypatch.setattr(stream, "_far_sum", counting)
+        lm = solve_mu(math.exp(-10.0), 1.0, 1.0, 5, alpha=-6.0)
+        assert lm == 9.031435912259754
+        assert len(calls) < 30
+
     def test_admissible_band(self, ctx_cache):
         # delta log|log eps| < |log mu| < log|log eps|/delta for delta = 0.1
         for ex in (10.0, 20.0, 40.0):
@@ -151,14 +168,15 @@ class TestErrorDensity:
         ctx = ctx_cache(20.0)
         far = rng.normal(size=(10, 2))
         far = far / np.hypot(far[:, 0], far[:, 1])[:, None] * 1.3
-        assert np.max(np.abs(error_g(far, ctx))) == 0.0
+        assert np.max(np.abs(error_g(far, ctx.profile, ctx.frames))) == 0.0
 
     def test_dihedral_invariance(self, ctx_cache, rng):
         ctx = ctx_cache(20.0)
         x = rng.normal(size=(25, 2)) * 0.4
         for i in (1, 2):
             Q = ctx.frames[i].Q
-            diff = error_g(x @ Q.T, ctx) - error_g(x, ctx)
+            diff = (error_g(x @ Q.T, ctx.profile, ctx.frames)
+                    - error_g(x, ctx.profile, ctx.frames))
             assert np.max(np.abs(diff)) < 1e-12
 
     def test_evenness_in_frame_coordinates(self, ctx_cache, rng):
@@ -167,16 +185,16 @@ class TestErrorDensity:
         z = rng.normal(size=(25, 2)) * 0.35
         zm = z.copy()
         zm[:, 1] *= -1.0
-        a = error_g(f1.P + z @ f1.M.T, ctx)
-        b = error_g(f1.P + zm @ f1.M.T, ctx)
+        a = error_g(f1.P + z @ f1.M.T, ctx.profile, ctx.frames)
+        b = error_g(f1.P + zm @ f1.M.T, ctx.profile, ctx.frames)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestGlobalCorrection:
     def test_zero_source_gives_zero_field(self, ctx_cache):
         spec = PolarGridSpec(n_radial=128, n_angular=36)
-        field = solve_k_poisson(np.zeros((128, 36)), spec, 1.0)
-        field.set_anchor(np.array([0.3, 0.0]))
+        field = solve_k_poisson(np.zeros((128, 19)), spec, 1.0, 1,
+                                anchor=np.array([0.3, 0.0]))
         pts = np.array([[0.1, 0.2], [1.5, -0.4], [5.0, 0.0]])
         assert np.max(np.abs(field.value(pts))) < 1e-14
 
@@ -205,7 +223,8 @@ class TestGlobalCorrection:
         # the half-sector fill needs n_angular a multiple of N
         ctx = ctx_cache(20.0)
         with pytest.raises(DegenerateConfig, match="multiple of N = 3"):
-            solve_H2(ctx, PolarGridSpec(n_radial=64, n_angular=25))
+            solve_H2(ctx.profile, ctx.frames, ctx.h,
+                     PolarGridSpec(n_radial=64, n_angular=25))
         assert issubclass(DegenerateConfig, HelixKmdError)
 
     def test_quadratic_growth_bound(self, ctx_cache):
