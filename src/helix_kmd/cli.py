@@ -176,11 +176,11 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     context = {
         "eps": ctx.eps,
         "log_eps": math.log(ctx.eps),
-        "mu": ctx.mu,
+        "mu": ctx.profile.mu,
         "log_mu": ctx.log_mu,
         "alpha": ctx.alpha,
-        "c1": ctx.c1,
-        "c2": ctx.c2,
+        "c1": ctx.profile.c1,
+        "c2": ctx.profile.c2,
         "delta": ctx.delta,
         "delta1": ctx.delta1,
         "d_eps": ctx.d_eps,

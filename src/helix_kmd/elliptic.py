@@ -280,29 +280,30 @@ class _ColumnSpline:
         return tuple(self._eval(u, [self._c, self._dc], buf))
 
 
-def _banded_mode_matrix(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
-                        k2: float) -> np.ndarray:
-    """Banded (ab-form, bandwidth 2) matrix of beta f'' + beta_u f' - k^2 f.
+def _radial_stencil(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,
+                    diag: np.ndarray) -> np.ndarray:
+    """Row-aligned bands (as in _Banded) of beta f'' + beta_u f' + diag f.
 
-    Entry (i, i - 2 + m) of the operator is stored at ab[4 - m, i - 2 + m].
+    4th-order central stencils on the rows 2 .. n-3 of the uniform grid u,
+    2nd-order ones on the rows 1 and n-2; rows 0 and n-1 are left empty
+    for the boundary conditions.  beta, beta_u and diag broadcast against
+    each other along u; trailing axes stack matrices.
     """
     n = u.size
     du = u[1] - u[0]
-    ab = np.zeros((5, n))
-    # 4th-order central stencils on the interior rows i = 2 .. n-3
+    bands = np.zeros((5,) + np.broadcast_shapes(beta.shape, beta_u.shape, diag.shape))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * du * du)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * du)
     b, bu = beta[2:n - 2], beta_u[2:n - 2]
     for m in range(5):
-        ab[4 - m, m:n - 4 + m] = b * c2[m] + bu * c1[m]
-    ab[2, 2:n - 2] += -k2
-    # 2nd-order stencils on the rows next to the edges
+        bands[m, 2:n - 2] = b * c2[m] + bu * c1[m]
+    bands[2, 2:n - 2] += diag[2:n - 2]
     for i in (1, n - 2):
         b, bu = beta[i], beta_u[i]
-        ab[3, i - 1] = b / du**2 - bu / (2.0 * du)
-        ab[2, i] = -2.0 * b / du**2 - k2
-        ab[1, i + 1] = b / du**2 + bu / (2.0 * du)
-    return ab
+        bands[1, i] = b / du**2 - bu / (2.0 * du)
+        bands[2, i] = -2.0 * b / du**2 + diag[i]
+        bands[3, i] = b / du**2 + bu / (2.0 * du)
+    return bands
 
 
 def _beta(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -320,16 +321,10 @@ def _mode_factor(spec: PolarGridSpec, h: float, ks: tuple) -> _Banded:
     source, so builds that share these factor once.
     """
     u = spec.u_nodes()
-    n = u.size
     beta, beta_u = _beta(u, h)
-    ab = np.empty((5, n, len(ks)))
-    for j, k in enumerate(ks):
-        ab[..., j] = _banded_mode_matrix(u, beta, beta_u, float(k * k))
-    # LAPACK storage ab[2 + i - j, j] to row-aligned bands[d, i], j = i - 2 + d
-    bands = np.zeros_like(ab)
-    for d in range(5):
-        s = d - 2
-        bands[d, max(0, -s):n - max(0, s)] = ab[4 - d, max(0, s):n + min(0, s)]
+    k2 = np.array([float(k * k) for k in ks])
+    bands = _radial_stencil(u, beta[:, None], beta_u[:, None],
+                            np.broadcast_to(-k2, (u.size, k2.size)))
     bands[2, 0] = bands[2, -1] = 1.0
     return _Banded(bands)
 

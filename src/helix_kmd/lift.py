@@ -211,8 +211,7 @@ def weak_convergence_gap(
     Time is frozen at t = 0: in the co-rotating construction all times
     are equivalent up to a global rotation.
     """
-    from .stream import _eta_of_s, delta_s_inner
-    import math
+    from .stream import _eta_of_s, _inner_terms
 
     h = ctx.h
     period = 2.0 * np.pi * abs(h)
@@ -222,11 +221,7 @@ def weak_convergence_gap(
     volume = 0.0
     det_m = float(np.linalg.det(ctx.frames[0].M))
     for j, f in enumerate(ctx.frames):
-        ds = delta_s_inner(y, ctx, vertex=j + 1)
-        yn2 = np.einsum("...i,...i->...", y, y)
-        u = 8.0 / (1.0 + yn2) ** 2
-        gam = math.log(8.0) - np.log1p(yn2) * 2.0
-        s_arg = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+        ds, u, s_arg = _inner_terms(y, ctx, j + 1)
         eta, _ = _eta_of_s(ctx, s_arg)
         w_scaled = u * eta * np.exp(ds)               # w * (eps mu)^2
         xi = f.P + ctx.eps_mu * np.einsum("ij,...j->...i", f.Mj, y)

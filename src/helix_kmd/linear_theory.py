@@ -29,7 +29,7 @@ import numpy as np
 from numpy.fft import rfft
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import _Banded, _ColumnSpline, _polar_points
+from .elliptic import _Banded, _ColumnSpline, _polar_points, _radial_stencil
 from .errors import ODESolveFailure, QuadratureFailure, SlowDecay
 
 __all__ = [
@@ -111,27 +111,6 @@ def _z1_radial(rho: np.ndarray) -> np.ndarray:
     return -4.0 * rho / (1.0 + rho * rho)
 
 
-def _mode_bands(u: np.ndarray, k: int) -> np.ndarray:
-    """Rows of phi_uu - k^2 phi + e^{2u} e^G phi on the log-radius grid.
-
-    Row-aligned bands: bands[m, i] multiplies phi[i - 2 + m] in row i.
-    The boundary rows 0 and n-1 are left empty for _apply_bcs.
-    """
-    n = u.size
-    du = u[1] - u[0]
-    rho = np.exp(u)
-    diag = np.exp(2.0 * u) * _e_gamma(rho) - float(k * k)
-    bands = np.zeros((5, n))
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * du * du)
-    bands[:, 2:n - 2] = c2[:, None]
-    bands[2, 2:n - 2] += diag[2:n - 2]
-    for i in (1, n - 2):
-        bands[1, i] = 1.0 / du**2
-        bands[2, i] = -2.0 / du**2 + diag[i]
-        bands[3, i] = 1.0 / du**2
-    return bands
-
-
 def _apply_bcs(bands: np.ndarray, rhs: np.ndarray, u: np.ndarray, k: int):
     """Inner regularity and outer decay-matched Robin rows."""
     n = u.size
@@ -153,19 +132,22 @@ def _apply_bcs(bands: np.ndarray, rhs: np.ndarray, u: np.ndarray, k: int):
 def _radial_rows(u: np.ndarray, k: int, h_k: np.ndarray, border: np.ndarray | None):
     """Bands, right-hand side and border of radial mode k.
 
-    Returns (bands, rhs, col, row): the mode operator's row-aligned bands
-    with its boundary rows, rhs = -e^{2u} h_k (h_k of shape (n, columns))
-    with pinned ends, and for a `border` the multiplier column
+    Returns (bands, rhs, col, row): the row-aligned bands of
+    phi_uu - k^2 phi + e^{2u} e^G phi with its boundary rows,
+    rhs = -e^{2u} h_k (h_k of shape (n, columns)) with pinned ends, and
+    for a `border` the multiplier column
     col = e^{2u} e^G border, zero at both ends, and the extra row: the outer
     Dirichlet row for k = 0, else the e^G-weighted orthogonality row.  The
     bordered system is [[A, -col], [row, 0]] [phi; d] = [rhs; 0].  col and
     row are None without a border.
     """
     e2u = np.exp(2.0 * u)
-    bands, rhs = _apply_bcs(_mode_bands(u, k), -(e2u[:, None] * h_k), u, k)
+    potential = e2u * _e_gamma(np.exp(u))
+    bands = _radial_stencil(u, np.ones(u.size), np.zeros(u.size), potential - float(k * k))
+    bands, rhs = _apply_bcs(bands, -(e2u[:, None] * h_k), u, k)
     if border is None:
         return bands, rhs, None, None
-    col = e2u * _e_gamma(np.exp(u)) * border
+    col = potential * border
     if k == 0:
         row = np.zeros(u.size)
         row[-1] = 1.0
@@ -341,13 +323,7 @@ def b_eps_bound_check(ctx, a_decay: float = 0.8, y_cap: float = 200.0,
     Computes b(y) = (eps mu)^2 F'(s(x(y))) - e^Gamma(y) on the inner disk
     and returns sup |b| (1+|y|^{2+a}) / (eps mu sqrt|log eps|).
     """
-    from .stream import b_eps_inner
+    from .stream import _inner_sup_grid, b_eps_inner
 
-    ymax = min(y_cap, 0.9 * ctx.inner_radius_y)
-    rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = _polar_points(rr, th)
-    vals = b_eps_inner(y.reshape(-1, 2), ctx)
-    yn = np.hypot(y[..., 0], y[..., 1]).ravel()
-    weight = (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
-    return float(np.max(np.abs(vals) * weight))
+    y, _, weight = _inner_sup_grid(ctx, 0.9, a_decay, y_cap, n_r, n_theta)
+    return float(np.max(np.abs(b_eps_inner(y, ctx)) * weight))

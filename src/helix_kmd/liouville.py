@@ -286,7 +286,9 @@ class LocalProfile:
 
         The Gamma and polynomial parts are differenced exactly (log1p on the
         increment of |z|^2); the tiny H1 part uses a second-order Taylor
-        step, whose remainder is far below every retained term.
+        step.  Against a 120-digit oracle (tests/test_oracle.py) the step costs
+        the deep-core residual (|y| <= 4, r = h = 1, N = 3, alpha = -1) 2.9e-7
+        of its largest value at eps = e^-10; from e^-20 on the gap is < 5e-13.
         """
         z0 = np.asarray(z0, dtype=float)
         dz = np.asarray(dz, dtype=float)

@@ -51,6 +51,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import liouville as lv
+from .configurations import HelixVariant, theorem_alpha
 from .elliptic import H2Correction, PolarGridSpec, _polar_points, solve_k_poisson
 from .errors import (
     DegenerateConfig,
@@ -58,7 +59,7 @@ from .errors import (
     NoBracket,
     QuadratureFailure,
 )
-from .screw_operator import LocalFrame, b_operator, local_frame
+from .screw_operator import LocalFrame, b_operator, change_to_local, local_frame
 
 __all__ = [
     "StreamContext",
@@ -135,13 +136,8 @@ class StreamContext:
     # derived geometry
     R: float
     frames: tuple[LocalFrame, ...]
-    c1: float
-    c2: float
-    kH: float
-    kE: float
     # solved quantities
     log_mu: float
-    mu: float
     eps_mu: float
     profile: lv.LocalProfile
     h2: H2Correction
@@ -188,7 +184,7 @@ class StreamContext:
         )
 
     def leading_alpha(self) -> float:
-        return 2.0 * (1.0 / self.h**2 - (self.n - 1.0) / self.r**2)
+        return theorem_alpha(self.r, self.h, self.n, HelixVariant.POLYGON_HELIX)
 
 
 def _far_geometry(frames):
@@ -300,8 +296,7 @@ def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
         xi = x[inside]
         acc = np.zeros(xi.shape[:-1])
         for f in frames:
-            z = np.einsum("ij,...j->...i", f.Mj_inv, xi - f.P)
-            acc += _local_defect(profile, z, frame1)
+            acc += _local_defect(profile, change_to_local(xi, f), frame1)
         out[inside] = e0[inside] * acc
     ring = (rho > 0.5) & (rho < 1.0)
     if np.any(ring):
@@ -316,7 +311,7 @@ def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
         rhat = xr / rr[..., None]
         acc = np.zeros(xr.shape[:-1])
         for f in frames:
-            z = np.einsum("ij,...j->...i", f.Mj_inv, xr - f.P)
+            z = change_to_local(xr, f)
             t = profile._terms(z)
             psi_j = profile.value(z, terms=t)
             grad_x = np.einsum("ji,...j->...i", f.Mj_inv, profile.grad(z, terms=t))
@@ -371,10 +366,10 @@ def build_context(
     R = r / math.sqrt(abs_log)
     if R > 0.45:
         raise DegenerateConfig("polygon radius r/sqrt|log eps| too close to the cutoff")
+    a_star = theorem_alpha(r, h, n, HelixVariant.POLYGON_HELIX)
     if alpha is None:
-        alpha = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
-    alpha0 = max(10.0, 4.0 * abs(2.0 * (1.0 / h**2 - (n - 1.0) / r**2)) + 4.0)
-    if abs(alpha) > alpha0:
+        alpha = a_star
+    if abs(alpha) > max(10.0, 4.0 * abs(a_star) + 4.0):
         raise DegenerateConfig("rotation speed outside the admissible band")
     r0 = 2.0 * math.sin(math.pi / n)          # unit-scale nearest-vertex gap
     if delta is None:
@@ -399,30 +394,24 @@ def build_context(
         )
     # support padding: keeps F switched off on the delta-ring, where the
     # profile tilt contributes up to ~2 delta r/h^2 + |alpha - alpha*| r delta
-    a_star = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
     pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25
     d_eps = -4.0 * math.log(delta) + pad
     frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
     log_mu = solve_mu(eps, r, h, n, alpha, frames=frames)
-    mu = math.exp(log_mu)
     loglog = math.log(abs_log)
     if not 0.1 * loglog < abs(log_mu) < 10.0 * loglog:
         raise DegenerateConfig("mu escaped the admissible logarithmic band")
     eps_mu = math.exp(math.log(eps) + log_mu)
     if eps_mu < 1e-300:
         raise DegenerateConfig("eps*mu underflows float64")
-    profile = lv.LocalProfile(eps, mu, R, h)
+    profile = lv.LocalProfile(eps, math.exp(log_mu), R, h)
     h2 = solve_H2(profile, frames, h, grid)
-    h2_grad = np.array([h2.gradient(f.P) for f in frames])
-    c1, c2 = lv.c_coefficients(R, h)
-    ctx = StreamContext(
+    return StreamContext(
         eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta, delta1=delta1,
-        d_eps=d_eps, grid=grid, R=R, frames=frames, c1=c1, c2=c2,
-        kH=lv.mode3_amplitude(R, h), kE=lv.dipole_coefficient(R, h),
-        log_mu=log_mu, mu=mu, eps_mu=eps_mu, profile=profile, h2=h2,
-        h2_grad=h2_grad, far_geometry=_far_geometry(frames),
+        d_eps=d_eps, grid=grid, R=R, frames=frames, log_mu=log_mu, eps_mu=eps_mu,
+        profile=profile, h2=h2, h2_grad=h2.gradient(np.array([f.P for f in frames])),
+        far_geometry=_far_geometry(frames),
     )
-    return ctx
 
 
 # -- assembled fields ------------------------------------------------------
@@ -432,8 +421,7 @@ def psi0_sum(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
     for f in ctx.frames:
-        z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
-        out += ctx.profile.value(z)
+        out += ctx.profile.value(change_to_local(x, f))
     return out
 
 
@@ -488,12 +476,12 @@ def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     rho = np.hypot(x[..., 0], x[..., 1])
     e0 = eta0(rho)
-    a = ctx.profile.a
+    a, kE = ctx.profile.a, ctx.profile.kE
     acc = np.zeros(x.shape[:-1])
     for f in ctx.frames:
-        z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
+        z = change_to_local(x, f)
         v = np.einsum("...i,...i->...", z, z)
-        acc += a * (-8.0 + ctx.kE * z[..., 0]) / (a + v) ** 2
+        acc += a * (-8.0 + kE * z[..., 0]) / (a + v) ** 2
     return e0 * acc
 
 
@@ -525,22 +513,11 @@ def residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
 
 
 def _nearest_inner_coords(ctx: StreamContext, x: np.ndarray):
-    """Concentrated coordinates y w.r.t. the nearest vertex, plus its index."""
-    best = None
-    besty = None
-    for i, f in enumerate(ctx.frames):
-        z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
-        nrm = np.einsum("...i,...i->...", z, z)
-        if best is None:
-            best = nrm
-            besty = z
-            idx = np.zeros(nrm.shape, dtype=int)
-        else:
-            closer = nrm < best
-            best = np.where(closer, nrm, best)
-            besty = np.where(closer[..., None], z, besty)
-            idx = np.where(closer, i, idx)
-    return besty / ctx.eps_mu, idx
+    """Concentrated coordinates y w.r.t. the nearest vertex (the first one
+    on a tie), plus its index."""
+    z = np.stack([change_to_local(x, f) for f in ctx.frames])
+    idx = np.argmin(np.einsum("...i,...i->...", z, z), axis=0)
+    return np.take_along_axis(z, idx[None, ..., None], axis=0)[0] / ctx.eps_mu, idx
 
 
 def delta_s_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarray:
@@ -550,35 +527,59 @@ def delta_s_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndar
     small so the result carries full relative precision even when
     eps*mu ~ 1e-31.
     """
+    return _inner_terms(y, ctx, vertex)[0]
+
+
+def _inner_terms(y, ctx: StreamContext, vertex: int):
+    """(ds, U(y), s) at x = P_i + eps mu M_i y with s = Gamma(y) - 4 log eps
+    - 2 log mu + ds: the scaled inner assembly, ds as in delta_s_inner."""
     y = np.asarray(y, dtype=float)
     i = vertex - 1
     f = ctx.frames[i]
+    prof = ctx.profile
     em = ctx.eps_mu
     yn2 = np.einsum("...i,...i->...", y, y)
     gam = math.log(8.0) - 2.0 * np.log1p(yn2)
     log_em = math.log(ctx.eps) + ctx.log_mu
     # (a) profile corrections at the vertex itself
     term_a = (gam - 4.0 * log_em) * (
-        ctx.c1 * em * y[..., 0] + ctx.c2 * em * em * yn2
+        prof.c1 * em * y[..., 0] + prof.c2 * em * em * yn2
     )
     # (b) third-harmonic correction, inner-scaled: kH*em*w0(|y|^2)*P3(y)/12
     w0, _, _ = lv._kernels(yn2)
     p3 = y[..., 0] ** 3 - 3.0 * y[..., 0] * y[..., 1] ** 2
-    term_b = ctx.kH * em * (w0 / 12.0) * p3
+    term_b = prof.kH * em * (w0 / 12.0) * p3
     # (c) increments of the other vertex profiles (mu relation cancels)
     z0, dd = ctx.far_geometry
     my = np.einsum("ij,...j->...i", f.Mj, y)
     term_c = np.zeros(y.shape[:-1])
     for col in range(ctx.n - 1):
         dz = em * np.einsum("ij,...j->...i", dd[i, col], y)
-        term_c += ctx.profile.delta_value(z0[i, col], dz)
+        term_c += prof.delta_value(z0[i, col], dz)
     # (d) first-order increment of H2 away from its vertex zero
     term_d = em * np.einsum("i,...i->...", ctx.h2_grad[i], my)
     # (e) exact increment of -(alpha/2)|log eps| |x|^2
     pmy = np.einsum("i,...i->...", f.P, my)
     my2 = np.einsum("...i,...i->...", my, my)
     term_e = -0.5 * ctx.alpha * ctx.abs_log_eps * (2.0 * em * pmy + em * em * my2)
-    return term_a + term_b + term_c + term_d + term_e
+    ds = term_a + term_b + term_c + term_d + term_e
+    return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+
+
+def _scaled_residual(y, ctx: StreamContext, vertex: int, ds, u, s) -> np.ndarray:
+    """inner_residual_scaled from the inner assembly (ds, u, s) at y."""
+    i = vertex - 1
+    eta, _ = _eta_of_s(ctx, s)
+    core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
+    a, kE, em = ctx.profile.a, ctx.profile.kE, ctx.eps_mu
+    out = u * core + (kE / 8.0) * em * y[..., 0] * u
+    # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
+    z0, dd = ctx.far_geometry
+    for col in range(ctx.n - 1):
+        z = z0[i, col] + em * np.einsum("ij,...j->...i", dd[i, col], y)
+        v = np.einsum("...i,...i->...", z, z)
+        out += em * em * a * (-8.0 + kE * z[..., 0]) / (a + v) ** 2
+    return out
 
 
 def inner_residual_scaled(
@@ -586,34 +587,12 @@ def inner_residual_scaled(
 ) -> np.ndarray:
     """(eps mu)^2 S at x = P_i + eps mu M_i y, cancellation-free."""
     y = np.asarray(y, dtype=float)
-    i = vertex - 1
-    ds = delta_s_inner(y, ctx, vertex=vertex)
-    yn2 = np.einsum("...i,...i->...", y, y)
-    u = 8.0 / (1.0 + yn2) ** 2
-    gam = math.log(8.0) - 2.0 * np.log1p(yn2)
-    s = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
-    eta, _ = _eta_of_s(ctx, s)
-    core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
-    out = u * core + (ctx.kE / 8.0) * ctx.eps_mu * y[..., 0] * u
-    # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
-    z0, dd = ctx.far_geometry
-    a = ctx.profile.a
-    em = ctx.eps_mu
-    for col in range(ctx.n - 1):
-        z = z0[i, col] + em * np.einsum("ij,...j->...i", dd[i, col], y)
-        v = np.einsum("...i,...i->...", z, z)
-        out += em * em * a * (-8.0 + ctx.kE * z[..., 0]) / (a + v) ** 2
-    return out
+    return _scaled_residual(y, ctx, vertex, *_inner_terms(y, ctx, vertex))
 
 
 def b_eps_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarray:
     """b(y) = (eps mu)^2 F'(s(x)) - e^Gamma(y) on the inner region."""
-    y = np.asarray(y, dtype=float)
-    ds = delta_s_inner(y, ctx, vertex=vertex)
-    yn2 = np.einsum("...i,...i->...", y, y)
-    u = 8.0 / (1.0 + yn2) ** 2
-    gam = math.log(8.0) - 2.0 * np.log1p(yn2)
-    s = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+    ds, u, s = _inner_terms(y, ctx, vertex)
     eta, etap = _eta_of_s(ctx, s)
     w = eta + etap
     return u * np.where(w >= 1.0, np.expm1(ds), w * np.exp(ds) - 1.0)
@@ -663,11 +642,7 @@ def calA(alpha: float, ctx: StreamContext, variant: str = "leading") -> float:
     the context is rebuilt at `alpha` if it differs.
     """
     if variant == "leading":
-        return (
-            2.0
-            * ctx.sqrt_log
-            * (ctx.r / ctx.h**2 - (ctx.n - 1.0) / ctx.r - alpha * ctx.r / 2.0)
-        )
+        return ctx.sqrt_log * ctx.r * (ctx.leading_alpha() - alpha)
     if variant != "empirical":
         raise ValueError("variant must be 'leading' or 'empirical'")
     if alpha != ctx.alpha:
@@ -835,7 +810,7 @@ def outer_residual_norm(
     keep = np.ones(flat.shape[0], dtype=bool)
     lim = ctx.delta / ctx.sqrt_log
     for f in ctx.frames:
-        z = np.einsum("ij,...j->...i", f.Mj_inv, flat - f.P)
+        z = change_to_local(flat, f)
         keep &= np.hypot(z[..., 0], z[..., 1]) > lim
     pts = flat[keep]
     svals = residual_S(pts, ctx)
@@ -854,16 +829,12 @@ def inner_residual_norm(
     expansion of the residual has ε-stable content; the switch ring
     itself carries a bounded but slowly-equilibrating O(U) mismatch.
     """
-    ymax = min(y_cap, 0.98 * ctx.inner_radius_y)
-    rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = _polar_points(rr, th)
-    flat = y.reshape(-1, 2)
-    yn2 = np.einsum("...i,...i->...", flat, flat)
-    deep = np.sqrt(yn2) <= ctx.switch_radius_y
+    flat, yn, weight = _inner_sup_grid(ctx, 0.98, a_decay, y_cap, n_r, n_theta)
+    ds, u, s = _inner_terms(flat, ctx, 1)
+    deep = yn <= ctx.switch_radius_y
     vals = np.empty(flat.shape[0])
     if np.any(deep):
-        vals[deep] = inner_residual_scaled(flat[deep], ctx)
+        vals[deep] = _scaled_residual(flat[deep], ctx, 1, ds[deep], u[deep], s[deep])
     if np.any(~deep):
         x = ctx.frames[0].P + ctx.eps_mu * np.einsum(
             "ij,...j->...i", ctx.frames[0].Mj, flat[~deep]
@@ -872,15 +843,24 @@ def inner_residual_norm(
             _concentrated_terms(ctx, x)
             + nonlinearity_F(rotating_argument(x, ctx), ctx)
         )
-    gam = math.log(8.0) - np.log1p(yn2) * 2.0
-    s = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + delta_s_inner(flat, ctx)
-    eta, _ = _eta_of_s(ctx, s)
-    mask = eta >= 1.0
+    mask = _eta_of_s(ctx, s)[0] >= 1.0
     if not np.any(mask):
         raise QuadratureFailure("cutoff never saturates on the inner grid")
-    yn = np.sqrt(yn2)
-    weight = (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
     return float(np.max(np.abs(vals[mask]) * weight[mask]))
+
+
+def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
+    """Flat sup-grid points y, |y| and weights (1+|y|^{2+a})/(eps mu sqrt|log eps|).
+
+    Radii 0 and geomspace(0.05, ymax, n_r), ymax = min(y_cap, frac times the
+    inner radius), times the n_theta-point midpoint angles.
+    """
+    ymax = min(y_cap, frac * ctx.inner_radius_y)
+    rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
+    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
+    y = _polar_points(rr, th).reshape(-1, 2)
+    yn = np.sqrt(np.einsum("...i,...i->...", y, y))
+    return y, yn, (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
 
 
 def generic_scan_alpha(r: float, h: float, n: int) -> float:
@@ -891,7 +871,7 @@ def generic_scan_alpha(r: float, h: float, n: int) -> float:
     the offset keeps |alpha| small so the frozen-rotation nonlinearity
     stays subdominant on the unit disk.
     """
-    a_star = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
+    a_star = theorem_alpha(r, h, n, HelixVariant.POLYGON_HELIX)
     return a_star + (1.0 if a_star <= 0.0 else -1.0)
 
 

@@ -18,6 +18,7 @@ is compared with the complex exp(i k theta) modes of the earlier solver
 (full-grid rfft, solve_banded, one spline per mode) to 1e-13 of max|H2|.
 """
 
+import functools
 import math
 import types
 
@@ -134,6 +135,16 @@ def _banded_mode_matrix_ref(u, beta, beta_u, k2):
         put(i, i, -2.0 * b / du**2 - k2)
         put(i, i + 1, b / du**2 + bu / (2.0 * du))
     return ab
+
+
+def _row_aligned(ab):
+    """Row-aligned bands (bands[d, i] multiplies x[i - 2 + d]) of an ab-form matrix."""
+    n = ab.shape[1]
+    bands = np.zeros_like(ab)
+    for d in range(5):
+        for i in range(max(0, 2 - d), min(n, n + 2 - d)):
+            bands[d, i] = ab[4 - d, i - 2 + d]
+    return bands
 
 
 def _radial_system_ref(u, k, h_k, border):
@@ -474,8 +485,20 @@ class TestBandedModeMatrix:
         h = 0.8
         beta = h * h / (h * h + rho * rho)
         beta_u = -2.0 * beta * rho * rho / (h * h + rho * rho)
-        new = elliptic._banded_mode_matrix(u, beta, beta_u, k2)
-        assert np.array_equal(new, _banded_mode_matrix_ref(u, beta, beta_u, k2))
+        new = elliptic._radial_stencil(u, beta, beta_u, np.full(u.size, -k2))
+        assert np.array_equal(new, _row_aligned(_banded_mode_matrix_ref(u, beta, beta_u, k2)))
+
+    @pytest.mark.parametrize("ks", [(3,), (6, 9), (3, 6, 9, 129)])
+    def test_mode_factor_bands_match_loop_reference(self, ks):
+        spec = elliptic.PolarGridSpec()
+        u = spec.u_nodes()
+        beta, beta_u = elliptic._beta(u, 1.0)
+        bands = elliptic._mode_factor(spec, 1.0, ks)._bands
+        for j, k in enumerate(ks):
+            ab = _banded_mode_matrix_ref(u, beta, beta_u, float(k * k))
+            ab[2, 0] = ab[2, -1] = 1.0
+            assert np.array_equal(_mode_system(spec, 1.0, k), ab)
+            assert np.array_equal(bands[..., j], _row_aligned(ab))
 
 
 def _dense(bands):
@@ -513,11 +536,20 @@ class TestRadialSystem:
         assert np.array_equal(rhs, rhs_ref)
 
 
-def _mode_system(spec, h, k):
-    """solve_banded form of the H2 mode-k system with its Dirichlet edge rows."""
+@functools.lru_cache(maxsize=None)
+def _mode_system_k0(spec, h):
     u = spec.u_nodes()
-    beta, beta_u = elliptic._beta(u, h)
-    ab = elliptic._banded_mode_matrix(u, beta, beta_u, float(k * k))
+    return _banded_mode_matrix_ref(u, *elliptic._beta(u, h), 0.0)
+
+
+def _mode_system(spec, h, k):
+    """solve_banded form of the H2 mode-k system with its Dirichlet edge rows.
+
+    The loop reference at k = 0 plus -k^2 on the diagonal: the same sums
+    as the loop reference at k, without its Python loop per k.
+    """
+    ab = _mode_system_k0(spec, h).copy()
+    ab[2, 1:-1] += -float(k * k)
     ab[2, 0] = ab[2, -1] = 1.0
     return ab
 

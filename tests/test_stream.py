@@ -341,7 +341,7 @@ class TestResidual:
         sres = inner_residual_scaled(flat, ctx)
         yn2 = np.einsum("...i,...i->...", flat, flat)
         u = 8.0 / (1.0 + yn2) ** 2
-        pred = u * ctx.eps_mu * flat[:, 0] * (ctx.c1 * liouville_unit(flat) + a_emp)
+        pred = u * ctx.eps_mu * flat[:, 0] * (ctx.profile.c1 * liouville_unit(flat) + a_emp)
         mismatch = np.max(np.abs(sres - pred))
         scale = ctx.eps_mu * np.max(np.abs(u * flat[:, 0]))
         # the projection constant absorbs the shape up to O(1/sqrt(log)) tilt
