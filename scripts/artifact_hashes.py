@@ -1,0 +1,103 @@
+"""Print the sha256 of every artifact of a fixed set of CLI runs.
+
+Usage:
+
+    python3 scripts/artifact_hashes.py <repo>
+
+runs the helix-kmd CLI from `<repo>/src` in a temporary directory and
+prints one line `<run>/<file> <sha256>` per artifact.  The runs use
+r = h = 1, N = 3 and the default grids:
+
+  * build-stream and lift-3d at e^-20;
+  * residual-scan with --threads 1 and --threads 2, and alpha-solve, over
+    e^-10, e^-20, e^-40, e^-80;
+  * verify;
+  * simulate-kmd on a 32-mode PolygonHelix.
+
+`manifest.json` is hashed without its `timings_s`, the only part that
+changes from run to run.  Running the script on two checkouts and
+comparing the outputs shows whether a change kept every artifact
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+STREAM = "[stream]\nepsilon = {eps}\nr = 1.0\nh = 1.0\nn = 3\n"
+SWEEP = "e^-10, e^-20, e^-40, e^-80"
+KMD = """[config]
+variant = PolygonHelix
+r = 1.0
+h = 1.0
+n_outer = 3
+periods = 1
+
+[kmd]
+modes = 32
+dt = 1e-3
+t_final = 0.1
+stride = 10
+"""
+
+# run name -> (config text or None, CLI arguments after the subcommand)
+RUNS = {
+    "build-stream": (STREAM.format(eps="e^-20"), []),
+    "lift-3d": (STREAM.format(eps="e^-20"), []),
+    "residual-scan-t1": (STREAM.format(eps=SWEEP), ["--threads", "1"]),
+    "residual-scan-t2": (STREAM.format(eps=SWEEP), ["--threads", "2"]),
+    "alpha-solve": (STREAM.format(eps=SWEEP), ["--threads", "1"]),
+    "verify": (None, []),
+    "simulate-kmd": (KMD, []),
+}
+
+
+def _digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("timings_s", None)
+        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_hashes(repo: Path) -> dict[str, str]:
+    """{"<run>/<file>": sha256} for every run in RUNS."""
+    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for run, (config, extra) in RUNS.items():
+            work = Path(tmp) / run
+            work.mkdir()
+            argv = [sys.executable, "-m", "helix_kmd",
+                    run.removesuffix("-t1").removesuffix("-t2"),
+                    "--out", str(work / "out"), *extra]
+            if config is not None:
+                (work / "run.ini").write_text(config)
+                argv += ["--config", str(work / "run.ini")]
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
+                                  text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"{run} exited {proc.returncode}:\n{proc.stderr}")
+            for path in sorted((work / "out").iterdir()):
+                out[f"{run}/{path.name}"] = _digest(path)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/artifact_hashes.py <repo>", file=sys.stderr)
+        return 2
+    for key, digest in artifact_hashes(Path(argv[0])).items():
+        print(f"{key} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

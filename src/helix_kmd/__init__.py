@@ -99,7 +99,6 @@ from .stream import (                                          # noqa: F401
     psi0_sum,
     psi_star,
     residual_S,
-    residual_scan,
     solve_H2,
     solve_alpha,
     solve_mu,

@@ -62,12 +62,10 @@ def _grid_spec(cfg: ExperimentConfig):
     from .elliptic import PolarGridSpec
 
     s = cfg.section("stream")
-    return PolarGridSpec(
-        rho_min=s.get("grid.rho_min", 1e-6),
-        rho_max=s.get("grid.rho_max", 20.0),
-        n_radial=s.get("grid.radial", 512),
-        n_angular=s.get("grid.angular", 256),
-    )
+    fields = {"grid.rho_min": "rho_min", "grid.rho_max": "rho_max",
+              "grid.radial": "n_radial", "grid.angular": "n_angular"}
+    # keys the config leaves out keep PolarGridSpec's defaults
+    return PolarGridSpec(**{f: s[key] for key, f in fields.items() if key in s})
 
 
 def _build_ctx(cfg: ExperimentConfig, eps: float, alpha=None):

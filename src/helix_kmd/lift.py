@@ -28,8 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
-
 __all__ = [
     "VectorField3",
     "FilamentCurve",
@@ -192,31 +190,21 @@ def bump_test_field(
     return VectorField3(ev, "analytic", None)
 
 
-def _core_quadrature(ctx, y_cap: float = 40.0, n_seg: int = 16, n_theta: int = 48):
-    from .stream import _polar_gauss_rule
-
-    ymax = min(y_cap, 0.9 * ctx.inner_radius_y)
-    if ymax <= 2.0:
-        raise QuadratureFailure("inner region too small for core quadrature")
-    y, w = _polar_gauss_rule(ymax, n_seg, n_theta)
-    return y.reshape(-1, 2), w.ravel()
-
-
 def weak_convergence_gap(
-    ctx, test_field: VectorField3, n_axial: int = 48,
-    y_cap: float = 40.0, return_parts: bool = False,
+    ctx, test_field: VectorField3, n_axial: int = 48, return_parts: bool = False,
 ):
     """Volume pairing of the lifted vorticity minus the filament line sums.
 
     Time is frozen at t = 0: in the co-rotating construction all times
     are equivalent up to a global rotation.
     """
-    from .stream import _eta_of_s, _inner_terms
+    from .stream import _eta_of_s, _inner_terms, _polar_gauss_rule
 
     h = ctx.h
     period = 2.0 * np.pi * abs(h)
     s3 = np.arange(n_axial) * (period / n_axial)      # periodic trapezoid
-    y, wq = _core_quadrature(ctx, y_cap=y_cap)
+    y, wq = _polar_gauss_rule(ctx, 0.9, 40.0, 2.0, 16, 48)
+    y, wq = y.reshape(-1, 2), wq.ravel()
     # scaled vorticity on the core grid: w dxi = detM * U eta e^{ds} dy
     volume = 0.0
     det_m = float(np.linalg.det(ctx.frames[0].M))

@@ -270,18 +270,16 @@ def projected_solve(
     modes: int = 8,
     n_radial: int = 3072,
     rho_min: float = 1e-5,
-    check_decay: bool = True,
 ) -> ProjectedSolution:
     """Solve the projected linearized problem for a planar source h(y).
 
     h_func must be vectorized over y of shape (..., 2) and decay faster
-    than |y|^-2 (checked unless disabled).  Returns the solution with
-    kernel components removed and the multipliers (d0, d1, d2).
+    than |y|^-2; SlowDecay otherwise.  Returns the solution with kernel
+    components removed and the multipliers (d0, d1, d2).
     """
-    if check_decay:
-        m_fit = _decay_exponent(h_func, rho_max)
-        if m_fit <= 2.0:
-            raise SlowDecay(f"source decays like |y|^-{m_fit:.2f}; need faster than -2")
+    m_fit = _decay_exponent(h_func, rho_max)
+    if m_fit <= 2.0:
+        raise SlowDecay(f"source decays like |y|^-{m_fit:.2f}; need faster than -2")
     n_theta = max(32, 4 * modes)
     u = np.linspace(math.log(rho_min), math.log(rho_max), n_radial)
     rho = np.exp(u)

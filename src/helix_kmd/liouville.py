@@ -284,48 +284,34 @@ class LocalProfile:
     def delta_value(self, z0: np.ndarray, dz: np.ndarray) -> np.ndarray:
         """Psi(z0+dz) - Psi(z0) without cancellation for |dz| << |z0|.
 
-        The Gamma and polynomial parts are differenced exactly (log1p on the
-        increment of |z|^2); the tiny H1 part uses a second-order Taylor
-        step.  Against a 120-digit oracle (tests/test_oracle.py) the step costs
-        the deep-core residual (|y| <= 4, r = h = 1, N = 3, alpha = -1) 2.9e-7
-        of its largest value at eps = e^-10; from e^-20 on the gap is < 5e-13.
+        z0's intermediates come from `_terms`.  The Gamma and polynomial
+        parts are differenced exactly (log1p on the increment of |z|^2); the
+        tiny H1 part uses a second-order Taylor step.  Against a 120-digit
+        oracle (tests/test_oracle.py) the step costs the deep-core residual
+        (|y| <= 4, r = h = 1, N = 3, alpha = -1) 2.9e-7 of its largest value
+        at eps = e^-10; from e^-20 on the gap is < 5e-13.
         """
-        z0 = np.asarray(z0, dtype=float)
+        t = self._terms(z0)
         dz = np.asarray(dz, dtype=float)
-        v0 = np.einsum("...i,...i->...", z0, z0)
-        cross = 2.0 * np.einsum("...i,...i->...", z0, dz) + np.einsum(
-            "...i,...i->...", dz, dz
-        )
-        z1 = z0 + dz
-        g1 = np.log(8.0) - 2.0 * np.log(self.a + v0 + cross)
-        dgam = -2.0 * np.log1p(cross / (self.a + v0))
-        q0 = 1.0 + self.c1 * z0[..., 0] + self.c2 * v0
+        zd = np.einsum("...i,...i->...", t.z, dz)
+        dd = np.einsum("...i,...i->...", dz, dz)
+        pd = np.einsum("...i,...i->...", t.dp3, dz)
+        cross = 2.0 * zd + dd
+        g1 = np.log(8.0) - 2.0 * np.log(t.av + cross)
+        dgam = -2.0 * np.log1p(cross / t.av)
         dq = self.c1 * dz[..., 0] + self.c2 * cross
         # H1 increment: first-order term plus explicit curvature correction
-        w, wp, ws = _h1_weights(v0, self.a)
-        p30 = z0[..., 0] ** 3 - 3.0 * z0[..., 0] * z0[..., 1] ** 2
-        dp30 = np.stack(
-            [
-                3.0 * z0[..., 0] ** 2 - 3.0 * z0[..., 1] ** 2,
-                -6.0 * z0[..., 0] * z0[..., 1],
-            ],
-            axis=-1,
-        )
-        lin = 2.0 * wp * p30 * np.einsum("...i,...i->...", z0, dz) + w * np.einsum(
-            "...i,...i->...", dp30, dz
-        )
-        zd = np.einsum("...i,...i->...", z0, dz)
-        dd = np.einsum("...i,...i->...", dz, dz)
+        lin = 2.0 * t.Wp * t.p3 * zd + t.W * pd
         quad = (
-            2.0 * ws * p30 * zd * zd
-            + wp * (p30 * dd + 2.0 * zd * np.einsum("...i,...i->...", dp30, dz))
+            2.0 * t.Ws * t.p3 * zd * zd
+            + t.Wp * (t.p3 * dd + 2.0 * zd * pd)
             + 0.5
-            * w
+            * t.W
             * (
-                6.0 * z0[..., 0] * dz[..., 0] ** 2
-                - 12.0 * z0[..., 1] * dz[..., 0] * dz[..., 1]
-                - 6.0 * z0[..., 0] * dz[..., 1] ** 2
+                6.0 * t.x * dz[..., 0] ** 2
+                - 12.0 * t.y * dz[..., 0] * dz[..., 1]
+                - 6.0 * t.x * dz[..., 1] ** 2
             )
         )
         dh1 = lin + quad
-        return g1 * dq + q0 * dgam + self.kH * dh1
+        return g1 * dq + t.q * dgam + self.kH * dh1

@@ -20,10 +20,7 @@ where B collects the variable-coefficient corrections and vanishes at
 z = 0.  B is evaluated from the exact conjugated coefficients
 
     B2 = M^-1 K(x) M^-1 - I,     bvec = M^-1 (div K)(x),
-    (div K)(x) = -x (D + 2 h^2) / D^2,   D = h^2 + |x|^2,
-
-with an optional truncated variant keeping only the leading linear terms
-for asymptotic cross-checks.
+    (div K)(x) = -x (D + 2 h^2) / D^2,   D = h^2 + |x|^2.
 """
 
 from __future__ import annotations
@@ -135,11 +132,6 @@ class LocalFrame:
     M: np.ndarray
     Mj: np.ndarray
     Mj_inv: np.ndarray
-    validity_radius: float
-
-    @property
-    def stretch(self) -> float:
-        return self.M[0, 0]
 
 
 def local_frame(j: int, N: int, R: float, h: float) -> LocalFrame:
@@ -154,11 +146,8 @@ def local_frame(j: int, N: int, R: float, h: float) -> LocalFrame:
     Mj = Q @ M
     Mj_inv = np.diag([1.0 / m, 1.0]) @ Q.T
     P = R * Q @ np.array([1.0, 0.0])
-    r0 = 2.0 * np.sin(np.pi / N) if N >= 2 else np.inf
-    validity = min(r0 / 4.0, 0.5)
     return LocalFrame(
         j=j, N=N, R=R, h=h, theta=theta, P=P, Q=Q, M=M, Mj=Mj, Mj_inv=Mj_inv,
-        validity_radius=validity,
     )
 
 
@@ -174,27 +163,15 @@ def change_from_local(z: np.ndarray, frame: LocalFrame) -> np.ndarray:
     return frame.P + np.einsum("ij,...j->...i", frame.Mj, z)
 
 
-def b_coefficients(
-    z: np.ndarray, R: float, h: float, truncated: bool = False
-) -> tuple[np.ndarray, ...]:
+def b_coefficients(z: np.ndarray, R: float, h: float) -> tuple[np.ndarray, ...]:
     """Coefficients (a11, a22, a12, b1, b2) with
 
-        B[Psi] = a11 Psi_11 + a22 Psi_22 + a12 Psi_12 + b1 Psi_1 + b2 Psi_2.
+        B[Psi] = a11 Psi_11 + a22 Psi_22 + a12 Psi_12 + b1 Psi_1 + b2 Psi_2,
 
-    Exact values conjugate K at x = (R,0) + M z; the truncated variant is
-    the leading small-z expansion used for asymptotic comparisons.
+    exact values conjugating K at x = (R,0) + M z.
     """
     z = np.asarray(z, dtype=float)
-    d0 = h * h + R * R
-    m = h / np.sqrt(d0)
-    if truncated:
-        one = np.ones(z.shape[:-1])
-        a11 = -2.0 * R * h / d0**1.5 * z[..., 0]
-        a22 = np.zeros_like(a11)
-        a12 = -2.0 * R / (h * np.sqrt(d0)) * z[..., 1]
-        b1 = -R / (h * np.sqrt(d0)) * (2.0 * h * h / d0 + 1.0) * one
-        b2 = -z[..., 1] / d0 * (2.0 * h * h / d0 + 1.0)
-        return a11, a22, a12, b1, b2
+    m = h / np.sqrt(h * h + R * R)
     x1 = R + m * z[..., 0]
     x2 = z[..., 1]
     d = h * h + x1 * x1 + x2 * x2
@@ -210,9 +187,7 @@ def b_coefficients(
     return a11, a22, a12, b1, b2
 
 
-def b_operator(
-    field, z: np.ndarray, frame: LocalFrame, truncated: bool = False
-) -> np.ndarray:
+def b_operator(field, z: np.ndarray, frame: LocalFrame) -> np.ndarray:
     """B[Psi](z) for a local field bundle Psi with .grad and .hess.
 
     Each of field.hess(z) and field.grad(z) is called once, so a bundle
@@ -223,7 +198,7 @@ def b_operator(
     by rotational invariance of the operator.
     """
     z = np.asarray(z, dtype=float)
-    a11, a22, a12, b1, b2 = b_coefficients(z, frame.R, frame.h, truncated=truncated)
+    a11, a22, a12, b1, b2 = b_coefficients(z, frame.R, frame.h)
     H = field.hess(z)
     g = field.grad(z)
     return (

@@ -79,7 +79,6 @@ __all__ = [
     "solve_alpha",
     "outer_residual_norm",
     "inner_residual_norm",
-    "residual_scan",
     "generic_scan_alpha",
     "fit_loglog_slope",
 ]
@@ -175,13 +174,6 @@ class StreamContext:
     def switch_radius_y(self) -> float:
         """Below this |y| the cancellation-free assembly is used."""
         return self.delta**2 / (self.eps_mu * self.sqrt_log)
-
-    def with_alpha(self, alpha: float) -> "StreamContext":
-        """Rebuild the context (mu, g, H2) at a different rotation speed."""
-        return build_context(
-            self.eps, self.r, self.h, self.n, alpha=alpha, delta=self.delta,
-            delta1=self.delta1, grid=self.grid,
-        )
 
     def leading_alpha(self) -> float:
         return theorem_alpha(self.r, self.h, self.n, HelixVariant.POLYGON_HELIX)
@@ -600,13 +592,18 @@ def b_eps_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarra
 
 # -- projections, norms, and the speed selection ---------------------------
 
-def _polar_gauss_rule(ymax: float, n_seg: int, n_theta: int):
-    """Nodes (n_r, n_theta, 2) and weights (n_r, n_theta) on the disk |y| <= ymax.
+def _polar_gauss_rule(ctx: StreamContext, frac: float, y_cap: float, floor: float,
+                      n_seg: int, n_theta: int):
+    """Nodes (n_r, n_theta, 2) and weights (n_r, n_theta) on the inner disk.
 
-    Radially, n_seg Gauss-Legendre nodes on each of the segments [0, 1],
-    [1, 2], [2, 4], ... (the last one ends at ymax); angularly, the
-    n_theta-point midpoint rule.
+    The disk is |y| <= ymax = min(y_cap, frac times the inner radius);
+    QuadratureFailure when ymax <= floor.  Radially, n_seg Gauss-Legendre
+    nodes on each of the segments [0, 1], [1, 2], [2, 4], ... (the last one
+    ends at ymax); angularly, the n_theta-point midpoint rule.
     """
+    ymax = min(y_cap, frac * ctx.inner_radius_y)
+    if ymax <= floor:
+        raise QuadratureFailure(f"inner region too small for quadrature (|y| <= {ymax:.3g})")
     edges = [0.0, 1.0]
     while edges[-1] < ymax:
         edges.append(min(2.0 * edges[-1], ymax))
@@ -624,30 +621,17 @@ def _polar_gauss_rule(ymax: float, n_seg: int, n_theta: int):
     return y, np.broadcast_to(w2d, (rr.size, n_theta))
 
 
-def _inner_quadrature(ctx: StreamContext, y_cap: float = 50.0, n_theta: int = 64,
-                      n_seg: int = 24):
-    """Polar Gauss-Legendre nodes/weights on the inner disk (y variables)."""
-    ymax = min(y_cap, 0.98 * ctx.inner_radius_y)
-    if ymax <= 1.0:
-        raise QuadratureFailure("inner region too small for projection")
-    return _polar_gauss_rule(ymax, n_seg, n_theta)
+def calA(alpha: float, ctx: StreamContext) -> float:
+    """Tilt coefficient of the inner residual at rotation speed `alpha`.
 
-
-def calA(alpha: float, ctx: StreamContext, variant: str = "leading") -> float:
-    """Tilt coefficient of the inner residual.
-
-    "leading": the explicit formula 2 sqrt|log eps| (r/h^2 - (N-1)/r
-    - alpha r/2).  "empirical": the normalized projection of the scaled
-    residual onto the translation kernel element Z1 over the inner disk;
-    the context is rebuilt at `alpha` if it differs.
+    The normalized projection of the scaled residual onto the translation
+    kernel element Z1 over the inner disk; the context (mu, g, H2) is
+    rebuilt at `alpha` if it differs.
     """
-    if variant == "leading":
-        return ctx.sqrt_log * ctx.r * (ctx.leading_alpha() - alpha)
-    if variant != "empirical":
-        raise ValueError("variant must be 'leading' or 'empirical'")
     if alpha != ctx.alpha:
-        ctx = ctx.with_alpha(alpha)
-    y, w = _inner_quadrature(ctx)
+        ctx = build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=alpha,
+                            delta=ctx.delta, delta1=ctx.delta1, grid=ctx.grid)
+    y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64)
     sres = inner_residual_scaled(y, ctx)
     yn2 = np.einsum("...i,...i->...", y, y)
     z1 = -4.0 * y[..., 0] / (1.0 + yn2)
@@ -681,7 +665,7 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
     def f(alpha):
         nonlocal n_eval
         n_eval += 1
-        return calA(alpha, ctx, "empirical")
+        return calA(alpha, ctx)
 
     a_star = ctx.leading_alpha()
     f_star = f(a_star)
@@ -883,33 +867,3 @@ def fit_loglog_slope(eps_values, norms) -> float:
         return float("nan")
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
-def residual_scan(
-    eps_values, r: float, h: float, n: int, alpha: float | None = None,
-    grid: PolarGridSpec | None = None, nu_bar: float = 3.0, a_decay: float = 0.8,
-):
-    """Outer/inner residual norms across an eps sweep plus fitted slope.
-
-    By default the scan runs at the generic (offset) rotation speed, see
-    generic_scan_alpha.
-    """
-    if alpha is None:
-        alpha = generic_scan_alpha(r, h, n)
-    rows = []
-    for eps in eps_values:
-        ctx = build_context(eps, r, h, n, alpha=alpha, grid=grid)
-        rows.append(
-            {
-                "eps": float(eps),
-                "outer_norm": outer_residual_norm(ctx, nu_bar=nu_bar),
-                "inner_norm": inner_residual_norm(ctx, a_decay=a_decay),
-                "log_mu": ctx.log_mu,
-            }
-        )
-    slope = fit_loglog_slope(
-        [row["eps"] for row in rows], [row["outer_norm"] for row in rows]
-    )
-    for row in rows:
-        row["outer_slope"] = slope
-    return rows, slope

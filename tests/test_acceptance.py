@@ -82,7 +82,7 @@ def kmd_runs():
 
 
 @pytest.fixture(scope="module")
-def sweep_contexts(ctx_cache):
+def sweep_contexts():
     """Contexts at the generic scan speed for criteria 9 and 10."""
     alpha = generic_scan_alpha(1.0, 1.0, 3)
     out = {}

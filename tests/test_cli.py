@@ -297,7 +297,7 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
             if cli.main(argv) != 0:
                 sys.exit(f"{argv[0]} failed")
         # flat between a* = 0 and the estimate 1: the secant stalls
-        stream.calA = lambda alpha, ctx, variant: min(1.0, 7.0 - 4.0 * alpha)
+        stream.calA = lambda alpha, ctx: min(1.0, 7.0 - 4.0 * alpha)
         ctx = SimpleNamespace(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0,
                               abs_log_eps=20.0, loglog=math.log(20.0))
         root, diag = stream.solve_alpha(ctx)

@@ -5,8 +5,10 @@ verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
 systems, a local defect that lets the Laplacian, Hessian and gradient of
-the profile each recompute the profile's intermediates, and a lift-3d box
-sampled one (x, y) column at a time.  The numpy spline and cumulative
+the profile each recompute the profile's intermediates, a far-profile
+increment delta_value that computes its own intermediates and each of its
+dot products with dz twice, and a lift-3d box sampled one (x, y) column at
+a time.  The numpy spline and cumulative
 Simpson rule of `elliptic` are compared with scipy's CubicSpline and
 cumulative_simpson, whose arithmetic they repeat.  The arithmetic per
 entry is unchanged, so results must agree exactly, not to a tolerance.
@@ -343,6 +345,47 @@ def _phi_ref(sol, y):
     return out
 
 
+def _delta_value_ref(prof, z0, dz):
+    """LocalProfile.delta_value computing its own intermediates, each
+    einsum over dz as often as it appears."""
+    z0 = np.asarray(z0, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    v0 = np.einsum("...i,...i->...", z0, z0)
+    cross = 2.0 * np.einsum("...i,...i->...", z0, dz) + np.einsum(
+        "...i,...i->...", dz, dz
+    )
+    g1 = np.log(8.0) - 2.0 * np.log(prof.a + v0 + cross)
+    dgam = -2.0 * np.log1p(cross / (prof.a + v0))
+    q0 = 1.0 + prof.c1 * z0[..., 0] + prof.c2 * v0
+    dq = prof.c1 * dz[..., 0] + prof.c2 * cross
+    w, wp, ws = liouville._h1_weights(v0, prof.a)
+    p30 = z0[..., 0] ** 3 - 3.0 * z0[..., 0] * z0[..., 1] ** 2
+    dp30 = np.stack(
+        [
+            3.0 * z0[..., 0] ** 2 - 3.0 * z0[..., 1] ** 2,
+            -6.0 * z0[..., 0] * z0[..., 1],
+        ],
+        axis=-1,
+    )
+    lin = 2.0 * wp * p30 * np.einsum("...i,...i->...", z0, dz) + w * np.einsum(
+        "...i,...i->...", dp30, dz
+    )
+    zd = np.einsum("...i,...i->...", z0, dz)
+    dd = np.einsum("...i,...i->...", dz, dz)
+    quad = (
+        2.0 * ws * p30 * zd * zd
+        + wp * (p30 * dd + 2.0 * zd * np.einsum("...i,...i->...", dp30, dz))
+        + 0.5
+        * w
+        * (
+            6.0 * z0[..., 0] * dz[..., 0] ** 2
+            - 12.0 * z0[..., 1] * dz[..., 0] * dz[..., 1]
+            - 6.0 * z0[..., 0] * dz[..., 1] ** 2
+        )
+    )
+    return g1 * dq + q0 * dgam + prof.kH * (lin + quad)
+
+
 # -- equivalence --------------------------------------------------------------
 
 class TestKernels:
@@ -474,6 +517,29 @@ class TestSharedProfileTerms:
         # one per frame for value and grad together (the three-call path made 12)
         assert len(ctx.frames) == 3
         assert calls == [70, 70, 70, 30, 30, 30]
+
+
+class TestDeltaValue:
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_reference_on_every_vertex_pair(self, rng, exponent, n):
+        # the increments _inner_terms takes: far vertex z0 = M_j^-1 (P_i - P_j),
+        # dz = eps mu M_j^-1 M_i y for |y| from the deep core to the sup grid
+        eps = math.exp(-exponent)
+        R = 1.0 / math.sqrt(exponent)
+        mu = math.exp(stream.solve_mu(eps, 1.0, 1.0, n, 2.0 * (2.0 - n)))
+        prof = LocalProfile(eps, mu, R, 1.0)
+        z0, dd = stream._far_geometry(tuple(local_frame(j, n, R, 1.0)
+                                            for j in range(1, n + 1)))
+        rad = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), 4000))
+        phi = rng.uniform(0.0, 2.0 * np.pi, rad.size)
+        y = np.stack([rad * np.cos(phi), rad * np.sin(phi)], axis=-1)
+        for i in range(n):
+            for col in range(n - 1):
+                dz = prof.eps_mu * np.einsum("ij,...j->...i", dd[i, col], y)
+                new = prof.delta_value(z0[i, col], dz)
+                assert new.shape == y.shape[:-1]
+                assert np.array_equal(new, _delta_value_ref(prof, z0[i, col], dz))
 
 
 class TestBandedModeMatrix:
