@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,25 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import RunManifest, write_csv
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, grid_spec, load_config
 from .errors import ConfigError, HelixKmdError
 
 
-def _threads(args, cfg: ExperimentConfig) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HELIX_KMD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad HELIX_KMD_THREADS value: {env}") from exc
-    return int(cfg.get("sweep", "threads", 1))
-
-
-def _map(args, cfg: ExperimentConfig, fn, items) -> list:
+def _map(args, fn, items) -> list:
     """[fn(x) for x in items], on a pool of `--threads` workers when above 1."""
-    nthreads = _threads(args, cfg)
+    nthreads = max(1, args.threads)
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             return list(pool.map(fn, items))
@@ -58,34 +45,21 @@ def _epsilons(args, cfg: ExperimentConfig) -> list[float]:
     return vals
 
 
-def _grid_spec(cfg: ExperimentConfig):
-    from .elliptic import PolarGridSpec
-
-    s = cfg.section("stream")
-    fields = {"grid.rho_min": "rho_min", "grid.rho_max": "rho_max",
-              "grid.radial": "n_radial", "grid.angular": "n_angular"}
-    # keys the config leaves out keep PolarGridSpec's defaults
-    return PolarGridSpec(**{f: s[key] for key, f in fields.items() if key in s})
-
-
-def _build_ctx(cfg: ExperimentConfig, eps: float, alpha=None):
-    """Context at `alpha`; None reads `[stream] alpha` (default: leading order)."""
+def _build_ctx(cfg: ExperimentConfig, eps: float, alpha):
+    """Context at `alpha` (None: build_context's leading-order speed)."""
     from .stream import build_context
 
-    s = cfg.require("stream")
-    return build_context(
-        eps, s["r"], s["h"], s["n"],
-        alpha=s.get("alpha") if alpha is None else alpha,
-        delta=s.get("delta"), delta1=s.get("delta1"), grid=_grid_spec(cfg),
-    )
+    s = cfg.require("stream", "r", "h", "n")
+    return build_context(eps, s["r"], s["h"], s["n"], alpha=alpha,
+                         delta=s.get("delta"), grid=grid_spec(s))
 
 
 def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
     from .configurations import HelixConfig, HelixVariant, sample
     from .filaments import center_of_vorticity, simulate
 
-    c = cfg.require("config")
-    k = cfg.require("kmd")
+    c = cfg.require("config", "r", "h", "n_outer")
+    k = cfg.require("kmd", "t_final", "dt")
     config = HelixConfig(
         r=c["r"], h=c["h"], n_outer=c["n_outer"],
         nu=(0.0 if c["variant"] == "StraightPolygon" else 1.0 / c["h"]),
@@ -93,7 +67,7 @@ def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
         kappa0=c.get("kappa0", 2.0),
     )
     state = sample(config, 0.0, modes=k.get("modes", 64),
-                   periods=c.get("periods", k.get("periods", 1)))
+                   periods=c.get("periods", 1))
     if "n_filaments" in k and k["n_filaments"] != state.n_filaments:
         raise ConfigError(
             f"[kmd] n_filaments={k['n_filaments']} does not match the "
@@ -150,9 +124,9 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
 
     eps = _epsilons(args, cfg)[0]
     man.start("build_context")
-    ctx = _build_ctx(cfg, eps)
+    ctx = _build_ctx(cfg, eps, cfg.get("stream", "alpha"))
     man.stop("build_context")
-    s = cfg.require("stream")
+    s = cfg.section("stream")
     extent = s.get("out_grid.extent", 1.5)
     n = s.get("out_grid.n", 121)
     axis = np.linspace(-extent, extent, n)
@@ -180,7 +154,6 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
         "c1": ctx.profile.c1,
         "c2": ctx.profile.c2,
         "delta": ctx.delta,
-        "delta1": ctx.delta1,
         "d_eps": ctx.d_eps,
         "vertices": [list(map(float, f.P)) for f in ctx.frames],
     }
@@ -197,14 +170,14 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
         outer_residual_norm,
     )
 
-    s = cfg.require("stream")
     eps_values = _epsilons(args, cfg)
+    s = cfg.require("stream", "r", "h", "n")
     nu_bar = s.get("nu_bar", 3.0)
     a_decay = s.get("a_decay", 0.8)
     alpha = s.get("alpha", generic_scan_alpha(s["r"], s["h"], s["n"]))
 
     def one(eps):
-        ctx = _build_ctx(cfg, eps, alpha=alpha)
+        ctx = _build_ctx(cfg, eps, alpha)
         return {
             "eps": eps,
             "outer_norm": outer_residual_norm(ctx, nu_bar=nu_bar),
@@ -212,7 +185,7 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
         }
 
     man.start("scan")
-    rows = _map(args, cfg, one, eps_values)
+    rows = _map(args, one, eps_values)
     man.stop("scan")
     slope = fit_loglog_slope([r["eps"] for r in rows], [r["outer_norm"] for r in rows])
     path = out / "residual_scan.csv"
@@ -224,23 +197,20 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
 
 
 def cmd_alpha_solve(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .configurations import HelixVariant, theorem_alpha
     from .stream import solve_alpha
 
     eps_values = _epsilons(args, cfg)
-    s = cfg.require("stream")
-    # solve_alpha projects first at the leading-order speed on the context
-    # it is given, so `[stream] alpha` is not used here
-    a_star = theorem_alpha(s["r"], s["h"], s["n"], HelixVariant.POLYGON_HELIX)
 
     def one(eps):
-        ctx = _build_ctx(cfg, eps, alpha=a_star)
+        # solve_alpha projects first at the leading-order speed on the context
+        # it is given, so `[stream] alpha` is not used here
+        ctx = _build_ctx(cfg, eps, None)
         _, diag = solve_alpha(ctx)
         diag["epsilon"] = eps
         return diag
 
     man.start("alpha_solve")
-    results = _map(args, cfg, one, eps_values)
+    results = _map(args, one, eps_values)
     man.stop("alpha_solve")
     path = out / "alpha_solve.json"
     path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -259,7 +229,7 @@ def cmd_lift_3d(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> Non
 
     eps = _epsilons(args, cfg)[0]
     man.start("build_context")
-    ctx = _build_ctx(cfg, eps)
+    ctx = _build_ctx(cfg, eps, cfg.get("stream", "alpha"))
     man.stop("build_context")
     g = cfg.section("grid")
     extent = g.get("extent", 0.8)
@@ -334,8 +304,8 @@ def main(argv=None) -> int:
                         help="experiment config file (INI sections)")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory for artifacts")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel sweep workers (HELIX_KMD_THREADS fallback)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="parallel sweep workers (default 1)")
     parser.add_argument("--epsilon-override", type=str, default=None,
                         help="comma list of epsilon values, e.g. 'e^-10,e^-20'")
     args = parser.parse_args(argv)

@@ -33,7 +33,6 @@ _SCHEMAS: dict[str, dict[str, str]] = {
     "kmd": {
         "n_filaments": "int",
         "modes": "int",
-        "periods": "int",
         "kappa": "floats",
         "alpha_core": "floats",
         "dt": "float",
@@ -56,7 +55,6 @@ _SCHEMAS: dict[str, dict[str, str]] = {
         "n": "int",
         "alpha": "float",
         "delta": "float",
-        "delta1": "float",
         "nu_bar": "float",
         "a_decay": "float",
         "grid.rho_min": "float",
@@ -71,9 +69,6 @@ _SCHEMAS: dict[str, dict[str, str]] = {
         "nx": "int",
         "ny": "int",
         "nz": "int",
-    },
-    "sweep": {
-        "threads": "int",
     },
 }
 
@@ -96,13 +91,28 @@ class ExperimentConfig:
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
 
-    def require(self, name: str) -> dict:
+    def require(self, name: str, *keys: str) -> dict:
+        """Section `name`, which must exist and hold every one of `keys`."""
         if name not in self.sections:
             raise ConfigError(f"missing required section [{name}]")
+        for key in keys:
+            if key not in self.sections[name]:
+                raise ConfigError(f"missing required key '{key}' in section [{name}]")
         return self.sections[name]
 
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
+
+
+_GRID_FIELDS = {"grid.rho_min": "rho_min", "grid.rho_max": "rho_max",
+                "grid.radial": "n_radial", "grid.angular": "n_angular"}
+
+
+def grid_spec(stream: dict):
+    """The `[stream]` polar grid; keys left out keep PolarGridSpec's defaults."""
+    from .elliptic import PolarGridSpec
+
+    return PolarGridSpec(**{f: stream[k] for k, f in _GRID_FIELDS.items() if k in stream})
 
 
 def _validate(sections: dict) -> None:
@@ -127,6 +137,8 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[config] need r > 0 and h != 0")
         if cfg.get("n_outer", 2) < 2:
             raise ConfigError("[config] n_outer must be >= 2")
+        if cfg.get("periods", 1) < 1:
+            raise ConfigError("[config] periods must be >= 1")
     stream = sections.get("stream")
     if stream:
         eps = stream.get("epsilon", [])
@@ -138,9 +150,15 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[stream] need r > 0 and h != 0")
         if stream.get("n", 2) < 2:
             raise ConfigError("[stream] n must be >= 2")
-    sweep = sections.get("sweep")
-    if sweep and sweep.get("threads", 1) < 1:
-        raise ConfigError("[sweep] threads must be >= 1")
+        grid = grid_spec(stream)
+        if grid.n_radial < 4 or grid.n_angular < 1:
+            raise ConfigError("[stream] need grid.radial >= 4 and grid.angular >= 1")
+        if not 0.0 < grid.rho_min < grid.rho_max:
+            raise ConfigError("[stream] need 0 < grid.rho_min < grid.rho_max")
+        if stream.get("out_grid.n", 1) < 1:
+            raise ConfigError("[stream] out_grid.n must be >= 1")
+    if any(sections.get("grid", {}).get(k, 1) < 1 for k in ("nx", "ny", "nz")):
+        raise ConfigError("[grid] nx, ny and nz must be >= 1")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

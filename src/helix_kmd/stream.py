@@ -129,7 +129,6 @@ class StreamContext:
     n: int
     alpha: float
     delta: float
-    delta1: float
     d_eps: float
     grid: PolarGridSpec
     # derived geometry
@@ -137,13 +136,17 @@ class StreamContext:
     frames: tuple[LocalFrame, ...]
     # solved quantities
     log_mu: float
-    eps_mu: float
     profile: lv.LocalProfile
     h2: H2Correction
     h2_grad: np.ndarray            # (N, 2) gradient of H2 at each vertex
     far_geometry: tuple = field(repr=False, default=())
 
     # -- convenience -------------------------------------------------------
+    @property
+    def eps_mu(self) -> float:
+        """The concentration scale eps*mu, as the vertex profile holds it."""
+        return self.profile.eps_mu
+
     @property
     def abs_log_eps(self) -> float:
         return -math.log(self.eps)
@@ -346,7 +349,6 @@ def build_context(
     n: int,
     alpha: float | None = None,
     delta: float | None = None,
-    delta1: float | None = None,
     grid: PolarGridSpec | None = None,
 ) -> StreamContext:
     """Construct the full stream context: geometry, mu, defect field, H2."""
@@ -368,10 +370,6 @@ def build_context(
         delta = 0.8 * min(r0 / 4.0, 0.5)
     if not 0.0 < delta < min(r0 / 4.0, 0.5) + 1e-12:
         raise DegenerateConfig("delta must satisfy 0 < delta < min(r0/4, 1/2)")
-    if delta1 is None:
-        delta1 = 0.4 * delta * delta
-    if not 2.0 * delta1 < delta * delta:
-        raise DegenerateConfig("need 2 delta1 < delta^2")
     if grid is None:
         grid = PolarGridSpec()
     # angular sampling must respect the dihedral class: with n_angular a
@@ -393,15 +391,12 @@ def build_context(
     loglog = math.log(abs_log)
     if not 0.1 * loglog < abs(log_mu) < 10.0 * loglog:
         raise DegenerateConfig("mu escaped the admissible logarithmic band")
-    eps_mu = math.exp(math.log(eps) + log_mu)
-    if eps_mu < 1e-300:
-        raise DegenerateConfig("eps*mu underflows float64")
     profile = lv.LocalProfile(eps, math.exp(log_mu), R, h)
     h2 = solve_H2(profile, frames, h, grid)
     return StreamContext(
-        eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta, delta1=delta1,
-        d_eps=d_eps, grid=grid, R=R, frames=frames, log_mu=log_mu, eps_mu=eps_mu,
-        profile=profile, h2=h2, h2_grad=h2.gradient(np.array([f.P for f in frames])),
+        eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta,
+        d_eps=d_eps, grid=grid, R=R, frames=frames, log_mu=log_mu, profile=profile,
+        h2=h2, h2_grad=h2.gradient(np.array([f.P for f in frames])),
         far_geometry=_far_geometry(frames),
     )
 
@@ -630,7 +625,7 @@ def calA(alpha: float, ctx: StreamContext) -> float:
     """
     if alpha != ctx.alpha:
         ctx = build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=alpha,
-                            delta=ctx.delta, delta1=ctx.delta1, grid=ctx.grid)
+                            delta=ctx.delta, grid=ctx.grid)
     y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64)
     sres = inner_residual_scaled(y, ctx)
     yn2 = np.einsum("...i,...i->...", y, y)

@@ -31,9 +31,6 @@ epsilon = e^-10, e^-20
 r = 1.0
 h = 1.0
 n = 3
-
-[sweep]
-threads = 1
 """
 
 
@@ -44,27 +41,78 @@ def cfg_file(tmp_path):
     return p
 
 
+def _without(section: str, key: str) -> str:
+    """BASE with `key` of `[section]` left out."""
+    lines, current = [], None
+    for line in BASE.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.split("=")[0].strip() == key:
+            continue
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
-        p.write_text("[stream]\nwhatever = 3\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        # delta1 and [kmd] periods are retired keys
+        for text in ("[stream]\nwhatever = 3\n", "[stream]\ndelta1 = 0.1\n",
+                     "[kmd]\nperiods = 1\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(p)
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
-        p.write_text("[mystery]\nx = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        # [sweep] is retired: the thread count comes from --threads only
+        for text in ("[mystery]\nx = 1\n", "[sweep]\nthreads = 1\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="unknown section"):
+                load_config(p)
 
     def test_range_validation(self, tmp_path):
         p = tmp_path / "bad.ini"
-        p.write_text("[kmd]\ndt = -0.1\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
-        p.write_text("[stream]\nepsilon = 0.9\nr = 1\nh = 1\nn = 3\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        stream = "[stream]\nepsilon = e^-20\nr = 1\nh = 1\nn = 3\n"
+        for text in ("[kmd]\ndt = -0.1\n", "[stream]\nepsilon = 0.9\nr = 1\nh = 1\nn = 3\n",
+                     stream + "grid.radial = 3\n", stream + "grid.angular = 0\n",
+                     stream + "grid.rho_min = 0\n", stream + "grid.rho_min = 30\n",
+                     stream + "grid.rho_max = 1e-7\n", stream + "out_grid.n = 0\n",
+                     "[grid]\nnx = 0\n", "[grid]\nny = 0\n", "[grid]\nnz = 0\n",
+                     "[config]\nvariant = PolygonHelix\nperiods = 0\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(p)
+        # the smallest sizes are accepted
+        p.write_text(stream + "grid.radial = 4\ngrid.angular = 1\nout_grid.n = 1\n"
+                     "[grid]\nnx = 1\nny = 1\nnz = 1\n")
+        load_config(p)
+
+    @pytest.mark.parametrize("subcommand,section,key", [
+        ("build-stream", "stream", "h"),
+        ("build-stream", "stream", "r"),
+        ("residual-scan", "stream", "n"),
+        ("alpha-solve", "stream", "r"),
+        ("lift-3d", "stream", "h"),
+        ("simulate-kmd", "kmd", "t_final"),
+        ("simulate-kmd", "kmd", "dt"),
+        ("simulate-kmd", "config", "r"),
+        ("simulate-kmd", "config", "n_outer"),
+    ])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, subcommand, section, key):
+        p = tmp_path / "missing.ini"
+        p.write_text(_without(section, key))
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: missing required key '{key}' in section [{section}]"
+        ]
+
+    def test_readme_example_config_loads(self, tmp_path):
+        # the README's example config follows the schema
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        p = tmp_path / "readme.ini"
+        p.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert set(load_config(p).sections) == {"config", "kmd", "stream", "grid"}
 
     def test_log_scale_epsilon_tokens(self, tmp_path):
         p = tmp_path / "ok.ini"
@@ -104,7 +152,8 @@ class TestStreamCommands:
         assert ctx["alpha"] == pytest.approx(-2.0)
         assert ctx["eps"] == pytest.approx(math.exp(-15))
         assert len(ctx["vertices"]) == 3
-        assert {"mu", "c1", "c2", "d_eps"} <= set(ctx)
+        assert set(ctx) == {"eps", "log_eps", "mu", "log_mu", "alpha", "c1", "c2",
+                            "delta", "d_eps", "vertices"}
         for name in ("psi_star.csv", "h2_correction.csv"):
             assert (out / name).is_file()
 
@@ -165,8 +214,9 @@ class TestStreamCommands:
         alphas = []
 
         def counting(*args, **kwargs):
-            alphas.append(kwargs.get("alpha"))
-            return build(*args, **kwargs)
+            ctx = build(*args, **kwargs)
+            alphas.append(ctx.alpha)
+            return ctx
 
         monkeypatch.setattr(stream, "build_context", counting)
         grid = "[stream]\ngrid.radial = 64\ngrid.angular = 24\n"

@@ -131,12 +131,12 @@ def test_nearest_inner_coords_match_brute_force(geometry, data):
         assert np.array_equal(y, y_ref)
 
 
-@pytest.mark.parametrize("kind", ["eps", "r", "h", "n", "radius", "alpha", "delta", "delta1"])
+@pytest.mark.parametrize("kind", ["eps", "r", "h", "n", "radius", "alpha", "delta"])
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(geometry=geometries(), excess=st.floats(0.01, 2.0))
 def test_out_of_band_input_raises(kind, geometry, excess):
     eps, r, h, n, alpha = geometry
-    kwargs = {}
+    delta = None
     edge = min(0.5 * math.sin(math.pi / n), 0.5)        # delta's upper edge, r0/4
     if kind == "eps":
         eps = math.exp(-1.0 + excess / 2.0)
@@ -151,9 +151,7 @@ def test_out_of_band_input_raises(kind, geometry, excess):
     elif kind == "alpha":
         band = max(10.0, 4.0 * abs(theorem_alpha(r, h, n, HelixVariant.POLYGON_HELIX)) + 4.0)
         alpha = math.copysign(band * (1.0 + excess), alpha)
-    elif kind == "delta":
-        kwargs["delta"] = edge * (1.0 + excess)
-    else:                                               # default delta = 0.8 edge
-        kwargs["delta1"] = 0.5 * (0.8 * edge) ** 2 * (1.0 + excess)
+    else:
+        delta = edge * (1.0 + excess)
     with pytest.raises(DegenerateConfig):
-        build_context(eps, r, h, n, alpha=alpha, grid=GRID, **kwargs)
+        build_context(eps, r, h, n, alpha=alpha, delta=delta, grid=GRID)

@@ -59,7 +59,6 @@ class TestAdmissibility:
         ({"alpha": 40.0}, "rotation speed outside the admissible band"),
         ({"alpha": -40.0}, "rotation speed outside the admissible band"),
         ({"delta": 0.5}, "0 < delta"),
-        ({"delta1": 0.1}, "2 delta1 < delta"),
         # |log mu| = 0.01 here, below the band's 0.1 log|log eps|
         ({"eps": math.exp(-10.0), "r": 1.42, "n": 2, "alpha": 1.85},
          "mu escaped the admissible logarithmic band"),
@@ -73,6 +72,13 @@ class TestAdmissibility:
 
 
 class TestMu:
+    @pytest.mark.parametrize("alpha", [None, generic_scan_alpha(1.0, 1.0, 3)])
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    def test_one_eps_mu(self, ctx_cache, exponent, alpha):
+        # the context's eps*mu is the vertex profile's, bit for bit
+        ctx = ctx_cache(exponent, alpha=alpha)
+        assert ctx.eps_mu == ctx.profile.eps_mu
+
     def test_vertex_independence(self, ctx_cache):
         ctx = ctx_cache(20.0)
         vals = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
