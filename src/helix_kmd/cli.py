@@ -17,24 +17,24 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import RunManifest, write_csv
-from .config import ExperimentConfig, grid_spec, load_config
+from .config import ExperimentConfig, _parse_float_list, grid_spec, load_config
 from .errors import ConfigError, HelixKmdError
 
 
 def _map(args, fn, items) -> list:
     """[fn(x) for x in items], on a pool of `--threads` workers when above 1."""
-    nthreads = max(1, args.threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 
 
 def _epsilons(args, cfg: ExperimentConfig) -> list[float]:
     if args.epsilon_override:
-        from .config import _parse_float
-
-        vals = [_parse_float(t) for t in args.epsilon_override.split(",")]
+        try:
+            vals = _parse_float_list(args.epsilon_override)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad --epsilon-override: {args.epsilon_override}") from exc
     else:
         vals = cfg.require("stream").get("epsilon", [])
     if not vals:
@@ -310,6 +310,8 @@ def main(argv=None) -> int:
                         help="comma list of epsilon values, e.g. 'e^-10,e^-20'")
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.config is not None:
             cfg = load_config(args.config)
         elif args.subcommand == "verify":

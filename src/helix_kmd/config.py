@@ -182,7 +182,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{name}]")
             try:
                 out[key] = _CONVERTERS[schema[key]](value)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for [{name}] {key}: {value}") from exc
         sections[name] = out
     _validate(sections)

@@ -75,6 +75,7 @@ class TestConfig:
         p = tmp_path / "bad.ini"
         stream = "[stream]\nepsilon = e^-20\nr = 1\nh = 1\nn = 3\n"
         for text in ("[kmd]\ndt = -0.1\n", "[stream]\nepsilon = 0.9\nr = 1\nh = 1\nn = 3\n",
+                     "[stream]\nepsilon = e^1000\nr = 1\nh = 1\nn = 3\n",
                      stream + "grid.radial = 3\n", stream + "grid.angular = 0\n",
                      stream + "grid.rho_min = 0\n", stream + "grid.rho_min = 30\n",
                      stream + "grid.rho_max = 1e-7\n", stream + "out_grid.n = 0\n",
@@ -125,6 +126,39 @@ class TestConfig:
         p.write_text("[stream]\nbogus = 1\n")
         code = main(["residual-scan", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("value,error", [
+        ("abc", "bad --epsilon-override: abc"),
+        ("e^x", "bad --epsilon-override: e^x"),
+        ("e^1000", "bad --epsilon-override: e^1000"),
+        (",", "no epsilon values given"),
+        ("e^-20,", None),
+    ])
+    def test_epsilon_override_values(self, tmp_path, capsys, value, error):
+        # parsed like [stream] epsilon: empty items are dropped
+        p = tmp_path / "tiny.ini"
+        p.write_text(BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\n"
+                                  "grid.angular = 24\nout_grid.n = 3\n"))
+        out = tmp_path / "o"
+        code = main(["build-stream", "--config", str(p), "--out", str(out),
+                     "--epsilon-override", value])
+        err = capsys.readouterr().err.splitlines()
+        if error is None:
+            assert (code, err) == (0, [])
+            assert json.loads((out / "context.json").read_text())["eps"] == math.exp(-20.0)
+        else:
+            assert (code, err) == (2, [f"config error: {error}"])
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("subcommand", ["residual-scan", "alpha-solve", "verify"])
+    def test_threads_below_one_exit_2(self, cfg_file, tmp_path, capsys, subcommand, threads):
+        code = main([subcommand, "--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                     "--threads", threads])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --threads must be >= 1, got {threads}"
+        ]
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateKmd:

@@ -7,8 +7,10 @@ the banded mode matrix, an element-wise lil_matrix fill of the radial
 systems, a local defect that lets the Laplacian, Hessian and gradient of
 the profile each recompute the profile's intermediates, a far-profile
 increment delta_value that computes its own intermediates and each of its
-dot products with dz twice, and a lift-3d box sampled one (x, y) column at
-a time.  The numpy spline and cumulative
+dot products with dz twice, a lift-3d box sampled one (x, y) column at
+a time, and the point kernels of `stream` (error_g, residual_S and
+inner_residual_scaled) run on the whole array instead of in blocks of
+`stream._POINT_BLOCK` points.  The numpy spline and cumulative
 Simpson rule of `elliptic` are compared with scipy's CubicSpline and
 cumulative_simpson, whose arithmetic they repeat.  The arithmetic per
 entry is unchanged, so results must agree exactly, not to a tolerance.
@@ -22,7 +24,9 @@ is compared with the complex exp(i k theta) modes of the earlier solver
 
 import functools
 import math
+import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -936,3 +940,87 @@ class TestLiftBox:
         # one call for the box, the rest for the symmetry defect; one call
         # per (x, y) column would make more than 25
         assert run["psi_star"] <= 5
+
+
+_B = stream._POINT_BLOCK
+
+
+def _kernel_inputs(ctx, rng, size):
+    """Points for error_g and residual_S (a quarter of them deep in a vertex
+    core, where residual_S takes the scaled assembly) and for
+    inner_residual_scaled, each shaped size + (2,)."""
+    n = math.prod(size)
+    x = rng.uniform(-1.1, 1.1, size=(n, 2))
+    deep = rng.random(n) < 0.25
+    frame = rng.integers(0, ctx.n, n)
+    y = rng.uniform(-5.0, 5.0, size=(n, 2))
+    for j, f in enumerate(ctx.frames):
+        sel = deep & (frame == j)
+        x[sel] = f.P + ctx.eps_mu * y[sel] @ f.Mj.T
+    return x.reshape(size + (2,)), rng.uniform(-40.0, 40.0, size=size + (2,))
+
+
+def _kernels(ctx):
+    """(name, blocked call, whole-array call) of each routed point kernel."""
+    return [
+        ("error_g", lambda x, y: stream.error_g(x, ctx.profile, ctx.frames),
+         lambda x, y: stream._error_g(x, ctx.profile, ctx.frames)),
+        ("residual_S", lambda x, y: stream.residual_S(x, ctx),
+         lambda x, y: stream._residual_S(x, ctx)),
+        ("inner_residual_scaled", lambda x, y: stream.inner_residual_scaled(y, ctx, 2),
+         lambda x, y: stream._inner_residual_scaled(y, ctx, 2)),
+    ]
+
+
+class TestPointBlocks:
+    SIZES = [(_B - 1,), (_B,), (_B + 1,), (2 * _B + 3,), (61, 97)]
+
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: "x".join(map(str, s)))
+    def test_blocks_match_one_whole_array_call(self, ctx_cache, rng, size):
+        ctx = ctx_cache(20.0)
+        x, y = _kernel_inputs(ctx, rng, size)
+        for name, blocked, whole in _kernels(ctx):
+            got, ref = blocked(x, y), whole(x, y)
+            assert got.shape == size, name
+            assert np.array_equal(got, ref), name
+
+    def test_pool_threads_evaluate_whole_arrays(self, ctx_cache, rng, monkeypatch):
+        ctx = ctx_cache(20.0)
+        x, y = _kernel_inputs(ctx, rng, (2 * _B + 3,))
+        calls = []
+        body = stream._error_g
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return body(*args)
+
+        monkeypatch.setattr(stream, "_error_g", counting)
+        serial = {name: blocked(x, y) for name, blocked, _ in _kernels(ctx)}
+        assert calls == [_B, _B, 3]
+        calls.clear()
+        with ThreadPoolExecutor(2) as pool:
+            pooled = {name: pool.submit(blocked, x, y)
+                      for name, blocked, _ in _kernels(ctx)}
+            pooled = {name: fut.result(timeout=120) for name, fut in pooled.items()}
+        # one whole-array call while the pool's threads are alive
+        assert calls == [2 * _B + 3]
+        for name in serial:
+            assert np.array_equal(pooled[name], serial[name]), name
+
+    def test_error_g_peak_memory_on_the_defect_grid(self, ctx_cache):
+        # the half-sector of the default grid that solve_H2 samples
+        ctx = ctx_cache(20.0)
+        grid = ctx.grid
+        rho = grid.radial_nodes()
+        theta = grid.theta_nodes()[: grid.n_angular // ctx.n // 2 + 1]
+        x = elliptic._polar_points(rho[rho <= 1.02], theta)
+        assert x[..., 0].size > 4 * _B
+        stream.error_g(x, ctx.profile, ctx.frames)
+        tracemalloc.start()
+        try:
+            stream.error_g(x, ctx.profile, ctx.frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 6.4 MB in one whole-array call, 1.5 MB in blocks
+        assert peak < 2.5e6

@@ -15,9 +15,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helix_kmd.configurations import HelixVariant, theorem_alpha
+from helix_kmd.configurations import (
+    KAPPA,
+    HelixConfig,
+    HelixVariant,
+    sampled_trajectory,
+    theorem_alpha,
+)
 from helix_kmd.elliptic import PolarGridSpec
 from helix_kmd.errors import DegenerateConfig
+from helix_kmd.filaments import galilean_transform
 from helix_kmd.screw_operator import change_from_local, change_to_local, local_frame
 from helix_kmd.stream import (
     _nearest_inner_coords,
@@ -129,6 +136,22 @@ def test_nearest_inner_coords_match_brute_force(geometry, data):
         y_ref, idx_ref = _nearest_reference(fr, ctx.eps_mu, x)
         assert np.array_equal(idx, idx_ref)
         assert np.array_equal(y, y_ref)
+
+
+@PROPERTY
+@given(r=st.floats(0.3, 3.0), n=st.integers(2, 5),
+       h=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
+def test_galilean_boost_maps_polygon_to_helix(r, n, h):
+    # the boost with nu = 1/h (one axial mode of the period 2 pi |h|) turns
+    # the straight polygon's exact trajectory into the polygon of helices'
+    polygon = HelixConfig(r, h, n, 0.0, HelixVariant.STRAIGHT_POLYGON)
+    helix = HelixConfig(r, h, n, 1.0 / h, HelixVariant.POLYGON_HELIX)
+    boosted = galilean_transform(sampled_trajectory(polygon, 1e-3, 4, modes=64),
+                                 1.0 / h, KAPPA)
+    ref = sampled_trajectory(helix, 1e-3, 4, modes=64)
+    scale = max(float(np.max(np.abs(s.positions))) for s in ref.snapshots)
+    for a, b in zip(boosted.snapshots, ref.snapshots):
+        assert np.max(np.abs(a.positions - b.positions)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["eps", "r", "h", "n", "radius", "alpha", "delta"])
