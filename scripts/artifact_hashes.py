@@ -58,36 +58,43 @@ RUNS = {
 }
 
 
-def _digest(path: Path) -> str:
+def normalized_bytes(path: Path) -> bytes:
+    """The artifact's bytes; for `manifest.json`, without its `timings_s`."""
     data = path.read_bytes()
     if path.name == "manifest.json":
         manifest = json.loads(data)
         manifest.pop("timings_s", None)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    return data
+
+
+def run_all(repo: Path, dest: Path) -> dict[str, Path]:
+    """Run every entry of RUNS from `<repo>/src` under `dest`;
+    {"<run>/<file>": path} for every artifact written."""
+    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
+    out = {}
+    for run, (config, extra) in RUNS.items():
+        work = dest / run
+        work.mkdir(parents=True)
+        argv = [sys.executable, "-m", "helix_kmd",
+                run.removesuffix("-t1").removesuffix("-t2"),
+                "--out", str(work / "out"), *extra]
+        if config is not None:
+            (work / "run.ini").write_text(config)
+            argv += ["--config", str(work / "run.ini")]
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{run} exited {proc.returncode}:\n{proc.stderr}")
+        for path in sorted((work / "out").iterdir()):
+            out[f"{run}/{path.name}"] = path
+    return out
 
 
 def artifact_hashes(repo: Path) -> dict[str, str]:
     """{"<run>/<file>": sha256} for every run in RUNS."""
-    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
-    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for run, (config, extra) in RUNS.items():
-            work = Path(tmp) / run
-            work.mkdir()
-            argv = [sys.executable, "-m", "helix_kmd",
-                    run.removesuffix("-t1").removesuffix("-t2"),
-                    "--out", str(work / "out"), *extra]
-            if config is not None:
-                (work / "run.ini").write_text(config)
-                argv += ["--config", str(work / "run.ini")]
-            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
-                                  text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"{run} exited {proc.returncode}:\n{proc.stderr}")
-            for path in sorted((work / "out").iterdir()):
-                out[f"{run}/{path.name}"] = _digest(path)
-    return out
+        return {key: hashlib.sha256(normalized_bytes(path)).hexdigest()
+                for key, path in run_all(repo, Path(tmp)).items()}
 
 
 def main(argv: list[str]) -> int:

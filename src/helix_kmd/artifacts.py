@@ -25,10 +25,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 class RunManifest:
     """Config hash, version, per-operation timings, produced files."""
 
-    def __init__(self, config_bytes: bytes, seed: int | None = None):
+    def __init__(self, config_bytes: bytes):
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
         self.version = __version__
-        self.seed = seed
+        self.seed: int | None = None
         self.timings: dict[str, float] = {}
         self.files: list[str] = []
         self._t0: dict[str, float] = {}

@@ -14,8 +14,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-FORMAT_VERSION = 1
-
 
 def _parse_float(tok: str) -> float:
     """Floats, plus 'e^-40' meaning exp(-40) for log-scale sweeps."""
@@ -86,7 +84,6 @@ class ExperimentConfig:
 
     sections: dict = field(default_factory=dict)
     source_bytes: bytes = b""
-    format_version: int = FORMAT_VERSION
 
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
@@ -124,6 +121,13 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[kmd] t_final must be positive")
         if kmd.get("stride", 1) < 1:
             raise ConfigError("[kmd] stride must be >= 1")
+        if "dt" in kmd and "t_final" in kmd:
+            from .filaments import step_count
+
+            try:
+                step_count(kmd["t_final"], kmd["dt"], kmd.get("stride", 1))
+            except ValueError as exc:
+                raise ConfigError(f"[kmd] {exc}") from None
         if kmd.get("modes", 64) < 2 or (kmd.get("modes", 64) & (kmd.get("modes", 64) - 1)):
             raise ConfigError("[kmd] modes must be a power of two")
         if "kappa" in kmd and any(k == 0.0 for k in kmd["kappa"]):

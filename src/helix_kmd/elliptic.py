@@ -27,14 +27,11 @@ cubic spline in u (one column per mode), which evaluates values and
 gradients off the grid, with cos(N m theta) and sin(N m theta) from a
 Chebyshev recurrence in m.
 
-The module imports numpy only, and so does the library.  The m >= 1
-mode systems are solved together by `_Banded`, a block LU for stacked
-five-band matrices that linear_theory's radial systems use too; their
-factors depend on the grid, h and the kept modes, not on g, and are
-cached across builds.  The spline (its tridiagonal system is LAPACK
-dgtsv ported to numpy) and the cumulative Simpson rule of the radial
-mode repeat the arithmetic of scipy's CubicSpline and
-cumulative_simpson bit for bit.
+The module imports numpy only, and so does the library.  Its one linear
+solver is `_Banded`, a block LU for stacked five-band matrices: it solves
+the m >= 1 mode systems together, the spline's tridiagonal system and
+linear_theory's radial systems.  The mode factors depend on the grid, h
+and the kept modes, not on g, and are cached across builds.
 """
 
 from __future__ import annotations
@@ -91,50 +88,6 @@ class ScalarGrid:
             raise ValueError("radial nodes must increase")
 
 
-def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> None:
-    """Solve the tridiagonal system (dl, d, du) x = b in place of b (n, columns).
-
-    LAPACK dgtsv's Gaussian elimination with partial pivoting by row
-    interchanges, so that x agrees bit for bit with scipy's
-    solve_banded((1, 1)).  The pivot decisions, multipliers and reduced
-    diagonals depend on the matrix alone and are computed once in Python
-    floats; the forward and back sweeps then act on whole rows of b.
-    """
-    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
-    n = len(d)
-    fact = [0.0] * (n - 1)
-    swap = [False] * (n - 1)
-    fill = [0.0] * (n - 1)  # second super-diagonal made by interchanges
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact[i] = f = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - f * du[i]
-        else:
-            fact[i] = f = d[i] / dl[i]
-            swap[i] = True
-            d[i] = dl[i]
-            t = d[i + 1]
-            d[i + 1] = du[i] - f * t
-            if i < n - 2:
-                fill[i] = du[i + 1]
-                du[i + 1] = -f * fill[i]
-            du[i] = t
-    rows = list(b)
-    for i in range(n - 1):
-        if swap[i]:
-            t = rows[i].copy()
-            rows[i][...] = rows[i + 1]
-            rows[i + 1][...] = t - fact[i] * rows[i + 1]
-        else:
-            rows[i + 1] -= fact[i] * rows[i]
-    rows[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        rows[i] -= du[i] * rows[i + 1]
-        if fill[i]:
-            rows[i] -= fill[i] * rows[i + 2]
-        rows[i] /= d[i]
-
-
 class _Banded:
     """LU factors of m stacked n x n matrices with two sub- and super-diagonals.
 
@@ -144,7 +97,7 @@ class _Banded:
     each Schur-complemented diagonal block is inverted by np.linalg.inv
     (partial pivoting inside the block), and consecutive blocks couple
     only through 2 x 2 corners.  Nothing pivots across blocks, which the
-    radial mode systems here do not need.  solve() takes one Python step
+    radial and spline systems here do not need.  solve() takes one Python step
     per block, each a batched matmul over the m matrices, so a matrix's
     solution does not depend on the other matrices of the batch.
     """
@@ -211,9 +164,9 @@ class _Banded:
 class _ColumnSpline:
     """Not-a-knot cubic spline through y[:, j] at increasing knots x.
 
-    Same coefficients and evaluation order as
-    scipy.interpolate.CubicSpline(x, y, axis=0) and its derivative(), so
-    values agree bit for bit; points outside [x[0], x[-1]] use the end
+    The spline of scipy.interpolate.CubicSpline(x, y, axis=0), to rounding:
+    _Banded solves for the knot derivatives, and the pieces are evaluated
+    in scipy's order.  Points outside [x[0], x[-1]] use the end
     polynomials.  Real columns; at least four knots.
     """
 
@@ -225,20 +178,19 @@ class _ColumnSpline:
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
         # derivatives yp at the knots: tridiagonal system, not-a-knot ends
-        A = np.zeros((3, n))
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
+        bands = np.zeros((5, n, 1))
+        sub, diag, sup = bands[1:4, :, 0]
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        sub[1:-1], sup[1:-1] = dx[1:], dx[:-1]
         b = np.empty(y.shape)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        A[1, 0] = dx[1]
-        A[0, 1] = d = x[2] - x[0]
+        d = x[2] - x[0]
+        diag[0], sup[0] = dx[1], d
         b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-        A[1, -1] = dx[-2]
-        A[-1, -2] = d = x[-1] - x[-3]
+        d = x[-1] - x[-3]
+        diag[-1], sub[-1] = dx[-2], d
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        _gtsv(A[2, :-1], A[1], A[0, 1:], b.reshape(n, -1))
-        yp = b
+        yp = _Banded(bands).solve(b.reshape(n, 1, -1)).reshape(y.shape)
         # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
         t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
         c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
@@ -336,44 +288,27 @@ def _solve_mode0(u, beta, g0_hat):
     quadratic-growth far field continues seamlessly at the outer edge.
     Returns (f0, G) with f0(umin) = 0.
     """
-    e2u = np.exp(2.0 * u)
-    G = _cumulative_simpson(e2u * g0_hat, u)
-    f0 = -_cumulative_simpson(G / beta, u)
+    du = u[1] - u[0]
+    G = _cumulative_simpson(np.exp(2.0 * u) * g0_hat, du)
+    f0 = -_cumulative_simpson(G / beta, du)
     if not np.all(np.isfinite(f0)):
         raise SolverDivergence("radial mode produced non-finite values")
     return f0, G
 
 
-def _simpson_parts(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integrals over [x_i, x_i+1] from y_i, y_i+1, y_i+2 (unequal dx)."""
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+def _cumulative_simpson(y: np.ndarray, du: float) -> np.ndarray:
+    """Cumulative integral of y on a uniform grid of step du, from 0 (3+ points).
 
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of y(x) from x[0], starting at 0 (3+ points).
-
-    The arithmetic of scipy.integrate.cumulative_simpson(y, x=x,
-    initial=0.0): even intervals from the forward three-point rule, odd
-    ones and the last from the same rule run backwards.
+    As scipy's cumulative_simpson: even intervals from the forward
+    three-point rule, odd ones and the last from the same rule run backwards.
     """
-    dx = np.diff(x)
-    h1 = _simpson_parts(y, dx)
-    h2 = _simpson_parts(y[::-1], dx[::-1])[::-1]
-    parts = np.empty(dx.size, dtype=np.result_type(y, dx))
-    parts[:-1:2] = h1[::2]
-    parts[1::2] = h2[::2]
-    parts[-1] = h2[-1]
-    # "+ 0.0" as scipy adds `initial`: it turns a -0.0 into 0.0
-    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
+    forward = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]  # interval i from y_i, y_i+1, y_i+2
+    backward = -y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]  # interval i + 1 from the same
+    parts = np.empty(y.size - 1)
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(parts) * (du / 12.0)))
 
 
 def _polar_points(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -200,6 +200,19 @@ def step(
     return state.with_positions(pos, state.time + dt)
 
 
+def step_count(t_final: float, dt: float, stride: int = 1) -> int:
+    """The number of steps round(t_final/dt), a multiple of stride so that
+    snapshots are uniformly spaced; ValueError when the inputs give none."""
+    if t_final <= 0.0 or dt <= 0.0 or dt > t_final + 1e-15:
+        raise ValueError("need 0 < dt <= t_final")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise ValueError("t_final must be an integer number of steps")
+    if stride < 1 or n_steps % stride != 0:
+        raise ValueError("stride must divide the number of steps")
+    return n_steps
+
+
 def simulate(
     state: FilamentEnsemble,
     t_final: float,
@@ -209,17 +222,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate to t_final recording every `stride`-th step.
 
-    The number of steps round(t_final/dt) must be a multiple of stride so
-    snapshots are uniformly spaced.  The default collision threshold is
-    1e-6 times the initial minimum separation.
+    The step count comes from step_count.  The default collision threshold
+    is 1e-6 times the initial minimum separation.
     """
-    if t_final <= 0.0 or dt <= 0.0 or dt > t_final + 1e-15:
-        raise ValueError("need 0 < dt <= t_final")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError("t_final must be an integer number of steps")
-    if stride < 1 or n_steps % stride != 0:
-        raise ValueError("stride must divide the number of steps")
+    n_steps = step_count(t_final, dt, stride)
     if collision_threshold is None:
         ms = min_separation(state)
         collision_threshold = 0.0 if np.isinf(ms) else 1e-6 * ms

@@ -80,7 +80,12 @@ class TestConfig:
                      stream + "grid.rho_min = 0\n", stream + "grid.rho_min = 30\n",
                      stream + "grid.rho_max = 1e-7\n", stream + "out_grid.n = 0\n",
                      "[grid]\nnx = 0\n", "[grid]\nny = 0\n", "[grid]\nnz = 0\n",
-                     "[config]\nvariant = PolygonHelix\nperiods = 0\n"):
+                     "[config]\nvariant = PolygonHelix\nperiods = 0\n",
+                     # 100 steps that stride 7 does not divide; 100.05 steps;
+                     # a step longer than the run
+                     "[kmd]\ndt = 1e-3\nt_final = 0.1\nstride = 7\n",
+                     "[kmd]\ndt = 1e-3\nt_final = 0.10005\nstride = 10\n",
+                     "[kmd]\ndt = 0.2\nt_final = 0.1\n"):
             p.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(p)
@@ -162,6 +167,20 @@ class TestConfig:
 
 
 class TestSimulateKmd:
+    @pytest.mark.parametrize("change,error", [
+        ("stride = 7", "stride must divide the number of steps"),
+        ("t_final = 0.25005", "t_final must be an integer number of steps"),
+        ("dt = 0.5", "need 0 < dt <= t_final"),
+    ])
+    def test_step_count_errors_exit_2(self, tmp_path, capsys, change, error):
+        key = change.split(" = ")[0]
+        p = tmp_path / "steps.ini"
+        p.write_text(_without("kmd", key).replace("[kmd]\n", f"[kmd]\n{change}\n"))
+        out = tmp_path / "o"
+        assert main(["simulate-kmd", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: [kmd] {error}"]
+        assert not out.exists()
+
     def test_trajectory_and_speed(self, cfg_file, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate-kmd", "--config", str(cfg_file),

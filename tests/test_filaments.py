@@ -17,6 +17,7 @@ from helix_kmd import (
     simulate,
     step,
 )
+from helix_kmd.filaments import step_count
 
 
 def straight(positions, kappa=2.0, modes=64):
@@ -112,6 +113,15 @@ class TestSimulate:
         st = polygon()
         traj = simulate(st, 10e-3, 1e-3, stride=1)
         assert len(traj.snapshots) == 11
+
+    @pytest.mark.parametrize("t_final,dt,stride", [
+        (0.1, 1e-3, 7), (0.10005, 1e-3, 10), (0.1, 0.2, 1), (0.1, 1e-3, 0),
+    ])
+    def test_step_count_errors_raise_before_stepping(self, t_final, dt, stride):
+        with pytest.raises(ValueError):
+            step_count(t_final, dt, stride)
+        with pytest.raises(ValueError):
+            simulate(polygon(), t_final, dt, stride=stride)
 
     def test_polygon_phase_short_run(self):
         st = polygon()

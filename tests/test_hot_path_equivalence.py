@@ -10,16 +10,23 @@ increment delta_value that computes its own intermediates and each of its
 dot products with dz twice, a lift-3d box sampled one (x, y) column at
 a time, and the point kernels of `stream` (error_g, residual_S and
 inner_residual_scaled) run on the whole array instead of in blocks of
-`stream._POINT_BLOCK` points.  The numpy spline and cumulative
-Simpson rule of `elliptic` are compared with scipy's CubicSpline and
-cumulative_simpson, whose arithmetic they repeat.  The arithmetic per
-entry is unchanged, so results must agree exactly, not to a tolerance.
-Three exceptions agree to rounding only: the defect density g on the
-solver grid, which is evaluated on one dihedral half-sector; the block LU
-of `elliptic._Banded`, which eliminates in another order than scipy's
-solve_banded and spsolve; and H2, a real cosine series in N theta, which
-is compared with the complex exp(i k theta) modes of the earlier solver
-(full-grid rfft, solve_banded, one spline per mode) to 1e-13 of max|H2|.
+`stream._POINT_BLOCK` points.  The arithmetic per entry is unchanged,
+so results must agree exactly, not to a tolerance.  Five exceptions agree
+to rounding only:
+  * the defect density g on the solver grid, which is evaluated on one
+    dihedral half-sector;
+  * the block LU of `elliptic._Banded`, which eliminates in another order
+    than scipy's solve_banded and spsolve;
+  * the not-a-knot spline of `elliptic`, whose tridiagonal system
+    `_Banded` solves: its knot derivatives are held to a 40-digit mpmath
+    solve, its values to scipy's CubicSpline (and `ProjectedSolution.phi`
+    to one CubicSpline per mode);
+  * the cumulative Simpson rule of the radial mode, which takes the
+    uniform step of the grid where scipy's cumulative_simpson reads each
+    step from the points;
+  * H2, a real cosine series in N theta, which is compared with the
+    complex exp(i k theta) modes of the earlier solver (full-grid rfft,
+    solve_banded, one spline per mode) to 1e-13 of max|H2|.
 """
 
 import functools
@@ -28,6 +35,7 @@ import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -796,67 +804,135 @@ class TestH2CosineSeries:
             elliptic.solve_k_poisson(np.zeros((63, 24 // n // 2 + 1)), spec, 1.0, n)
 
 
-class TestColumnSpline:
-    @pytest.fixture
-    def data(self):
-        rng = np.random.default_rng(7)
-        x = np.linspace(np.log(1e-6), np.log(20.0), 200)
-        y = rng.normal(size=(x.size, 6)) * np.exp(-np.exp(x))[:, None]
-        return x, y
+def _knot_derivatives_mp(x, y, dps=40):
+    """Knot derivatives of the not-a-knot spline through the float data
+    (x, y[:, j]): its tridiagonal system set up and solved by Thomas
+    elimination in mpmath at `dps` digits, then rounded to floats."""
+    mpf = mpmath.mpf
+    n = x.size
+    out = np.empty(y.shape)
+    with mpmath.workdps(dps):
+        xs = [mpf(float(v)) for v in x]
+        dx = [b - a for a, b in zip(xs, xs[1:])]
+        for j in range(y.shape[1]):
+            ys = [mpf(float(v)) for v in y[:, j]]
+            sl = [(b - a) / d for a, b, d in zip(ys, ys[1:], dx)]
+            sub, diag, sup, rhs = ([mpf(0)] * n for _ in range(4))
+            for i in range(1, n - 1):
+                sub[i], diag[i], sup[i] = dx[i], 2 * (dx[i - 1] + dx[i]), dx[i - 1]
+                rhs[i] = 3 * (dx[i] * sl[i - 1] + dx[i - 1] * sl[i])
+            d = xs[2] - xs[0]
+            diag[0], sup[0] = dx[1], d
+            rhs[0] = ((dx[0] + 2 * d) * dx[1] * sl[0] + dx[0] ** 2 * sl[1]) / d
+            d = xs[-1] - xs[-3]
+            diag[-1], sub[-1] = dx[-2], d
+            rhs[-1] = (dx[-1] ** 2 * sl[-2] + (2 * d + dx[-1]) * dx[-2] * sl[-1]) / d
+            for i in range(1, n):
+                w = sub[i] / diag[i - 1]
+                diag[i] -= w * sup[i - 1]
+                rhs[i] -= w * rhs[i - 1]
+            yp = [rhs[-1] / diag[-1]]
+            for i in range(n - 2, -1, -1):
+                yp.append((rhs[i] - sup[i] * yp[-1]) / diag[i])
+            out[:, j] = [float(v) for v in yp[::-1]]
+    return out
 
+
+def _spline_data(n, columns=6):
+    """n log-radius knots as on the H2 grid, random columns decaying outwards."""
+    x = np.linspace(np.log(1e-6), np.log(20.0), n)
+    y = np.random.default_rng(n).normal(size=(n, columns)) * np.exp(-np.exp(x))[:, None]
+    return x, y
+
+
+def _max_rel(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+class TestColumnSpline:
+    # 4 knots is the fewest; 9 and 201 = 8k + 1 leave one real row in the
+    # last block of _Banded's LU
+    KNOTS = [4, 9, 200, 201, 512, 3072]
+
+    @pytest.mark.parametrize("n", KNOTS)
+    def test_knot_derivatives_match_extended_precision(self, n):
+        # measured at most 3.8e-16; scipy's CubicSpline is 3.3e-16 from it
+        x, y = _spline_data(n)
+        ref = _knot_derivatives_mp(x, y)
+        _, deriv = elliptic._ColumnSpline(x, y).with_derivative(x)
+        assert _max_rel(deriv, ref) <= 2e-15
+
+    @pytest.mark.parametrize("n", KNOTS)
     @pytest.mark.parametrize("n_points", [1, 9, 5000])
-    def test_matches_cubic_spline(self, data, n_points):
-        x, y = data
+    def test_matches_cubic_spline(self, n, n_points):
+        x, y = _spline_data(n)
         rng = np.random.default_rng(n_points)
-        # interior points, every knot, both ends and points just beyond them
+        # interior points, every knot and the last point before the end
         u = np.concatenate([rng.uniform(x[0], x[-1], n_points), x,
-                            [x[0] - 0.5, x[-1] + 0.5, np.nextafter(x[-1], 0.0)]])
+                            [np.nextafter(x[-1], 0.0)]])
         ref = CubicSpline(x, y, axis=0)
         spline = elliptic._ColumnSpline(x, y)
         value, deriv = spline.with_derivative(u)
         assert value.dtype == y.dtype and value.shape == (u.size, y.shape[1])
-        assert np.array_equal(spline(u), ref(u))
-        assert np.array_equal(value, ref(u))
-        assert np.array_equal(deriv, ref.derivative()(u))
+        assert np.array_equal(spline(u), value)
+        # measured at most 8.6e-16
+        assert _max_rel(value, ref(u)) <= 1e-14
+        assert _max_rel(deriv, ref.derivative()(u)) <= 1e-14
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 40])
-    def test_gtsv_matches_solve_banded(self, n):
-        # random diagonals: rows are interchanged wherever |dl| > |d|,
-        # which the well-conditioned spline systems never need
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            ab = rng.normal(size=(3, n))
-            b = rng.normal(size=(n, 3))
-            ref = solve_banded((1, 1), ab, b)
-            elliptic._gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-            assert np.array_equal(b, ref)
+    @pytest.mark.parametrize("n", KNOTS)
+    def test_end_polynomials_beyond_the_knots(self, n):
+        # a distance s beyond an end knot, the end cubic magnifies the
+        # rounding of its coefficients by about (s/dx)^3 (measured at most
+        # 6.7e-16 (s/dx)^3 of max|y|); H2Correction and ProjectedSolution
+        # clip u to the knots, so only the spline itself evaluates there
+        x, y = _spline_data(n)
+        s = 0.5
+        u = np.array([x[0] - s, x[-1] + s])
+        ref = CubicSpline(x, y, axis=0)
+        value, deriv = elliptic._ColumnSpline(x, y).with_derivative(u)
+        growth = max(1.0, (s / (x[1] - x[0])) ** 3)
+        assert np.max(np.abs(value - ref(u))) <= 1e-14 * growth * np.max(np.abs(y))
+        assert np.max(np.abs(deriv - ref.derivative()(u))) \
+            <= 1e-14 * growth * np.max(np.abs(ref.derivative()(x)))
 
-    def test_columns_are_independent(self, data):
-        x, y = data
+    def test_columns_agree_with_single_column_splines(self):
+        # not bit for bit: the batched matmul of _Banded.solve picks its
+        # BLAS kernel by the number of columns (measured 6.6e-16)
+        x, y = _spline_data(200, columns=45)
         u = np.linspace(x[0], x[-1], 777)
         both = elliptic._ColumnSpline(x, y)(u)
         for j in range(y.shape[1]):
-            assert np.array_equal(both[:, j], CubicSpline(x, y[:, j])(u))
+            one = elliptic._ColumnSpline(x, y[:, j:j + 1])(u)[:, 0]
+            assert np.max(np.abs(both[:, j] - one)) <= 2e-15 * np.max(np.abs(y[:, j]))
 
 
 class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [3, 4, 129, 512])
-    def test_matches_scipy(self, rng, n):
-        x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    # scipy's rule for points x reads the step of every interval from
+    # np.diff(x), which differs from the uniform step by up to about
+    # ulp(max|x|)/dx relative; on n nodes that grows like n
+    @pytest.mark.parametrize("n", [3, 4, 5, 129, 512, 3072])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.linspace(-2.0, 3.0, n)
         y = np.sin(x) + rng.normal(size=n)
-        assert np.array_equal(elliptic._cumulative_simpson(y, x),
-                              cumulative_simpson(y, x=x, initial=0.0))
+        got = elliptic._cumulative_simpson(y, x[1] - x[0])
+        # measured at most 2.4e-15 and 3.7e-14 (at 3,072 nodes)
+        assert _max_rel(got, cumulative_simpson(y, dx=x[1] - x[0], initial=0.0)) <= 1e-14
+        assert _max_rel(got, cumulative_simpson(y, x=x, initial=0.0)) <= 2e-16 * n
 
-    def test_radial_mode(self, rng):
-        spec = elliptic.PolarGridSpec(n_radial=257)
+    @pytest.mark.parametrize("n", [257, 512, 3072])
+    def test_radial_mode(self, rng, n):
+        spec = elliptic.PolarGridSpec(n_radial=n)
         u = spec.u_nodes()
         rho = np.exp(u)
         beta = 0.64 / (0.64 + rho * rho)
         g0 = np.exp(-rho**2) * (1.0 + rng.normal(size=u.size))
         f0, G = elliptic._solve_mode0(u, beta, g0)
         G_ref = cumulative_simpson(np.exp(2.0 * u) * g0, x=u, initial=0.0)
-        assert np.array_equal(G, G_ref)
-        assert np.array_equal(f0, -cumulative_simpson(G_ref / beta, x=u, initial=0.0))
+        f0_ref = -cumulative_simpson(G_ref / beta, x=u, initial=0.0)
+        # measured 2.6e-14 at 512 nodes and 1.8e-13 at 3,072
+        assert _max_rel(G, G_ref) <= 2e-16 * n
+        assert _max_rel(f0, f0_ref) <= 2e-16 * n
 
 
 class TestProjectedSolutionSpline:
@@ -870,8 +946,10 @@ class TestProjectedSolutionSpline:
         theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         y = np.stack([rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)],
                      axis=-1)
-        assert np.array_equal(sol.phi(y), _phi_ref(sol, y))
-        assert sol.phi(y[3, 5]) == _phi_ref(sol, y[3, 5])
+        # measured 1.3e-16
+        ref = _phi_ref(sol, y)
+        assert _max_rel(sol.phi(y), ref) <= 1e-14
+        assert abs(sol.phi(y[3, 5]) - ref[3, 5]) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_gamma_constants_fixed_rule():
