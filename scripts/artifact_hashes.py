@@ -12,7 +12,8 @@ r = h = 1, N = 3 and the default grids:
   * residual-scan with --threads 1 and --threads 2, and alpha-solve, over
     e^-10, e^-20, e^-40, e^-80;
   * verify;
-  * simulate-kmd on a 32-mode PolygonHelix.
+  * simulate-kmd on a 32-mode PolygonHelix, and on a 32-mode
+    PolygonWithCenter (the paper's N + 1 filaments) with the same [kmd].
 
 `manifest.json` is hashed without its `timings_s`, the only part that
 changes from run to run.  Running the script on two checkouts and
@@ -33,7 +34,7 @@ from pathlib import Path
 STREAM = "[stream]\nepsilon = {eps}\nr = 1.0\nh = 1.0\nn = 3\n"
 SWEEP = "e^-10, e^-20, e^-40, e^-80"
 KMD = """[config]
-variant = PolygonHelix
+variant = {variant}
 r = 1.0
 h = 1.0
 n_outer = 3
@@ -46,15 +47,16 @@ t_final = 0.1
 stride = 10
 """
 
-# run name -> (config text or None, CLI arguments after the subcommand)
+# run name -> (subcommand, config text or None, CLI arguments after the subcommand)
 RUNS = {
-    "build-stream": (STREAM.format(eps="e^-20"), []),
-    "lift-3d": (STREAM.format(eps="e^-20"), []),
-    "residual-scan-t1": (STREAM.format(eps=SWEEP), ["--threads", "1"]),
-    "residual-scan-t2": (STREAM.format(eps=SWEEP), ["--threads", "2"]),
-    "alpha-solve": (STREAM.format(eps=SWEEP), ["--threads", "1"]),
-    "verify": (None, []),
-    "simulate-kmd": (KMD, []),
+    "build-stream": ("build-stream", STREAM.format(eps="e^-20"), []),
+    "lift-3d": ("lift-3d", STREAM.format(eps="e^-20"), []),
+    "residual-scan-t1": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "1"]),
+    "residual-scan-t2": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "2"]),
+    "alpha-solve": ("alpha-solve", STREAM.format(eps=SWEEP), ["--threads", "1"]),
+    "verify": ("verify", None, []),
+    "simulate-kmd": ("simulate-kmd", KMD.format(variant="PolygonHelix"), []),
+    "simulate-kmd-center": ("simulate-kmd", KMD.format(variant="PolygonWithCenter"), []),
 }
 
 
@@ -73,11 +75,10 @@ def run_all(repo: Path, dest: Path) -> dict[str, Path]:
     {"<run>/<file>": path} for every artifact written."""
     env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
     out = {}
-    for run, (config, extra) in RUNS.items():
+    for run, (subcommand, config, extra) in RUNS.items():
         work = dest / run
         work.mkdir(parents=True)
-        argv = [sys.executable, "-m", "helix_kmd",
-                run.removesuffix("-t1").removesuffix("-t2"),
+        argv = [sys.executable, "-m", "helix_kmd", subcommand,
                 "--out", str(work / "out"), *extra]
         if config is not None:
             (work / "run.ini").write_text(config)

@@ -28,7 +28,6 @@ from .errors import (                                          # noqa: F401
     CollisionError,
     ConfigError,
     DegenerateConfig,
-    FixedPointDivergence,
     GridTooCoarse,
     HelixKmdError,
     InvalidTransform,

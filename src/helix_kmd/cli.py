@@ -171,6 +171,8 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
     )
 
     eps_values = _epsilons(args, cfg)
+    if len(set(eps_values)) < 2:
+        raise ConfigError("residual-scan needs at least two distinct epsilon values")
     s = cfg.require("stream", "r", "h", "n")
     nu_bar = s.get("nu_bar", 3.0)
     a_decay = s.get("a_decay", 0.8)

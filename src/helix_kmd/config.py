@@ -143,6 +143,8 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[config] n_outer must be >= 2")
         if cfg.get("periods", 1) < 1:
             raise ConfigError("[config] periods must be >= 1")
+        if cfg.get("kappa0", 2.0) == 0.0:
+            raise ConfigError("[config] kappa0 must be nonzero")
     stream = sections.get("stream")
     if stream:
         eps = stream.get("epsilon", [])
@@ -154,6 +156,9 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[stream] need r > 0 and h != 0")
         if stream.get("n", 2) < 2:
             raise ConfigError("[stream] n must be >= 2")
+        # the inner norm's weight 1 + |y|^(2 + a_decay) is infinite at y = 0 below -2
+        if not stream.get("a_decay", 0.8) >= -2.0:
+            raise ConfigError("[stream] a_decay must be >= -2")
         grid = grid_spec(stream)
         if grid.n_radial < 4 or grid.n_angular < 1:
             raise ConfigError("[stream] need grid.radial >= 4 and grid.angular >= 1")

@@ -33,10 +33,6 @@ class SolverDivergence(HelixKmdError):
     """An elliptic grid solve produced non-finite values."""
 
 
-class FixedPointDivergence(HelixKmdError):
-    """A damped fixed-point iteration failed to converge."""
-
-
 class QuadratureFailure(HelixKmdError):
     """A quadrature did not reach the requested accuracy."""
 

@@ -17,8 +17,7 @@ The bubble scale mu is fixed by the vertex relation
                - (alpha/2) |log eps| R^2,
 
 which is independent of i by dihedral symmetry; H2 is normalized to
-vanish at the vertices (up to the fixed-point leftover ~1e-13, absorbed
-into H2's additive constant, far below the grid-solver tolerance).
+vanish at the vertices, and solve_mu closes the relation to rounding.
 
 The vorticity nonlinearity is F(s) = eps^2 eta(s) e^s with a smooth
 switch eta rising across [X + d, X + 2d], X = 2 log|log eps| + 2 log mu
@@ -54,12 +53,7 @@ from numpy.polynomial.legendre import leggauss
 from . import liouville as lv
 from .configurations import HelixVariant, theorem_alpha
 from .elliptic import H2Correction, PolarGridSpec, _polar_points, solve_k_poisson
-from .errors import (
-    DegenerateConfig,
-    FixedPointDivergence,
-    NoBracket,
-    QuadratureFailure,
-)
+from .errors import DegenerateConfig, NoBracket, QuadratureFailure
 from .screw_operator import LocalFrame, b_operator, change_to_local, local_frame
 
 __all__ = [
@@ -200,45 +194,27 @@ def _far_sum(profile: lv.LocalProfile, z0_row: np.ndarray) -> float:
     return float(np.sum(profile.value(z0_row)))
 
 
-def solve_mu(
-    eps: float, r: float, h: float, n: int, alpha: float,
-    frames=None, tol: float = 1e-13, max_iter: int = 200,
-) -> float:
-    """Fixed point for log mu from the vertex relation (damping 0.5).
+def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
+    """log mu from the vertex relation, by _root on its excess rhs - log mu.
 
-    Returns log_mu.  H2 does not enter: it vanishes at the vertices by
-    normalization.  Where the relation's slope in log mu is near or
-    below -3 the damped step overshoots and the iterates oscillate
-    around the root; once two successive iterates bracket it and the
-    later one has not halved the excess, Brent's method finishes on
-    that bracket.
+    H2 does not enter: it vanishes at the vertices by normalization.  The
+    excess has slope close to -1 in log mu while the far profiles barely
+    feel mu, so the estimate is one Newton step of that slope from the
+    start (N - 1) log|log eps|.  NoBracket when the excess has no root
+    that _root can find.
     """
     abs_log = -math.log(eps)
     R = r / math.sqrt(abs_log)
-    if frames is None:
-        frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
-    z0, _ = _far_geometry(frames)
+    z0, _ = _far_geometry(tuple(local_frame(j, n, R, h) for j in range(1, n + 1)))
     alpha_term = 0.5 * alpha * r * r        # (alpha/2) |log eps| R^2 exactly
 
     def excess(log_mu):                     # rhs(log mu) - log mu
         prof = lv.LocalProfile(eps, math.exp(log_mu), R, h)
         return 0.5 * (_far_sum(prof, z0[0]) - alpha_term) - log_mu
 
-    log_mu = (n - 1.0) * math.log(abs_log)
-    prev = None
-    for _ in range(max_iter):
-        f = excess(log_mu)
-        new = log_mu + 0.5 * f
-        if not math.isfinite(new):
-            raise FixedPointDivergence("mu iteration produced non-finite value")
-        if abs(new - log_mu) <= tol * max(1.0, abs(new)):
-            return new
-        if prev is not None and prev[1] * f < 0.0 and abs(f) > 0.5 * abs(prev[1]):
-            (xa, fa), (xb, fb) = sorted((prev, (log_mu, f)))
-            return float(_brent(excess, xa, fa, xb, fb, _BRENT_RTOL))
-        prev = (log_mu, f)
-        log_mu = new
-    raise FixedPointDivergence("mu iteration did not converge")
+    x0 = (n - 1.0) * math.log(abs_log)
+    f0 = excess(x0)
+    return _root(excess, x0, f0, x0 + f0, 1e-13, max(1.0, 0.75 * abs(f0)))[0]
 
 
 def mu_relation_rhs(ctx: StreamContext, i: int) -> float:
@@ -409,7 +385,7 @@ def build_context(
     pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25
     d_eps = -4.0 * math.log(delta) + pad
     frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
-    log_mu = solve_mu(eps, r, h, n, alpha, frames=frames)
+    log_mu = solve_mu(eps, r, h, n, alpha)
     loglog = math.log(abs_log)
     if not 0.1 * loglog < abs(log_mu) < 10.0 * loglog:
         raise DegenerateConfig("mu escaped the admissible logarithmic band")
@@ -669,51 +645,23 @@ _BRENT_MAXITER = 100
 _BRENT_RTOL = 4.0 * np.finfo(float).eps     # brentq's default relative tolerance
 
 
-def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
+def solve_alpha(ctx: StreamContext, xtol: float = 1e-8):
     """Rotation speed zeroing the empirical kernel projection.
 
     Returns (alpha_root, diagnostics dict).  The projection is close to
-    linear in alpha with slope -r sqrt|log eps|, so a secant iteration
-    runs from the leading-order speed a* (projected on `ctx` itself) and
-    the first-order estimate a* + calA(a*) / (r sqrt|log eps|).  Should
-    the secant fail (see _secant), a bracket centered on the estimate is
-    widened until the projection changes sign and Brent's method finds
-    the root.
+    linear in alpha with slope -r sqrt|log eps|, so _root runs from the
+    leading-order speed a* (projected on `ctx` itself) and the first-order
+    estimate a* + calA(a*) / (r sqrt|log eps|), with the bracket
+    half-width max(1, 3/4 of the estimate's offset from a*).
     Besides the root, the leading-order speed and the correction, the
     diagnostics record the number of empirical projections
     (`calA_evaluations`) and `root_method`, "secant" or "bracket".
     """
-    n_eval = 0
-
-    def f(alpha):
-        nonlocal n_eval
-        n_eval += 1
-        return calA(alpha, ctx)
-
     a_star = ctx.leading_alpha()
-    f_star = f(a_star)
+    f_star = calA(a_star, ctx)
     center = a_star + f_star / (ctx.r * ctx.sqrt_log)
-    width = max(bracket, 0.75 * abs(center - a_star))
-    # the secant projects at no speed beyond the widest bracket scanned
-    # below, so it reaches no alpha the old bracket search could not
-    root = _secant(f, a_star, f_star, center, xtol,
-                   (center - 8.0 * width, center + 8.0 * width))
-    method = "secant"
-    if root is None:
-        method = "bracket"
-        lo = hi = None
-        for _ in range(4):
-            lo, hi = center - width, center + width
-            f_lo = f(lo)
-            f_hi = f(hi)
-            if f_lo * f_hi <= 0.0:
-                break
-            width *= 2.0
-        else:
-            raise NoBracket(
-                f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {center:.4f}"
-            )
-        root = _brent(f, lo, f_lo, hi, f_hi, xtol)
+    root, method, n_eval = _root(lambda a: calA(a, ctx), a_star, f_star, center, xtol,
+                                 max(1.0, 0.75 * abs(center - a_star)))
     corr = root - a_star
     diag = {
         "alpha_root": float(root),
@@ -722,10 +670,41 @@ def solve_alpha(ctx: StreamContext, bracket: float = 1.0, xtol: float = 1e-8):
         "correction_ratio": float(
             abs(corr) * ctx.abs_log_eps / ctx.loglog
         ),
-        "calA_evaluations": n_eval,
+        "calA_evaluations": 1 + n_eval,
         "root_method": method,
     }
     return float(root), diag
+
+
+def _root(f, x0: float, f0: float, x1: float, xtol: float, width: float):
+    """Root of f from (x0, f0) and the estimate x1: (root, method, evaluations).
+
+    The secant runs inside x1 +- 8 width, so it reaches no point the
+    bracket search could not.  Should it fail (see _secant), the bracket
+    x1 +- width is doubled up to three times until f changes sign, and
+    Brent's method finds the root; NoBracket if f never changes sign.
+    `method` is "secant" or "bracket"; `evaluations` counts the calls of f
+    made here.
+    """
+    n_eval = 0
+
+    def counted(x):
+        nonlocal n_eval
+        n_eval += 1
+        return f(x)
+
+    root = _secant(counted, x0, f0, x1, xtol, (x1 - 8.0 * width, x1 + 8.0 * width))
+    if root is not None:
+        return root, "secant", n_eval
+    for _ in range(4):
+        lo, hi = x1 - width, x1 + width
+        f_lo = counted(lo)
+        f_hi = counted(hi)
+        if f_lo * f_hi <= 0.0:
+            root = _brent(counted, lo, f_lo, hi, f_hi, xtol)
+            return root, "bracket", n_eval
+        width *= 2.0
+    raise NoBracket(f"no sign change on [{lo:.4f}, {hi:.4f}] around estimate {x1:.4f}")
 
 
 def _secant(f, x0: float, f0: float, x1: float, xtol: float,

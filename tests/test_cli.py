@@ -81,6 +81,10 @@ class TestConfig:
                      stream + "grid.rho_max = 1e-7\n", stream + "out_grid.n = 0\n",
                      "[grid]\nnx = 0\n", "[grid]\nny = 0\n", "[grid]\nnz = 0\n",
                      "[config]\nvariant = PolygonHelix\nperiods = 0\n",
+                     # a central filament without circulation; an inner-norm
+                     # weight 1 + |y|^(2 + a_decay) infinite at y = 0
+                     "[config]\nvariant = PolygonWithCenter\nkappa0 = 0\n",
+                     stream + "a_decay = -5\n",
                      # 100 steps that stride 7 does not divide; 100.05 steps;
                      # a step longer than the run
                      "[kmd]\ndt = 1e-3\nt_final = 0.1\nstride = 7\n",
@@ -91,6 +95,7 @@ class TestConfig:
                 load_config(p)
         # the smallest sizes are accepted
         p.write_text(stream + "grid.radial = 4\ngrid.angular = 1\nout_grid.n = 1\n"
+                     "a_decay = -2\n"
                      "[grid]\nnx = 1\nny = 1\nnz = 1\n")
         load_config(p)
 
@@ -179,6 +184,17 @@ class TestSimulateKmd:
         out = tmp_path / "o"
         assert main(["simulate-kmd", "--config", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: [kmd] {error}"]
+        assert not out.exists()
+
+    def test_zero_center_circulation_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "center.ini"
+        p.write_text(BASE.replace("variant = StraightPolygon",
+                                  "variant = PolygonWithCenter\nkappa0 = 0"))
+        out = tmp_path / "o"
+        assert main(["simulate-kmd", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [config] kappa0 must be nonzero"
+        ]
         assert not out.exists()
 
     def test_trajectory_and_speed(self, cfg_file, tmp_path):
@@ -305,8 +321,19 @@ class TestStreamCommands:
         # residual-scan runs in a fresh directory without simulate outputs
         out = tmp_path / "iso"
         assert main(["residual-scan", "--config", str(cfg_file),
-                     "--out", str(out), "--epsilon-override", "e^-10"]) == 0
+                     "--out", str(out), "--epsilon-override", "e^-10,e^-20"]) == 0
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("override", ["e^-20", "e^-20,e^-20"])
+    def test_residual_scan_needs_two_epsilons(self, cfg_file, tmp_path, capsys, override):
+        # a slope through fewer than two distinct points would be nan
+        out = tmp_path / "one"
+        assert main(["residual-scan", "--config", str(cfg_file), "--out", str(out),
+                     "--epsilon-override", override]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: residual-scan needs at least two distinct epsilon values"
+        ]
+        assert not (out / "residual_scan.csv").exists()
 
 
 class TestLift3d:

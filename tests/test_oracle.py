@@ -12,10 +12,10 @@ formula, in mpmath at 120 digits:
 at x = P_1 + eps mu M_1 y, z_j = M_j^-1 (x - P_j), a = (eps mu)^2, with H2
 linearized at its zero P_1 as the library does.  log mu solves the mu
 relation at vertex 1 in mpmath; it is not taken from the float context,
-whose fixed point closes the relation only to about 5e-13, far above the
-1e-30 relative size of the residual at e^-80.  The float context supplies
-only exact binaries: the frames, c1, c2, kH, kE, alpha, d_eps and the H2
-gradient.  The H2 solve itself is not under test here.
+whose root closes the float64 relation to rounding, about 1e-15, still
+far above the 1e-30 relative size of the residual at e^-80.  The float
+context supplies only exact binaries: the frames, c1, c2, kH, kE, alpha,
+d_eps and the H2 gradient.  The H2 solve itself is not under test here.
 """
 
 import math

@@ -89,6 +89,8 @@ def test_dihedral_invariance_and_mu_relation(geometry, data):
             assert np.max(np.abs(field(xm) - base)) <= 1e-12 * max(1.0, np.max(np.abs(base)))
     rhs = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
     assert max(rhs) - min(rhs) < 1e-12
+    # solve_mu closes the relation it solves
+    assert abs(2.0 * ctx.log_mu - rhs[0]) <= 1e-13
 
 
 @PROPERTY

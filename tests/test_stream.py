@@ -84,9 +84,10 @@ class TestMu:
         vals = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
         assert max(vals) - min(vals) < 1e-12
 
-    def test_relation_closed_by_solver(self, ctx_cache):
-        ctx = ctx_cache(20.0)
-        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) < 1e-10
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    def test_relation_closed_by_solver(self, ctx_cache, exponent):
+        ctx = ctx_cache(exponent)
+        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
 
     def test_logarithmic_asymptotics(self):
         # log mu^2 - 2(N-1) log|log eps| stays bounded along the sweep
@@ -96,29 +97,28 @@ class TestMu:
             vals.append(2.0 * lm - 4.0 * math.log(ex))
         assert max(abs(v) for v in vals) < 5.0
 
-    def test_oscillating_iteration_finishes_on_its_bracket(self):
-        # N = 5, r = h = 1, e^-10: the relation's slope is about -3 at the
-        # root, so the damped iterates still straddle it after max_iter
+    def test_steep_relation_closed(self):
+        # N = 5, r = h = 1, e^-10: the excess's slope is about -3 at the
+        # root, far from the -1 of the first estimate's Newton step
         ctx = build_context(math.exp(-10.0), 1.0, 1.0, 5,
                             grid=PolarGridSpec(n_radial=64, n_angular=40))
         assert ctx.log_mu == 9.031435912259754
-        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) < 1e-10
+        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
         vals = [mu_relation_rhs(ctx, i) for i in range(1, 6)]
         assert max(vals) - min(vals) < 1e-12
 
-    def test_converging_iteration_needs_no_bracket(self, monkeypatch):
+    def test_secant_needs_no_bracket(self, monkeypatch):
         from helix_kmd import stream
 
         def refuse(*args):
-            raise AssertionError("Brent's method called on a converging iteration")
+            raise AssertionError("Brent's method called where the secant converges")
 
         monkeypatch.setattr(stream, "_brent", refuse)
         lm = solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
         assert math.isfinite(lm)
 
-    def test_oscillating_iteration_brackets_early(self, monkeypatch):
-        # N = 5, r = h = 1, e^-10: the damped step flips the sign of the
-        # excess without halving it, so Brent takes over after a few steps
+    @staticmethod
+    def _count_far_sums(monkeypatch):
         from helix_kmd import stream
 
         calls = []
@@ -129,9 +129,50 @@ class TestMu:
             return far_sum(*args)
 
         monkeypatch.setattr(stream, "_far_sum", counting)
+        return calls
+
+    def test_steep_relation_takes_few_profile_builds(self, monkeypatch):
+        # N = 5, r = h = 1, e^-10, where the excess's slope is about -3
+        calls = self._count_far_sums(monkeypatch)
         lm = solve_mu(math.exp(-10.0), 1.0, 1.0, 5, alpha=-6.0)
         assert lm == 9.031435912259754
-        assert len(calls) < 30
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    def test_few_profile_builds(self, monkeypatch, exponent):
+        # the start, its Newton estimate and at most four secant steps
+        calls = self._count_far_sums(monkeypatch)
+        solve_mu(math.exp(-exponent), 1.0, 1.0, 3, alpha=-2.0)
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    def test_bracket_path_matches_secant(self, monkeypatch, exponent):
+        from helix_kmd import stream
+
+        eps = math.exp(-exponent)
+        secant = solve_mu(eps, 1.0, 1.0, 3, alpha=-2.0)
+        brent_calls = []
+        brent = stream._brent
+
+        def spy(*args):
+            brent_calls.append(args)
+            return brent(*args)
+
+        monkeypatch.setattr(stream, "_SECANT_MAXITER", 0)
+        monkeypatch.setattr(stream, "_brent", spy)
+        bracket = solve_mu(eps, 1.0, 1.0, 3, alpha=-2.0)
+        assert len(brent_calls) == 1
+        assert abs(bracket - secant) <= 1e-12
+
+    def test_excess_without_root_raises(self, monkeypatch):
+        from helix_kmd import stream
+        from helix_kmd.errors import NoBracket
+
+        # a far sum of 2 log mu + 10 leaves the excess at 5.5 for every mu
+        monkeypatch.setattr(stream, "_far_sum",
+                            lambda prof, z0_row: 2.0 * math.log(prof.mu) + 10.0)
+        with pytest.raises(NoBracket):
+            solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
 
     def test_admissible_band(self, ctx_cache):
         # delta log|log eps| < |log mu| < log|log eps|/delta for delta = 0.1
