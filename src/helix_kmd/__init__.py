@@ -28,7 +28,6 @@ from .errors import (                                          # noqa: F401
     CollisionError,
     ConfigError,
     DegenerateConfig,
-    GridTooCoarse,
     HelixKmdError,
     InvalidTransform,
     NoBracket,
@@ -51,14 +50,10 @@ from .filaments import (                                       # noqa: F401
 )
 from .liouville import (                                       # noqa: F401
     c_coefficients,
-    h1_profile,
-    h1_value,
     liouville_density,
-    liouville_profile,
     liouville_unit,
 )
 from .linear_theory import (                                   # noqa: F401
-    b_eps_bound_check,
     gamma_constants,
     kernel_Z,
     phi2o,
@@ -71,14 +66,12 @@ from .lift import (                                            # noqa: F401
     fd_divergence,
     filament_curves,
     helical_symmetry_defect,
-    lift_vorticity,
     lifted_field,
     weak_convergence_gap,
 )
 from .screw_operator import (                                  # noqa: F401
     LocalFrame,
     apply_L,
-    apply_L_fd,
     b_operator,
     change_from_local,
     change_to_local,
@@ -87,6 +80,7 @@ from .screw_operator import (                                  # noqa: F401
 )
 from .stream import (                                          # noqa: F401
     StreamContext,
+    b_eps_bound_check,
     build_context,
     calA,
     error_g,

@@ -68,25 +68,8 @@ def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     )
     state = sample(config, 0.0, modes=k.get("modes", 64),
                    periods=c.get("periods", 1))
-    if "n_filaments" in k and k["n_filaments"] != state.n_filaments:
-        raise ConfigError(
-            f"[kmd] n_filaments={k['n_filaments']} does not match the "
-            f"{state.n_filaments} filaments of the configured family"
-        )
-    if "kappa" in k or "alpha_core" in k:
-        from .filaments import FilamentEnsemble
-
-        kappa = np.asarray(k.get("kappa", state.circulations), dtype=float)
-        alpha_core = np.asarray(k.get("alpha_core", state.core_constants),
-                                dtype=float)
-        if kappa.shape != state.circulations.shape \
-                or alpha_core.shape != state.core_constants.shape:
-            raise ConfigError("[kmd] kappa/alpha_core length mismatch")
-        state = FilamentEnsemble(state.positions, kappa, alpha_core,
-                                 state.axial_period, state.time)
     man.start("simulate")
-    traj = simulate(state, k["t_final"], k["dt"], stride=k.get("stride", 1),
-                    collision_threshold=k.get("collision_threshold"))
+    traj = simulate(state, k["t_final"], k["dt"], stride=k.get("stride", 1))
     man.stop("simulate")
     rows = []
     for snap in traj.snapshots:
@@ -139,9 +122,9 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     write_csv(path, ["x", "y", "psi_star"],
               zip(pts.reshape(-1, 2)[:, 0], pts.reshape(-1, 2)[:, 1], vals))
     man.add_file(path)
-    grid = ctx.h2.grid
-    rr, tt = np.meshgrid(grid.rho, grid.theta, indexing="ij")
-    rows = np.stack([rr, tt, grid.values - ctx.h2.offset], axis=-1).reshape(-1, 3)
+    spec = ctx.h2.spec
+    rr, tt = np.meshgrid(spec.radial_nodes(), spec.theta_nodes(), indexing="ij")
+    rows = np.stack([rr, tt, ctx.h2.grid - ctx.h2.offset], axis=-1).reshape(-1, 3)
     path2 = out / "h2_correction.csv"
     write_csv(path2, ["rho", "theta", "h2"], rows.tolist())
     man.add_file(path2)

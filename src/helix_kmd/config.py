@@ -16,11 +16,12 @@ from .errors import ConfigError
 
 
 def _parse_float(tok: str) -> float:
-    """Floats, plus 'e^-40' meaning exp(-40) for log-scale sweeps."""
+    """Finite floats, plus 'e^-40' meaning exp(-40) for log-scale sweeps."""
     tok = tok.strip()
-    if tok.startswith("e^"):
-        return math.exp(float(tok[2:]))
-    return float(tok)
+    val = math.exp(float(tok[2:])) if tok.startswith("e^") else float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {tok}")
+    return val
 
 
 def _parse_float_list(tok: str) -> list[float]:
@@ -29,14 +30,10 @@ def _parse_float_list(tok: str) -> list[float]:
 
 _SCHEMAS: dict[str, dict[str, str]] = {
     "kmd": {
-        "n_filaments": "int",
         "modes": "int",
-        "kappa": "floats",
-        "alpha_core": "floats",
         "dt": "float",
         "t_final": "float",
         "stride": "int",
-        "collision_threshold": "float",
     },
     "config": {
         "variant": "str",
@@ -130,8 +127,6 @@ def _validate(sections: dict) -> None:
                 raise ConfigError(f"[kmd] {exc}") from None
         if kmd.get("modes", 64) < 2 or (kmd.get("modes", 64) & (kmd.get("modes", 64) - 1)):
             raise ConfigError("[kmd] modes must be a power of two")
-        if "kappa" in kmd and any(k == 0.0 for k in kmd["kappa"]):
-            raise ConfigError("[kmd] circulations must be nonzero")
     cfg = sections.get("config")
     if cfg:
         variants = {"StraightPolygon", "PolygonHelix", "PolygonWithCenter"}

@@ -49,7 +49,7 @@ _BLOCK = 2048
 # rows per diagonal block of _Banded's block LU
 _LU_BLOCK = 8
 
-__all__ = ["ScalarGrid", "PolarGridSpec", "H2Correction", "solve_k_poisson"]
+__all__ = ["PolarGridSpec", "H2Correction", "solve_k_poisson"]
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,6 @@ class PolarGridSpec:
 
     def theta_nodes(self) -> np.ndarray:
         return np.arange(self.n_angular) * (2.0 * np.pi / self.n_angular)
-
-
-@dataclass(frozen=True)
-class ScalarGrid:
-    """Sampled planar scalar field on a polar grid (values[i_rho, j_theta])."""
-
-    rho: np.ndarray
-    theta: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.rho.size, self.theta.size):
-            raise ValueError("values shape must be (n_rho, n_theta)")
-        if not np.all(np.isfinite(self.values)):
-            raise SolverDivergence("non-finite grid values")
-        if np.any(np.diff(self.rho) <= 0.0):
-            raise ValueError("radial nodes must increase")
 
 
 class _Banded:
@@ -366,15 +349,16 @@ class H2Correction:
             self.offset = float(self.value(np.asarray(anchor, dtype=float)))
 
     @cached_property
-    def grid(self) -> ScalarGrid:
-        """Mode sum on the solver grid, without the anchor offset."""
+    def grid(self) -> np.ndarray:
+        """Mode sum at (radial_nodes, theta_nodes) of the solver grid, shape
+        (n_radial, n_angular), without the anchor offset."""
         theta = self.spec.theta_nodes()
         cos = np.empty((self._k.size, theta.size))
         _harmonics(self.n * theta, cos)
         values = np.zeros((self.spec.n_radial, self.spec.n_angular))
         for f, c in zip(self._modes, cos):
             values += f[:, None] * c[None, :]
-        return ScalarGrid(self.spec.radial_nodes(), theta, values)
+        return values
 
     def _polar(self, x):
         x = np.asarray(x, dtype=float)

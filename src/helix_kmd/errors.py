@@ -21,10 +21,6 @@ class DegenerateConfig(HelixKmdError):
     """Configuration parameters outside the admissible range."""
 
 
-class GridTooCoarse(HelixKmdError):
-    """A finite-difference stencil left the sampled grid."""
-
-
 class ODESolveFailure(HelixKmdError):
     """A radial two-point boundary value solve failed."""
 

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "VectorField3",
     "FilamentCurve",
-    "lift_vorticity",
     "lifted_field",
     "helical_symmetry_defect",
     "fd_divergence",
@@ -44,10 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VectorField3:
-    """3D vector field with a provenance tag ('lifted-from-w' | 'analytic')."""
+    """3D vector field; h is the pitch of a screw-symmetric field, else None."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    provenance: str
     h: float | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -72,20 +70,19 @@ def _rotate_planar(xy: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def lift_vorticity(w, x: np.ndarray, h: float) -> np.ndarray:
-    """omega(x) for x of shape (..., 3); w vectorized over (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    xp = x[..., :2]
-    scal = w(_rotate_planar(xp, -x[..., 2] / h))
-    out = np.empty(x.shape)
-    out[..., 0] = -x[..., 1] / h * scal
-    out[..., 1] = x[..., 0] / h * scal
-    out[..., 2] = scal
-    return out
-
-
 def lifted_field(w, h: float) -> VectorField3:
-    return VectorField3(lambda x: lift_vorticity(w, x, h), "lifted-from-w", h)
+    """omega(x) of the planar scalar w (vectorized over (..., 2)) for x of
+    shape (..., 3)."""
+
+    def omega(x):
+        scal = w(_rotate_planar(x[..., :2], -x[..., 2] / h))
+        out = np.empty(x.shape)
+        out[..., 0] = -x[..., 1] / h * scal
+        out[..., 1] = x[..., 0] / h * scal
+        out[..., 2] = scal
+        return out
+
+    return VectorField3(omega, h)
 
 
 def helical_symmetry_defect(
@@ -187,7 +184,7 @@ def bump_test_field(
         out[..., component] = val
         return out
 
-    return VectorField3(ev, "analytic", None)
+    return VectorField3(ev)
 
 
 def weak_convergence_gap(

@@ -38,7 +38,6 @@ __all__ = [
     "gamma_constants",
     "ProjectedSolution",
     "projected_solve",
-    "b_eps_bound_check",
 ]
 
 
@@ -312,16 +311,3 @@ def projected_solve(
         u=u, cos_modes=cos_modes, sin_modes=sin_modes,
         d=(float(d[0, 0]), float(d[1, 0]), float(d[1, 1])), rho_max=rho_max,
     )
-
-
-def b_eps_bound_check(ctx, a_decay: float = 0.8, y_cap: float = 200.0,
-                      n_r: int = 96, n_theta: int = 64) -> float:
-    """Fitted constant of the derivative-deviation bound.
-
-    Computes b(y) = (eps mu)^2 F'(s(x(y))) - e^Gamma(y) on the inner disk
-    and returns sup |b| (1+|y|^{2+a}) / (eps mu sqrt|log eps|).
-    """
-    from .stream import _inner_sup_grid, b_eps_inner
-
-    y, _, weight = _inner_sup_grid(ctx, 0.9, a_decay, y_cap, n_r, n_theta)
-    return float(np.max(np.abs(b_eps_inner(y, ctx)) * weight))

@@ -7,7 +7,8 @@ with mass 8*pi:
     Gamma_em(z)   = log(8 / (s^2+|z|^2)^2),   s = eps*mu,
     U(y)          = e^Gamma = 8 / (1+|y|^2)^2,
 
-so that -Delta Gamma_em = s^2 exp(Gamma_em).
+so that -Delta Gamma_em = s^2 exp(Gamma_em); LocalProfile at R = 0 is
+Gamma_em.
 
 Around a vortex point at distance R from the axis the local ansatz is
 
@@ -72,15 +73,6 @@ def liouville_density(y: np.ndarray) -> np.ndarray:
     return 8.0 / (1.0 + v) ** 2
 
 
-def liouville_profile(z: np.ndarray, eps: float, mu: float) -> np.ndarray:
-    """Gamma_em(z) = log 8 - 2 log((eps*mu)^2 + |z|^2)."""
-    if eps * mu <= 0.0:
-        raise ValueError("eps*mu must be positive")
-    z = np.asarray(z, dtype=float)
-    v = np.einsum("...i,...i->...", z, z)
-    return np.log(8.0) - 2.0 * np.log((eps * mu) ** 2 + v)
-
-
 def c_coefficients(R: float, h: float) -> tuple[float, float]:
     """Linear and quadratic correction coefficients of the local profile."""
     if h == 0.0:
@@ -130,35 +122,10 @@ def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W(v), W'(v), W''(v) from one kernel evaluation; a = (eps*mu)^2."""
+    """W(v), W'(v), W''(v) from one kernel evaluation; a = (eps*mu)^2 and
+    h1(r) = r^3 W(r^2)."""
     w0, s0, w2 = _kernels(np.asarray(v, dtype=float) / a)
     return w0 / (12.0 * a), -s0 / (4.0 * a * a), w2 / a**3
-
-
-def h1_weight(v: np.ndarray, a: float) -> np.ndarray:
-    """W(v) with h1(r) = r^3 W(r^2); a = (eps*mu)^2."""
-    return _h1_weights(v, a)[0]
-
-
-def h1_profile(rho: np.ndarray, eps: float, mu: float) -> np.ndarray:
-    """Radial third-harmonic profile h1 with H1(z) = h1(|z|) cos(3 theta).
-
-    Solves h1'' + h1'/r - 9 h1/r^2 = -r^3/((eps*mu)^2 + r^2)^2 with h1
-    regular at the origin and h1 = O(r) uniformly as eps*mu -> 0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise ValueError("radius must be nonnegative")
-    a = (eps * mu) ** 2
-    return rho**3 * h1_weight(rho * rho, a)
-
-
-def h1_value(z: np.ndarray, eps: float, mu: float) -> np.ndarray:
-    """H1(z) = h1(|z|) cos(3 theta) = W(|z|^2) Re(z^3)."""
-    z = np.asarray(z, dtype=float)
-    v = np.einsum("...i,...i->...", z, z)
-    p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
-    return h1_weight(v, (eps * mu) ** 2) * p3
 
 
 class _Terms(NamedTuple):

@@ -29,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
-
 __all__ = [
     "k_matrix",
     "div_k",
     "div_k_grad",
     "apply_L",
-    "apply_L_fd",
     "LocalFrame",
     "local_frame",
     "change_to_local",
@@ -83,50 +80,13 @@ def apply_L(field, x: np.ndarray, h: float) -> np.ndarray:
     return -div_k_grad(field, x, h)
 
 
-def apply_L_fd(
-    func, x: np.ndarray, h: float, step: float = 1e-4, bound: float | None = None
-) -> np.ndarray:
-    """L psi by centered 5-point stencils on a plain callable psi(x).
-
-    `bound`, when given, is the radius of the sampled domain; a stencil
-    reaching beyond it raises GridTooCoarse.
-    """
-    x = np.asarray(x, dtype=float)
-    if bound is not None:
-        reach = np.sqrt(np.einsum("...i,...i->...", x, x)) + 2.0 * step
-        if np.any(reach > bound):
-            raise GridTooCoarse("FD stencil leaves the sampled domain")
-    e1 = np.array([step, 0.0])
-    e2 = np.array([0.0, step])
-
-    def d1(v):
-        return (func(x + v) - func(x - v)) / (2.0 * step)
-
-    def d2(v):
-        return (func(x + v) - 2.0 * func(x) + func(x - v)) / step**2
-
-    g = np.stack([d1(e1), d1(e2)], axis=-1)
-    h11 = d2(e1)
-    h22 = d2(e2)
-    h12 = (
-        func(x + e1 + e2) - func(x + e1 - e2) - func(x - e1 + e2) + func(x - e1 - e2)
-    ) / (4.0 * step**2)
-    K = k_matrix(x, h)
-    cross = (
-        K[..., 0, 0] * h11 + 2.0 * K[..., 0, 1] * h12 + K[..., 1, 1] * h22
-    )
-    return -(cross + np.einsum("...i,...i->...", div_k(x, h), g))
-
-
 @dataclass(frozen=True)
 class LocalFrame:
     """Affine frame around vertex j: x - P_j = M_j z with M_j = Q_j M."""
 
     j: int
-    N: int
     R: float
     h: float
-    theta: float
     P: np.ndarray
     Q: np.ndarray
     M: np.ndarray
@@ -146,9 +106,7 @@ def local_frame(j: int, N: int, R: float, h: float) -> LocalFrame:
     Mj = Q @ M
     Mj_inv = np.diag([1.0 / m, 1.0]) @ Q.T
     P = R * Q @ np.array([1.0, 0.0])
-    return LocalFrame(
-        j=j, N=N, R=R, h=h, theta=theta, P=P, Q=Q, M=M, Mj=Mj, Mj_inv=Mj_inv,
-    )
+    return LocalFrame(j=j, R=R, h=h, P=P, Q=Q, M=M, Mj=Mj, Mj_inv=Mj_inv)
 
 
 def change_to_local(x: np.ndarray, frame: LocalFrame) -> np.ndarray:

@@ -74,6 +74,7 @@ __all__ = [
     "solve_alpha",
     "outer_residual_norm",
     "inner_residual_norm",
+    "b_eps_bound_check",
     "generic_scan_alpha",
     "fit_loglog_slope",
 ]
@@ -241,6 +242,13 @@ class _AtTerms:
         return self.profile.hess(z, terms=self.terms)
 
 
+def _retained(z: np.ndarray, prof: lv.LocalProfile, weight: float = 1.0) -> np.ndarray:
+    """weight a (-8 + kE z1)/(a + |z|^2)^2: Delta Gamma_em plus the retained
+    dipole term of the vertex profile at local points z."""
+    v = np.einsum("...i,...i->...", z, z)
+    return weight * prof.a * (-8.0 + prof.kE * z[..., 0]) / (prof.a + v) ** 2
+
+
 def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> np.ndarray:
     """E(z): conjugated operator on Psi minus the retained singular terms.
 
@@ -248,11 +256,9 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
     Laplacian, the Hessian and the gradient.
     """
     t = prof._terms(z)
-    z, av = t.z, t.av
-    lap = prof.laplacian(z, terms=t)
-    bb = b_operator(_AtTerms(prof, t), z, frame1)
-    retained = -8.0 * prof.a / av**2 + prof.kE * prof.a * z[..., 0] / av**2
-    return lap + bb - retained
+    lap = prof.laplacian(t.z, terms=t)
+    bb = b_operator(_AtTerms(prof, t), t.z, frame1)
+    return lap + bb - _retained(t.z, prof)
 
 
 # Points per block of the element-wise kernels: on the default build's 18,524-point
@@ -459,15 +465,10 @@ def rotating_argument(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
 def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
     """eta0 sum_j [Delta Gamma_em + dipole](z_j): the exact elliptic part."""
     x = np.asarray(x, dtype=float)
-    rho = np.hypot(x[..., 0], x[..., 1])
-    e0 = eta0(rho)
-    a, kE = ctx.profile.a, ctx.profile.kE
     acc = np.zeros(x.shape[:-1])
     for f in ctx.frames:
-        z = change_to_local(x, f)
-        v = np.einsum("...i,...i->...", z, z)
-        acc += a * (-8.0 + kE * z[..., 0]) / (a + v) ** 2
-    return e0 * acc
+        acc += _retained(change_to_local(x, f), ctx.profile)
+    return eta0(np.hypot(x[..., 0], x[..., 1])) * acc
 
 
 def residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
@@ -508,19 +509,14 @@ def _nearest_inner_coords(ctx: StreamContext, x: np.ndarray):
     return np.take_along_axis(z, idx[None, ..., None], axis=0)[0] / ctx.eps_mu, idx
 
 
-def delta_s_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarray:
-    """ds(y): deviation of s from Gamma(y) - 4 log eps - 2 log mu.
-
-    Assembled from exact difference formulas; every term is individually
-    small so the result carries full relative precision even when
-    eps*mu ~ 1e-31.
-    """
-    return _inner_terms(y, ctx, vertex)[0]
-
-
 def _inner_terms(y, ctx: StreamContext, vertex: int):
     """(ds, U(y), s) at x = P_i + eps mu M_i y with s = Gamma(y) - 4 log eps
-    - 2 log mu + ds: the scaled inner assembly, ds as in delta_s_inner."""
+    - 2 log mu + ds: the scaled inner assembly.
+
+    ds is assembled from exact difference formulas; every term is
+    individually small, so it carries full relative precision even when
+    eps*mu ~ 1e-31.
+    """
     y = np.asarray(y, dtype=float)
     i = vertex - 1
     f = ctx.frames[i]
@@ -559,14 +555,13 @@ def _scaled_residual(y, ctx: StreamContext, vertex: int, ds, u, s) -> np.ndarray
     i = vertex - 1
     eta, _ = _eta_of_s(ctx, s)
     core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
-    a, kE, em = ctx.profile.a, ctx.profile.kE, ctx.eps_mu
-    out = u * core + (kE / 8.0) * em * y[..., 0] * u
+    em = ctx.eps_mu
+    out = u * core + (ctx.profile.kE / 8.0) * em * y[..., 0] * u
     # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
     z0, dd = ctx.far_geometry
     for col in range(ctx.n - 1):
         z = z0[i, col] + em * np.einsum("ij,...j->...i", dd[i, col], y)
-        v = np.einsum("...i,...i->...", z, z)
-        out += em * em * a * (-8.0 + kE * z[..., 0]) / (a + v) ** 2
+        out += _retained(z, ctx.profile, em * em)
     return out
 
 
@@ -833,6 +828,17 @@ def inner_residual_norm(
     if not np.any(mask):
         raise QuadratureFailure("cutoff never saturates on the inner grid")
     return float(np.max(np.abs(vals[mask]) * weight[mask]))
+
+
+def b_eps_bound_check(ctx: StreamContext, a_decay: float = 0.8, y_cap: float = 200.0,
+                      n_r: int = 96, n_theta: int = 64) -> float:
+    """Fitted constant of the derivative-deviation bound.
+
+    Computes b(y) = (eps mu)^2 F'(s(x(y))) - e^Gamma(y) on the inner disk
+    and returns sup |b| (1+|y|^{2+a}) / (eps mu sqrt|log eps|).
+    """
+    y, _, weight = _inner_sup_grid(ctx, 0.9, a_decay, y_cap, n_r, n_theta)
+    return float(np.max(np.abs(b_eps_inner(y, ctx)) * weight))
 
 
 def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):

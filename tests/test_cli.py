@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -63,6 +65,20 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(p)
 
+    @pytest.mark.parametrize("line", ["kappa = 2, 2, 2", "alpha_core = 1, 1, 1",
+                                      "n_filaments = 3", "collision_threshold = 1e-6"])
+    def test_retired_kmd_keys_exit_2(self, tmp_path, capsys, line):
+        # the configured family fixes the circulations, core constants and
+        # filament count, and simulate sets its own collision threshold
+        p = tmp_path / "retired.ini"
+        p.write_text(BASE.replace("stride = 25", f"stride = 25\n{line}"))
+        out = tmp_path / "o"
+        assert main(["simulate-kmd", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown key '{line.split(' = ')[0]}' in section [kmd]"
+        ]
+        assert not out.exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         # [sweep] is retired: the thread count comes from --threads only
@@ -93,11 +109,47 @@ class TestConfig:
             p.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(p)
+        # NaN and inf are rejected where they are parsed, with the key named
+        for text, key in ((stream + "nu_bar = nan\n", "[stream] nu_bar"),
+                          (stream + "a_decay = inf\n", "[stream] a_decay"),
+                          (stream + "out_grid.extent = nan\n", "[stream] out_grid.extent"),
+                          (stream + "alpha = nan\n", "[stream] alpha"),
+                          (stream.replace("r = 1", "r = nan"), "[stream] r"),
+                          (stream.replace("h = 1", "h = inf"), "[stream] h"),
+                          (stream.replace("h = 1", "h = -inf"), "[stream] h"),
+                          ("[grid]\nextent = nan\n", "[grid] extent"),
+                          ("[kmd]\ndt = nan\nt_final = 0.1\n", "[kmd] dt")):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=rf"^bad value for \{key}: "):
+                load_config(p)
         # the smallest sizes are accepted
         p.write_text(stream + "grid.radial = 4\ngrid.angular = 1\nout_grid.n = 1\n"
                      "a_decay = -2\n"
                      "[grid]\nnx = 1\nny = 1\nnz = 1\n")
         load_config(p)
+
+    @pytest.mark.parametrize("subcommand,section,key,value", [
+        ("residual-scan", "stream", "nu_bar", "nan"),
+        ("residual-scan", "stream", "a_decay", "inf"),
+        ("build-stream", "stream", "out_grid.extent", "nan"),
+        ("build-stream", "stream", "r", "nan"),
+        ("build-stream", "stream", "h", "inf"),
+        ("build-stream", "stream", "alpha", "nan"),
+        ("lift-3d", "grid", "extent", "nan"),
+        ("simulate-kmd", "kmd", "dt", "nan"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, subcommand, section, key, value):
+        text = _without(section, key)
+        if f"[{section}]" not in text:
+            text += f"\n[{section}]\n"
+        p = tmp_path / "nonfinite.ini"
+        p.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: bad value for [{section}] {key}: {value}"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand,section,key", [
         ("build-stream", "stream", "h"),
@@ -363,6 +415,14 @@ class TestVerify:
         assert "bubble mass 8 pi" in [c["name"] for c in checks]
 
 
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(
+    importlib.import_module("helix_kmd").__path__) if m.name != "__main__"])
+def test_all_names_exist(module):
+    # `from helix_kmd.<module> import *` finds every name its __all__ lists
+    mod = importlib.import_module(f"helix_kmd.{module}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
 def _run_cli_script(tmp_path, body: str) -> subprocess.CompletedProcess:
     """Run `body` in a fresh interpreter on src/ after the tiny-grid CLI runs.
 
@@ -435,25 +495,3 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
             sys.exit(f"fallback gave {root} by {diag['root_method']}")
     """)
     assert run.returncode == 0, run.stderr
-
-
-class TestKmdOverrides:
-    def test_circulation_override(self, tmp_path):
-        p = tmp_path / "ov.ini"
-        p.write_text(BASE.replace("stride = 25",
-                                  "stride = 25\nkappa = 2, 2, 2\n"
-                                  "alpha_core = 1, 1, 1\nn_filaments = 3"))
-        out = tmp_path / "sim"
-        assert main(["simulate-kmd", "--config", str(p), "--out", str(out)]) == 0
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "ov.ini"
-        p.write_text(BASE.replace("stride = 25", "stride = 25\nkappa = 2, 2"))
-        assert main(["simulate-kmd", "--config", str(p),
-                     "--out", str(tmp_path / "x")]) == 2
-
-    def test_filament_count_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "ov.ini"
-        p.write_text(BASE.replace("stride = 25", "stride = 25\nn_filaments = 5"))
-        assert main(["simulate-kmd", "--config", str(p),
-                     "--out", str(tmp_path / "x")]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helix_kmd.elliptic import PolarGridSpec, ScalarGrid, solve_k_poisson
+from helix_kmd.elliptic import PolarGridSpec, solve_k_poisson
 from helix_kmd.errors import SolverDivergence
 
 
@@ -16,15 +16,12 @@ def spec():
     return PolarGridSpec(rho_min=1e-6, rho_max=20.0, n_radial=512, n_angular=256)
 
 
-class TestScalarGrid:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ScalarGrid(np.array([1.0, 2.0]), np.array([0.0]), np.zeros((3, 1)))
-
-    def test_finite_validation(self):
+class TestNonFiniteSource:
+    def test_raises_solver_divergence(self, spec):
+        g = np.zeros((spec.n_radial, spec.n_angular // 2 + 1))
+        g[100, 3] = np.nan
         with pytest.raises(SolverDivergence):
-            ScalarGrid(np.array([1.0, 2.0]), np.array([0.0]),
-                       np.array([[np.nan], [1.0]]))
+            solve_k_poisson(g, spec, 1.0, 1)
 
 
 class TestRadialSource:

@@ -9,7 +9,6 @@ from helix_kmd.lift import (
     fd_divergence,
     filament_curves,
     helical_symmetry_defect,
-    lift_vorticity,
     lifted_field,
     stream_vorticity,
     weak_convergence_gap,
@@ -26,7 +25,7 @@ class TestLift:
         x = np.array([[0.3, 0.4, 0.0]])
         h = 1.3
         w0 = gaussian_w(x[:, :2])
-        out = lift_vorticity(gaussian_w, x, h)
+        out = lifted_field(gaussian_w, h)(x)
         assert out[0, 2] == pytest.approx(float(w0[0]))
         assert out[0, 0] == pytest.approx(float(-0.4 / h * w0[0]))
         assert out[0, 1] == pytest.approx(float(0.3 / h * w0[0]))
@@ -65,7 +64,7 @@ class TestSymmetry:
     def test_non_helical_control(self):
         g = VectorField3(
             lambda x: np.broadcast_to(np.array([1.0, 0.0, 0.0]), x.shape).copy(),
-            "analytic", 1.1,
+            h=1.1,
         )
         assert helical_symmetry_defect(g, 0.37) > 0.1
 
@@ -97,7 +96,6 @@ class TestWeakConvergence:
     def test_lifted_stream_field_symmetry(self, ctx_cache):
         ctx = ctx_cache(20.0)
         f = lifted_field(stream_vorticity(ctx), ctx.h)
-        assert f.provenance == "lifted-from-w"
         assert helical_symmetry_defect(f, 0.61, normalized=True) < 1e-10
 
 

@@ -6,13 +6,22 @@ from scipy.integrate import quad
 
 from helix_kmd.liouville import (
     LocalProfile,
+    _h1_weights,
     c_coefficients,
-    h1_profile,
-    h1_value,
     liouville_density,
-    liouville_profile,
     liouville_unit,
 )
+
+
+def gamma_em(z, eps, mu):
+    """Gamma_em(z) = log 8 - 2 log((eps mu)^2 + |z|^2): the profile at R = 0."""
+    return LocalProfile(eps, mu, 0.0, 1.0).value(z)
+
+
+def h1_profile(rho, eps, mu):
+    """Radial third-harmonic profile h1(r) = r^3 W(r^2), H1 = h1(|z|) cos(3 theta)."""
+    rho = np.asarray(rho, dtype=float)
+    return rho**3 * _h1_weights(rho * rho, (eps * mu) ** 2)[0]
 
 
 class TestProfiles:
@@ -28,13 +37,13 @@ class TestProfiles:
         lap = np.zeros(len(z))
         for e in (e1, e2):
             lap += (
-                -liouville_profile(z + 2 * e, eps, mu)
-                + 16 * liouville_profile(z + e, eps, mu)
-                - 30 * liouville_profile(z, eps, mu)
-                + 16 * liouville_profile(z - e, eps, mu)
-                - liouville_profile(z - 2 * e, eps, mu)
+                -gamma_em(z + 2 * e, eps, mu)
+                + 16 * gamma_em(z + e, eps, mu)
+                - 30 * gamma_em(z, eps, mu)
+                + 16 * gamma_em(z - e, eps, mu)
+                - gamma_em(z - 2 * e, eps, mu)
             ) / (12 * d * d)
-        res = lap + (eps * mu) ** 2 * np.exp(liouville_profile(z, eps, mu))
+        res = lap + (eps * mu) ** 2 * np.exp(gamma_em(z, eps, mu))
         assert np.max(np.abs(res)) < 1e-6
 
     def test_unit_mass(self):
@@ -94,12 +103,13 @@ class TestThirdHarmonic:
         assert np.max(np.abs(res)) < 1e-5
 
     def test_angular_structure(self):
-        # H1 = h1(|z|) cos(3 theta)
+        # the profile's H1 block W(|z|^2) Re(z^3) is h1(|z|) cos(3 theta)
         eps, mu = 1e-4, 1.0
         theta = 0.7
         z = 0.3 * np.array([math.cos(theta), math.sin(theta)])
         expected = h1_profile(np.array(0.3), eps, mu) * math.cos(3 * theta)
-        assert h1_value(z, eps, mu) == pytest.approx(float(expected), rel=1e-12)
+        t = LocalProfile(eps, mu, 0.3, 1.0)._terms(z, derivatives=False)
+        assert t.W * t.p3 == pytest.approx(float(expected), rel=1e-12)
 
 
 class TestLocalProfile:
@@ -111,7 +121,9 @@ class TestLocalProfile:
     def test_degenerate_radius_reduces_to_bubble(self, rng):
         prof = LocalProfile(1e-3, 1.0, 0.0, 1.0)
         z = rng.normal(size=(10, 2)) * 0.3
-        assert np.max(np.abs(prof.value(z) - liouville_profile(z, 1e-3, 1.0))) == 0.0
+        v = np.einsum("...i,...i->...", z, z)
+        closed = np.log(8.0) - 2.0 * np.log((1e-3 * 1.0) ** 2 + v)
+        assert np.max(np.abs(prof.value(z) - closed)) == 0.0
 
     def test_gradient_and_hessian_consistency(self, rng):
         prof = LocalProfile(1e-2, 1.0, 0.35, 1.2)

@@ -89,7 +89,7 @@ def _oracle(ctx, y):
 
 @pytest.mark.parametrize("exponent,bound", [
     # at e^-10 the gap is the second-order Taylor step of the H1 increment
-    # in LocalProfile.delta_value (2.3e-7 measured)
+    # in LocalProfile.delta_value (2.9e-7 measured)
     (10.0, 1e-6),
     (20.0, 1e-11),
     (40.0, 1e-11),

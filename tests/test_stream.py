@@ -8,9 +8,10 @@ from helix_kmd.elliptic import PolarGridSpec, solve_k_poisson
 from helix_kmd.errors import DegenerateConfig, HelixKmdError
 from helix_kmd.liouville import liouville_unit
 from helix_kmd.stream import (
+    _inner_terms,
+    b_eps_bound_check,
     build_context,
     calA,
-    delta_s_inner,
     error_g,
     eta0,
     generic_scan_alpha,
@@ -313,7 +314,7 @@ class TestPsiStar:
         x = f1.P + em * np.einsum("ij,...j->...i", f1.Mj, y)
         gam = liouville_unit(y)
         s_stable = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu \
-            + delta_s_inner(y, ctx)
+            + _inner_terms(y, ctx, 1)[0]
         s_direct = rotating_argument(x, ctx)
         # the stable path keeps the correction field to first order; allow
         # its quadratic remainder (eps mu |y|)^2 |Hess H2| on top of roundoff
@@ -326,7 +327,7 @@ class TestPsiStar:
         ctx = ctx_cache(20.0)
         tt = np.geomspace(5.0, 500.0, 12)
         y = np.stack([np.zeros_like(tt), tt], axis=-1)
-        ds = np.abs(delta_s_inner(y, ctx))
+        ds = np.abs(_inner_terms(y, ctx, 1)[0])
         order = np.polyfit(np.log(tt), np.log(ds), 1)[0]
         assert 1.8 <= order <= 2.2
         bound = ctx.abs_log_eps * (ctx.eps_mu * tt) ** 2
@@ -478,8 +479,6 @@ class TestBEps:
     def test_bound_constant_across_sweep(self, ctx_cache):
         # the fitted constant is bounded along the sweep: it never exceeds
         # its value at the largest eps (and in fact decreases)
-        from helix_kmd.linear_theory import b_eps_bound_check
-
         consts = [b_eps_bound_check(ctx_cache(ex)) for ex in (10.0, 20.0, 40.0)]
         assert consts[0] < 50.0
         assert all(c <= 1.05 * consts[0] for c in consts)
@@ -489,7 +488,6 @@ class TestBEps:
         # on the symmetry axis the tilt terms drop out, so the deep
         # deviation is tiny and the bound constant is set by the cutoff
         # transition ring, for small and moderate polygon radii alike
-        from helix_kmd.linear_theory import b_eps_bound_check
         from helix_kmd.stream import b_eps_inner
 
         axis = np.stack([np.zeros(16), np.geomspace(0.3, 10.0, 16)], axis=-1)
