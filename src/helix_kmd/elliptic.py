@@ -30,8 +30,9 @@ Chebyshev recurrence in m.
 The module imports numpy only, and so does the library.  Its one linear
 solver is `_Banded`, a block LU for stacked five-band matrices: it solves
 the m >= 1 mode systems together, the spline's tridiagonal system and
-linear_theory's radial systems.  The mode factors depend on the grid, h
-and the kept modes, not on g, and are cached across builds.
+linear_theory's radial systems.  The mode factors (on the grid, h and the
+kept modes) and the spline's knot factor (on the knots) do not depend on g
+and are cached across builds.
 """
 
 from __future__ import annotations
@@ -148,32 +149,25 @@ class _ColumnSpline:
     """Not-a-knot cubic spline through y[:, j] at increasing knots x.
 
     The spline of scipy.interpolate.CubicSpline(x, y, axis=0), to rounding:
-    _Banded solves for the knot derivatives, and the pieces are evaluated
-    in scipy's order.  Points outside [x[0], x[-1]] use the end
-    polynomials.  Real columns; at least four knots.
+    the cached _Banded factor of the knots gives the knot derivatives, and
+    the pieces are evaluated in scipy's order.  Points outside [x[0], x[-1]]
+    use the end polynomials.  Real columns; at least four knots.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        n = x.size
         dx = np.diff(x)
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
         # derivatives yp at the knots: tridiagonal system, not-a-knot ends
-        bands = np.zeros((5, n, 1))
-        sub, diag, sup = bands[1:4, :, 0]
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        sub[1:-1], sup[1:-1] = dx[1:], dx[:-1]
         b = np.empty(y.shape)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         d = x[2] - x[0]
-        diag[0], sup[0] = dx[1], d
         b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
         d = x[-1] - x[-3]
-        diag[-1], sub[-1] = dx[-2], d
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        yp = _Banded(bands).solve(b.reshape(n, 1, -1)).reshape(y.shape)
+        yp = _knot_factor(x.tobytes()).solve(b[:, None]).reshape(y.shape)
         # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
         t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
         c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
@@ -213,6 +207,21 @@ class _ColumnSpline:
     def with_derivative(self, u: np.ndarray, buf: np.ndarray | None = None) -> tuple:
         """Values and first derivatives at u from one interval lookup."""
         return tuple(self._eval(u, [self._c, self._dc], buf))
+
+
+@lru_cache(maxsize=4)
+def _knot_factor(knots: bytes) -> _Banded:
+    """Factor of _ColumnSpline's not-a-knot system on the knots (float64 bytes):
+    the splines of every H2 build on one grid (its u_nodes()) share it."""
+    x = np.frombuffer(knots)
+    dx = np.diff(x)
+    bands = np.zeros((5, x.size, 1))
+    sub, diag, sup = bands[1:4, :, 0]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    sub[1:-1], sup[1:-1] = dx[1:], dx[:-1]
+    diag[0], sup[0] = dx[1], x[2] - x[0]
+    diag[-1], sub[-1] = dx[-2], x[-1] - x[-3]
+    return _Banded(bands)
 
 
 def _radial_stencil(u: np.ndarray, beta: np.ndarray, beta_u: np.ndarray,

@@ -40,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateConfig
+from .screw_operator import _dot2
 
 _SERIES_TERMS = 140
 _T_SWITCH = 0.7
@@ -47,9 +48,6 @@ _T_SWITCH = 0.7
 # series coefficients, highest power first for Horner evaluation
 _W0_C = np.array(
     [1.0] + [(-1.0) ** m * 3.0 / (m + 3.0) for m in range(1, _SERIES_TERMS)]
-)[::-1]
-_S1_C = np.array(
-    [0.0] + [(-1.0) ** (m + 1) * m / (m + 3.0) for m in range(1, _SERIES_TERMS)]
 )[::-1]
 _S0_C = np.array(
     [(-1.0) ** m * (m + 1.0) / (m + 4.0) for m in range(_SERIES_TERMS)]
@@ -62,15 +60,13 @@ _W2_C = np.array(
 def liouville_unit(y: np.ndarray) -> np.ndarray:
     """Gamma(y) = log 8 - 2 log(1+|y|^2) for y of shape (..., 2)."""
     y = np.asarray(y, dtype=float)
-    v = np.einsum("...i,...i->...", y, y)
-    return np.log(8.0) - 2.0 * np.log1p(v)
+    return np.log(8.0) - 2.0 * np.log1p(_dot2(y, y))
 
 
 def liouville_density(y: np.ndarray) -> np.ndarray:
     """U(y) = 8/(1+|y|^2)^2, the unit-mass concentration density."""
     y = np.asarray(y, dtype=float)
-    v = np.einsum("...i,...i->...", y, y)
-    return 8.0 / (1.0 + v) ** 2
+    return 8.0 / (1.0 + _dot2(y, y)) ** 2
 
 
 def c_coefficients(R: float, h: float) -> tuple[float, float]:
@@ -93,6 +89,11 @@ def dipole_coefficient(R: float, h: float) -> float:
     """Coefficient of the retained dipole term s^2 z1/(s^2+|z|^2)^2."""
     d = h * h + R * R
     return 4.0 * R * (3.0 * h * h + R * R) / (h * d**1.5)
+
+
+def _re_cube(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re((x + i y)^3) = x^3 - 3 x y^2; the cube as products, not libm pow."""
+    return x * x * x - 3.0 * x * y**2
 
 
 def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,11 +182,11 @@ class LocalProfile:
         """Shared intermediates at z; value-only when derivatives is False."""
         z = np.asarray(z, dtype=float)
         x, y = z[..., 0], z[..., 1]
-        v = np.einsum("...i,...i->...", z, z)
+        v = _dot2(z, z)
         av = self.a + v
         g = np.log(8.0) - 2.0 * np.log(av)
         q = 1.0 + self.c1 * x + self.c2 * v
-        p3 = x**3 - 3.0 * x * y**2
+        p3 = _re_cube(x, y)
         W, Wp, Ws = _h1_weights(v, self.a)
         t = _Terms(z, x, y, av, g, q, p3, W, Wp, Ws)
         if not derivatives:
@@ -242,7 +243,7 @@ class LocalProfile:
         t = self._terms(z) if terms is None else terms
         lap_g = -8.0 * self.a / t.av**2
         out = (
-            t.q * lap_g + 2.0 * np.einsum("...i,...i->...", t.dg, t.dq)
+            t.q * lap_g + 2.0 * _dot2(t.dg, t.dq)
             + 4.0 * self.c2 * t.g
         )
         out += self.kH * (-t.p3 / t.av**2)
@@ -260,9 +261,9 @@ class LocalProfile:
         """
         t = self._terms(z0)
         dz = np.asarray(dz, dtype=float)
-        zd = np.einsum("...i,...i->...", t.z, dz)
-        dd = np.einsum("...i,...i->...", dz, dz)
-        pd = np.einsum("...i,...i->...", t.dp3, dz)
+        zd = _dot2(t.z, dz)
+        dd = _dot2(dz, dz)
+        pd = _dot2(t.dp3, dz)
         cross = 2.0 * zd + dd
         g1 = np.log(8.0) - 2.0 * np.log(t.av + cross)
         dgam = -2.0 * np.log1p(cross / t.av)

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "k_matrix",
     "div_k",
-    "div_k_grad",
     "apply_L",
     "LocalFrame",
     "local_frame",
@@ -48,7 +47,7 @@ def k_matrix(x: np.ndarray, h: float) -> np.ndarray:
     if h == 0.0:
         raise ValueError("h must be nonzero")
     x = np.asarray(x, dtype=float)
-    d = h * h + np.einsum("...i,...i->...", x, x)
+    d = h * h + _dot2(x, x)
     out = np.empty(x.shape[:-1] + (2, 2))
     out[..., 0, 0] = (h * h + x[..., 1] ** 2) / d
     out[..., 1, 1] = (h * h + x[..., 0] ** 2) / d
@@ -60,24 +59,15 @@ def k_matrix(x: np.ndarray, h: float) -> np.ndarray:
 def div_k(x: np.ndarray, h: float) -> np.ndarray:
     """Row divergence of K: (div K)(x) = -x (D + 2 h^2)/D^2."""
     x = np.asarray(x, dtype=float)
-    d = h * h + np.einsum("...i,...i->...", x, x)
+    d = h * h + _dot2(x, x)
     return -x * ((d + 2.0 * h * h) / (d * d))[..., None]
 
 
-def div_k_grad(field, x: np.ndarray, h: float) -> np.ndarray:
-    """div(K grad psi) at x from a field bundle with .grad and .hess."""
-    x = np.asarray(x, dtype=float)
-    K = k_matrix(x, h)
-    H = field.hess(x)
-    g = field.grad(x)
-    return np.einsum("...ij,...ij->...", K, H) + np.einsum(
-        "...i,...i->...", div_k(x, h), g
-    )
-
-
 def apply_L(field, x: np.ndarray, h: float) -> np.ndarray:
-    """L psi = -div(K grad psi) at x, from analytic derivatives."""
-    return -div_k_grad(field, x, h)
+    """L psi = -div(K grad psi) at x from a field bundle with .grad and .hess."""
+    x = np.asarray(x, dtype=float)
+    H = field.hess(x)
+    return -(np.einsum("...ij,...ij->...", k_matrix(x, h), H) + _dot2(div_k(x, h), field.grad(x)))
 
 
 @dataclass(frozen=True)
@@ -109,16 +99,25 @@ def local_frame(j: int, N: int, R: float, h: float) -> LocalFrame:
     return LocalFrame(j=j, R=R, h=h, P=P, Q=Q, M=M, Mj=Mj, Mj_inv=Mj_inv)
 
 
+def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over a last axis of length 2: einsum's a0 b0 + a1 b1, bit for bit."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _mat2(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M z for one 2 x 2 M and z of shape (..., 2): einsum's sums, bit for bit."""
+    z0, z1 = z[..., 0], z[..., 1]
+    return np.stack([M[0, 0] * z0 + M[0, 1] * z1, M[1, 0] * z0 + M[1, 1] * z1], axis=-1)
+
+
 def change_to_local(x: np.ndarray, frame: LocalFrame) -> np.ndarray:
     """z = M_j^-1 (x - P_j), vectorized over x of shape (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("ij,...j->...i", frame.Mj_inv, x - frame.P)
+    return _mat2(frame.Mj_inv, np.asarray(x, dtype=float) - frame.P)
 
 
 def change_from_local(z: np.ndarray, frame: LocalFrame) -> np.ndarray:
     """x = P_j + M_j z."""
-    z = np.asarray(z, dtype=float)
-    return frame.P + np.einsum("ij,...j->...i", frame.Mj, z)
+    return frame.P + _mat2(frame.Mj, np.asarray(z, dtype=float))
 
 
 def b_coefficients(z: np.ndarray, R: float, h: float) -> tuple[np.ndarray, ...]:

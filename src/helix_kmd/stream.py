@@ -46,6 +46,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,8 +55,8 @@ from numpy.polynomial.legendre import leggauss
 from . import liouville as lv
 from .configurations import HelixVariant, theorem_alpha
 from .elliptic import H2Correction, PolarGridSpec, _polar_points, solve_k_poisson
-from .errors import DegenerateConfig, NoBracket, QuadratureFailure
-from .screw_operator import LocalFrame, b_operator, change_to_local, local_frame
+from .errors import DegenerateConfig, NoBracket, NonFiniteError, QuadratureFailure
+from .screw_operator import LocalFrame, _dot2, _mat2, b_operator, change_to_local, local_frame
 
 __all__ = [
     "StreamContext",
@@ -79,7 +81,6 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
-UNIT_MASS = 8.0 * np.pi
 # integral of U y1 Z1 over the plane; normalizes the empirical projection
 UY1Z1 = -8.0 * np.pi
 
@@ -105,14 +106,6 @@ def _smoothstep_second(t: np.ndarray) -> np.ndarray:
 def eta0(rho: np.ndarray) -> np.ndarray:
     """Radial gluing cutoff: 1 for rho <= 1/2, 0 for rho >= 1."""
     return 1.0 - _smoothstep(2.0 * (np.asarray(rho, dtype=float) - 0.5))
-
-
-def eta0_prime(rho: np.ndarray) -> np.ndarray:
-    return -2.0 * _smoothstep_prime(2.0 * (np.asarray(rho, dtype=float) - 0.5))
-
-
-def eta0_second(rho: np.ndarray) -> np.ndarray:
-    return -4.0 * _smoothstep_second(2.0 * (np.asarray(rho, dtype=float) - 0.5))
 
 
 @dataclass(frozen=True)
@@ -228,25 +221,10 @@ def mu_relation_rhs(ctx: StreamContext, i: int) -> float:
 
 # -- error density g and the global correction ----------------------------
 
-class _AtTerms:
-    """Field bundle for b_operator: the profile's grad and hess at shared terms."""
-
-    def __init__(self, profile: lv.LocalProfile, terms):
-        self.profile = profile
-        self.terms = terms
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        return self.profile.grad(z, terms=self.terms)
-
-    def hess(self, z: np.ndarray) -> np.ndarray:
-        return self.profile.hess(z, terms=self.terms)
-
-
 def _retained(z: np.ndarray, prof: lv.LocalProfile, weight: float = 1.0) -> np.ndarray:
     """weight a (-8 + kE z1)/(a + |z|^2)^2: Delta Gamma_em plus the retained
     dipole term of the vertex profile at local points z."""
-    v = np.einsum("...i,...i->...", z, z)
-    return weight * prof.a * (-8.0 + prof.kE * z[..., 0]) / (prof.a + v) ** 2
+    return weight * prof.a * (-8.0 + prof.kE * z[..., 0]) / (prof.a + _dot2(z, z)) ** 2
 
 
 def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> np.ndarray:
@@ -257,13 +235,15 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
     """
     t = prof._terms(z)
     lap = prof.laplacian(t.z, terms=t)
-    bb = b_operator(_AtTerms(prof, t), t.z, frame1)
+    # b_operator's field bundle: the profile's grad and hess at the shared terms
+    at = SimpleNamespace(grad=partial(prof.grad, terms=t), hess=partial(prof.hess, terms=t))
+    bb = b_operator(at, t.z, frame1)
     return lap + bb - _retained(t.z, prof)
 
 
 # Points per block of the element-wise kernels: on the default build's 18,524-point
 # defect grid error_g's temporaries peak at 1.6 MB (6.4 MB in one call), inside a 2 MiB
-# L2; on a 2-core Xeon KVM guest it takes 26 ms, 29 at 2,048, 26 at 6,144, 34 unblocked.
+# L2; on a 2-core Xeon KVM guest it takes 28 ms, 36 at 2,048, 28 at 6,144, 34 unblocked.
 _POINT_BLOCK = 4096
 
 
@@ -304,8 +284,8 @@ def _error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
         h = profile.h
         beta = h * h / (h * h + rr * rr)
         beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
-        e0p = eta0_prime(rr)
-        e0s = eta0_second(rr)
+        e0p = -2.0 * _smoothstep_prime(2.0 * (rr - 0.5))      # eta0'
+        e0s = -4.0 * _smoothstep_second(2.0 * (rr - 0.5))     # eta0''
         lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
         rhat = xr / rr[..., None]
         acc = np.zeros(xr.shape[:-1])
@@ -313,10 +293,8 @@ def _error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
             z = change_to_local(xr, f)
             t = profile._terms(z)
             psi_j = profile.value(z, terms=t)
-            grad_x = np.einsum("ji,...j->...i", f.Mj_inv, profile.grad(z, terms=t))
-            acc += psi_j * lap_eta + 2.0 * e0p * beta * np.einsum(
-                "...i,...i->...", rhat, grad_x
-            )
+            grad_x = _mat2(f.Mj_inv.T, profile.grad(z, terms=t))
+            acc += psi_j * lap_eta + 2.0 * e0p * beta * _dot2(rhat, grad_x)
         out[ring] += acc
     return out
 
@@ -458,8 +436,7 @@ def F_prime(s: np.ndarray, ctx: StreamContext) -> np.ndarray:
 def rotating_argument(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     """s(x) = psi_*(x) - (alpha/2)|log eps| |x|^2 (direct assembly)."""
     x = np.asarray(x, dtype=float)
-    v = np.einsum("...i,...i->...", x, x)
-    return psi_star(x, ctx) - 0.5 * ctx.alpha * ctx.abs_log_eps * v
+    return psi_star(x, ctx) - 0.5 * ctx.alpha * ctx.abs_log_eps * _dot2(x, x)
 
 
 def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
@@ -505,7 +482,7 @@ def _nearest_inner_coords(ctx: StreamContext, x: np.ndarray):
     """Concentrated coordinates y w.r.t. the nearest vertex (the first one
     on a tie), plus its index."""
     z = np.stack([change_to_local(x, f) for f in ctx.frames])
-    idx = np.argmin(np.einsum("...i,...i->...", z, z), axis=0)
+    idx = np.argmin(_dot2(z, z), axis=0)
     return np.take_along_axis(z, idx[None, ..., None], axis=0)[0] / ctx.eps_mu, idx
 
 
@@ -522,7 +499,7 @@ def _inner_terms(y, ctx: StreamContext, vertex: int):
     f = ctx.frames[i]
     prof = ctx.profile
     em = ctx.eps_mu
-    yn2 = np.einsum("...i,...i->...", y, y)
+    yn2 = _dot2(y, y)
     gam = math.log(8.0) - 2.0 * np.log1p(yn2)
     log_em = math.log(ctx.eps) + ctx.log_mu
     # (a) profile corrections at the vertex itself
@@ -531,20 +508,20 @@ def _inner_terms(y, ctx: StreamContext, vertex: int):
     )
     # (b) third-harmonic correction, inner-scaled: kH*em*w0(|y|^2)*P3(y)/12
     w0, _, _ = lv._kernels(yn2)
-    p3 = y[..., 0] ** 3 - 3.0 * y[..., 0] * y[..., 1] ** 2
+    p3 = lv._re_cube(y[..., 0], y[..., 1])
     term_b = prof.kH * em * (w0 / 12.0) * p3
     # (c) increments of the other vertex profiles (mu relation cancels)
     z0, dd = ctx.far_geometry
-    my = np.einsum("ij,...j->...i", f.Mj, y)
+    my = _mat2(f.Mj, y)
     term_c = np.zeros(y.shape[:-1])
     for col in range(ctx.n - 1):
-        dz = em * np.einsum("ij,...j->...i", dd[i, col], y)
+        dz = em * _mat2(dd[i, col], y)
         term_c += prof.delta_value(z0[i, col], dz)
     # (d) first-order increment of H2 away from its vertex zero
-    term_d = em * np.einsum("i,...i->...", ctx.h2_grad[i], my)
+    term_d = em * _dot2(ctx.h2_grad[i], my)
     # (e) exact increment of -(alpha/2)|log eps| |x|^2
-    pmy = np.einsum("i,...i->...", f.P, my)
-    my2 = np.einsum("...i,...i->...", my, my)
+    pmy = _dot2(f.P, my)
+    my2 = _dot2(my, my)
     term_e = -0.5 * ctx.alpha * ctx.abs_log_eps * (2.0 * em * pmy + em * em * my2)
     ds = term_a + term_b + term_c + term_d + term_e
     return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
@@ -560,7 +537,7 @@ def _scaled_residual(y, ctx: StreamContext, vertex: int, ds, u, s) -> np.ndarray
     # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
     z0, dd = ctx.far_geometry
     for col in range(ctx.n - 1):
-        z = z0[i, col] + em * np.einsum("ij,...j->...i", dd[i, col], y)
+        z = z0[i, col] + em * _mat2(dd[i, col], y)
         out += _retained(z, ctx.profile, em * em)
     return out
 
@@ -627,8 +604,7 @@ def calA(alpha: float, ctx: StreamContext) -> float:
                             delta=ctx.delta, grid=ctx.grid)
     y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64)
     sres = inner_residual_scaled(y, ctx)
-    yn2 = np.einsum("...i,...i->...", y, y)
-    z1 = -4.0 * y[..., 0] / (1.0 + yn2)
+    z1 = -4.0 * y[..., 0] / (1.0 + _dot2(y, y))
     num = float(np.sum(sres * z1 * w))
     if not math.isfinite(num):
         raise QuadratureFailure("projection integral is not finite")
@@ -796,7 +772,9 @@ def outer_residual_norm(
     pts = flat[keep]
     svals = residual_S(pts, ctx)
     rho = np.hypot(pts[..., 0], pts[..., 1])
-    return float(np.max((1.0 + rho**nu_bar) * np.abs(svals)))
+    what = f"outer residual norm (nu_bar = {nu_bar:g})"
+    with np.errstate(over="ignore"):        # _weighted_sup reports an infinite weight
+        return _weighted_sup(svals, 1.0 + rho**nu_bar, what)
 
 
 def inner_residual_norm(
@@ -817,9 +795,7 @@ def inner_residual_norm(
     if np.any(deep):
         vals[deep] = _scaled_residual(flat[deep], ctx, 1, ds[deep], u[deep], s[deep])
     if np.any(~deep):
-        x = ctx.frames[0].P + ctx.eps_mu * np.einsum(
-            "ij,...j->...i", ctx.frames[0].Mj, flat[~deep]
-        )
+        x = ctx.frames[0].P + ctx.eps_mu * _mat2(ctx.frames[0].Mj, flat[~deep])
         vals[~deep] = ctx.eps_mu**2 * (
             _concentrated_terms(ctx, x)
             + nonlinearity_F(rotating_argument(x, ctx), ctx)
@@ -827,7 +803,7 @@ def inner_residual_norm(
     mask = _eta_of_s(ctx, s)[0] >= 1.0
     if not np.any(mask):
         raise QuadratureFailure("cutoff never saturates on the inner grid")
-    return float(np.max(np.abs(vals[mask]) * weight[mask]))
+    return _weighted_sup(vals[mask], weight[mask], f"inner residual norm (a_decay = {a_decay:g})")
 
 
 def b_eps_bound_check(ctx: StreamContext, a_decay: float = 0.8, y_cap: float = 200.0,
@@ -838,7 +814,14 @@ def b_eps_bound_check(ctx: StreamContext, a_decay: float = 0.8, y_cap: float = 2
     and returns sup |b| (1+|y|^{2+a}) / (eps mu sqrt|log eps|).
     """
     y, _, weight = _inner_sup_grid(ctx, 0.9, a_decay, y_cap, n_r, n_theta)
-    return float(np.max(np.abs(b_eps_inner(y, ctx)) * weight))
+    return _weighted_sup(b_eps_inner(y, ctx), weight, f"b_eps bound (a_decay = {a_decay:g})")
+
+
+def _weighted_sup(vals: np.ndarray, weight: np.ndarray, what: str) -> float:
+    """max |vals| weight; NonFiniteError if it is inf or nan, as an overflowed weight makes it."""
+    if not math.isfinite(out := float(np.max(np.abs(vals) * weight))):
+        raise NonFiniteError(f"{what} is not finite")
+    return out
 
 
 def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
@@ -851,8 +834,9 @@ def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
     rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
     th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     y = _polar_points(rr, th).reshape(-1, 2)
-    yn = np.sqrt(np.einsum("...i,...i->...", y, y))
-    return y, yn, (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
+    yn = np.sqrt(_dot2(y, y))
+    with np.errstate(over="ignore"):        # _weighted_sup reports an infinite weight
+        return y, yn, (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
 
 
 def generic_scan_alpha(r: float, h: float, n: int) -> float:

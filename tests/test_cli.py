@@ -387,6 +387,24 @@ class TestStreamCommands:
         ]
         assert not (out / "residual_scan.csv").exists()
 
+    @pytest.mark.filterwarnings("error")      # one stderr line: no overflow warning
+    @pytest.mark.parametrize("key, value, norm", [
+        ("nu_bar", "-1000", "outer residual norm (nu_bar = -1000)"),
+        ("a_decay", "1000", "inner residual norm (a_decay = 1000)"),
+    ])
+    def test_overflowing_norm_weight_exits_3(self, cfg_file, tmp_path, capsys,
+                                             key, value, norm):
+        # 1 + rho^nu_bar at rho >= R/8 and 1 + |y|^(2 + a_decay) up to |y| = 300
+        # overflow: the scan would write an infinite norm and a nan slope
+        grid = "[stream]\ngrid.radial = 64\ngrid.angular = 24\n"
+        cfg_file.write_text(BASE.replace("[stream]\n", grid + f"{key} = {value}\n"))
+        out = tmp_path / "inf"
+        assert main(["residual-scan", "--config", str(cfg_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: {norm} is not finite"
+        ]
+        assert not (out / "residual_scan.csv").exists()
+
 
 class TestLift3d:
     def test_report_and_box(self, cfg_file, tmp_path):

@@ -10,8 +10,10 @@ increment delta_value that computes its own intermediates and each of its
 dot products with dz twice, a lift-3d box sampled one (x, y) column at
 a time, and the point kernels of `stream` (error_g, residual_S and
 inner_residual_scaled) run on the whole array instead of in blocks of
-`stream._POINT_BLOCK` points.  The arithmetic per entry is unchanged,
-so results must agree exactly, not to a tolerance.  Five exceptions agree
+`stream._POINT_BLOCK` points.  The arithmetic per entry is unchanged
+(the references cube as the library does, x * x * x; `TestCube` bounds
+that cube against the exact one), so results must agree exactly, not to
+a tolerance.  Five exceptions agree
 to rounding only:
   * the defect density g on the solver grid, which is evaluated on one
     dihedral half-sector;
@@ -34,6 +36,7 @@ import math
 import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -92,7 +95,7 @@ def _hess_ref(prof, z):
     zz = z[..., :, None] * z[..., None, :]
     hg = (-4.0 / av)[..., None, None] * eye + (8.0 / av**2)[..., None, None] * zz
     hq = (2.0 * prof.c2) * eye
-    p3 = z[..., 0] ** 3 - 3.0 * z[..., 0] * z[..., 1] ** 2
+    p3 = z[..., 0] * z[..., 0] * z[..., 0] - 3.0 * z[..., 0] * z[..., 1] ** 2
     dp3 = np.stack(
         [3.0 * z[..., 0] ** 2 - 3.0 * z[..., 1] ** 2, -6.0 * z[..., 0] * z[..., 1]],
         axis=-1,
@@ -372,7 +375,7 @@ def _delta_value_ref(prof, z0, dz):
     q0 = 1.0 + prof.c1 * z0[..., 0] + prof.c2 * v0
     dq = prof.c1 * dz[..., 0] + prof.c2 * cross
     w, wp, ws = liouville._h1_weights(v0, prof.a)
-    p30 = z0[..., 0] ** 3 - 3.0 * z0[..., 0] * z0[..., 1] ** 2
+    p30 = z0[..., 0] * z0[..., 0] * z0[..., 0] - 3.0 * z0[..., 0] * z0[..., 1] ** 2
     dp30 = np.stack(
         [
             3.0 * z0[..., 0] ** 2 - 3.0 * z0[..., 1] ** 2,
@@ -553,6 +556,54 @@ class TestDeltaValue:
                 new = prof.delta_value(z0[i, col], dz)
                 assert new.shape == y.shape[:-1]
                 assert np.array_equal(new, _delta_value_ref(prof, z0[i, col], dz))
+
+
+class TestCube:
+    """The cube of P3 = Re(z^3) is x * x * x (two roundings), not libm pow.
+
+    Its error is bounded against the exact cube of the float inputs: x^3
+    rounds twice, 3 x y^2 three times and the difference once, so
+    |p3 - exact| <= 2 eps (|x|^3 + 3 |x| y^2), eps = 2^-52 (measured: 1.33).
+    """
+
+    @staticmethod
+    def _assert_near_exact(x, y, p3):
+        x, y, p3 = (np.ravel(a) for a in (x, y, p3))
+        assert x.size and p3.shape == x.shape
+        eps = Fraction(np.finfo(float).eps)
+        for a, b, v in zip(x.tolist(), y.tolist(), p3.tolist()):
+            fa, fb = Fraction(a), Fraction(b)
+            exact = fa**3 - 3 * fa * fb**2
+            assert abs(Fraction(v) - exact) <= 2 * eps * (abs(fa) ** 3 + 3 * abs(fa) * fb**2)
+
+    @staticmethod
+    def _points(rng, n=3000):
+        mag = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), n))
+        z = rng.normal(size=(n, 2)) * mag[:, None]
+        z[: n // 4, 1] = z[: n // 4, 0] / math.sqrt(3.0)    # x^3 ~ 3 x y^2
+        return z
+
+    def test_profile_terms(self, rng):
+        prof = LocalProfile(math.exp(-20.0), 7.0, 0.2, 1.0)
+        z = self._points(rng)
+        self._assert_near_exact(z[:, 0], z[:, 1], prof._terms(z).p3)
+
+    def test_inner_terms(self, ctx_cache, rng, monkeypatch):
+        cube, seen = liouville._re_cube, []
+
+        def spy(x, y):
+            out = cube(x, y)
+            seen.append((x, y, out))
+            return out
+
+        ctx, y = ctx_cache(20.0), self._points(rng) * 1e-2
+        monkeypatch.setattr(liouville, "_re_cube", spy)
+        stream._inner_terms(y, ctx, 1)
+        # P3(y) of the vertex itself, then P3 at each far vertex (delta_value)
+        assert len(seen) == 1 + 2
+        assert np.array_equal(seen[0][0], y[:, 0]) and np.array_equal(seen[0][1], y[:, 1])
+        for x_, y_, p3 in seen:
+            self._assert_near_exact(x_, y_, p3)
 
 
 class TestBandedModeMatrix:
@@ -905,6 +956,25 @@ class TestColumnSpline:
         for j in range(y.shape[1]):
             one = elliptic._ColumnSpline(x, y[:, j:j + 1])(u)[:, 0]
             assert np.max(np.abs(both[:, j] - one)) <= 2e-15 * np.max(np.abs(y[:, j]))
+
+    def test_one_factor_per_knot_set(self):
+        # the knot factor is cached on the knots' bytes: splines on the same
+        # knots share it and give the bytes of a fresh factor; other knots
+        # of the same count get their own
+        x, y = _spline_data(200, columns=3)
+        u = np.linspace(x[0], x[-1], 333)
+        elliptic._knot_factor.cache_clear()
+        first = elliptic._ColumnSpline(x, y)(u)
+        again = elliptic._ColumnSpline(x, 2.0 * y)(u)
+        info = elliptic._knot_factor.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        elliptic._knot_factor.cache_clear()
+        assert np.array_equal(elliptic._ColumnSpline(x, 2.0 * y)(u), again)
+        assert np.array_equal(first, elliptic._ColumnSpline(x, y)(u))
+        x2 = x[0] + (x - x[0]) ** 2 / (x[-1] - x[0])
+        other = elliptic._ColumnSpline(x2, y)(u)
+        assert elliptic._knot_factor.cache_info().misses == 2
+        assert _max_rel(other, CubicSpline(x2, y, axis=0)(u)) <= 1e-14
 
 
 class TestCumulativeSimpson:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helix_kmd.configurations import (
     KAPPA,
@@ -25,7 +26,13 @@ from helix_kmd.configurations import (
 from helix_kmd.elliptic import PolarGridSpec
 from helix_kmd.errors import DegenerateConfig
 from helix_kmd.filaments import galilean_transform
-from helix_kmd.screw_operator import change_from_local, change_to_local, local_frame
+from helix_kmd.screw_operator import (
+    _dot2,
+    _mat2,
+    change_from_local,
+    change_to_local,
+    local_frame,
+)
 from helix_kmd.stream import (
     _nearest_inner_coords,
     build_context,
@@ -154,6 +161,31 @@ def test_galilean_boost_maps_polygon_to_helix(r, n, h):
     scale = max(float(np.max(np.abs(s.positions))) for s in ref.snapshots)
     for a, b in zip(boosted.snapshots, ref.snapshots):
         assert np.max(np.abs(a.positions - b.positions)) <= 1e-12 * scale
+
+
+# zero and either sign between 1e-30 and 1e30: sums of products that far
+# apart in size are where a different summation order would round differently
+_SPREAD = (st.just(0.0) | st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30))
+
+
+def _vectors(shape):
+    return hnp.arrays(float, shape + (2,), elements=_SPREAD)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), data=st.data())
+def test_two_vector_helpers_equal_einsum(shape, data):
+    # bit for bit: a numpy whose einsum fused or reordered these sums would
+    # fail here, where it would otherwise move the artifacts.  Only the sign
+    # of an exact zero may differ (einsum adds into a +0 accumulator, so
+    # -0 * 1 + -0 * 1 is +0 there), which array_equal does not see.
+    a, b = data.draw(_vectors(shape)), data.draw(_vectors(shape))
+    M = data.draw(hnp.arrays(float, (2, 2), elements=_SPREAD))
+    for new, ref in [(_dot2(a, b), np.einsum("...i,...i->...", a, b)),
+                     (_dot2(M[0], b), np.einsum("i,...i->...", M[0], b)),
+                     (_mat2(M, b), np.einsum("ij,...j->...i", M, b)),
+                     (_mat2(M.T, b), np.einsum("ji,...j->...i", M, b))]:
+        assert new.shape == ref.shape and np.array_equal(new, ref)
 
 
 @pytest.mark.parametrize("kind", ["eps", "r", "h", "n", "radius", "alpha", "delta"])
