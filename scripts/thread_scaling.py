@@ -5,7 +5,7 @@ Usage:
     python3 scripts/thread_scaling.py [<repo>] [--repeats 15]
 
 imports helix_kmd from `<repo>/src` (default: this checkout) and prints
-two tables.
+three tables.
 
 1. Two threads against one on a loop of element-wise numpy ops (the mix
    of products, quotients, log1p and exp the stream kernels run) at
@@ -17,6 +17,12 @@ two tables.
    of the whole-array evaluation and of the `_POINT_BLOCK` blocks, on one
    thread and with two threads each evaluating it once, plus each
    evaluation's tracemalloc peak.  Whole and blocked runs alternate.
+3. `residual-scan` end to end over e^-10, e^-20, e^-40, e^-80 (r = h = 1,
+   N = 3, default grid: the benchmark's seed-0 `scan`) at `--threads 1`
+   and `--threads 2`, each run in a fresh interpreter that imports
+   helix_kmd and then times `helix_kmd.cli.main` alone: the median and
+   range of its wall time, its CPU time (all threads), the interpreter's
+   peak RSS and its minor page faults.  The two pool sizes alternate.
 
 `stream.error_g` blocks only while the main thread is the only Python
 thread; table 2 times both evaluations directly, so the two-thread rows
@@ -27,8 +33,12 @@ with nothing else busy and compare rows within one run.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -123,15 +133,74 @@ def error_g_table(repeats: int) -> None:
               f"  {peaks[name] / 1e6:.2f}")
 
 
+SCAN_INI = "[stream]\nepsilon = e^-10, e^-20, e^-40, e^-80\nr = 1.0\nh = 1.0\nn = 3\n"
+
+# one residual-scan in this interpreter; prints its measurements as JSON.  The
+# peak RSS is VmHWM (Linux): ru_maxrss survives exec, so each run would report
+# this script's own peak whenever that is the larger
+_SCAN_CHILD = """
+import json, re, resource, sys, time
+from pathlib import Path
+import helix_kmd.cli as cli
+t0, c0 = time.perf_counter(), time.process_time()
+code = cli.main(sys.argv[1:])
+wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+hwm = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())
+print(json.dumps({"exit": code, "wall_s": wall, "cpu_s": cpu,
+                  "peak_rss_mb": int(hwm[1]) / 1024.0,
+                  "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt}))
+"""
+
+
+def _scan_once(src: Path, work: Path, threads: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("HELIX_KMD_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCAN_CHILD, "residual-scan", "--config",
+         str(work / "scan.ini"), "--threads", str(threads), "--out", str(work / f"t{threads}")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    if result["exit"]:
+        raise RuntimeError(f"residual-scan --threads {threads} exited {result['exit']}")
+    return result
+
+
+def _spread(values: list, fmt: str) -> str:
+    return f"{statistics.median(values):{fmt}} [{min(values):{fmt}}, {max(values):{fmt}}]"
+
+
+def scan_table(repeats: int, src: Path) -> None:
+    runs = {1: [], 2: []}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "scan.ini").write_text(SCAN_INI)
+        for _ in range(repeats):
+            for threads in runs:
+                runs[threads].append(_scan_once(src, work, threads))
+    print(f"\nresidual-scan e^-10..e^-80 end to end, fresh interpreter per run "
+          f"(median [min, max] of {repeats} interleaved runs)")
+    print(f"  {'threads':>7}  {'wall s':>19}  {'cpu s':>19}  {'peak RSS MiB':>19}"
+          f"  {'minor faults':>12}")
+    for threads, rs in runs.items():
+        cols = [_spread([r[key] for r in rs], fmt)
+                for key, fmt in (("wall_s", ".3f"), ("cpu_s", ".3f"), ("peak_rss_mb", ".1f"))]
+        faults = statistics.median(r["minflt"] for r in rs)
+        print(f"  {threads:>7}  {cols[0]:>19}  {cols[1]:>19}  {cols[2]:>19}  {faults:>12.0f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("repo", nargs="?", type=Path,
                         default=Path(__file__).resolve().parents[1])
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.repo.resolve() / "src"))
+    src = args.repo.resolve() / "src"
+    sys.path.insert(0, str(src))
     op_table(args.repeats)
     error_g_table(args.repeats)
+    scan_table(args.repeats, src)
     return 0
 
 

@@ -37,6 +37,7 @@ and are cached across builds.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -167,7 +168,9 @@ class _ColumnSpline:
         b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
         d = x[-1] - x[-3]
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        yp = _knot_factor(x.tobytes()).solve(b[:, None]).reshape(y.shape)
+        with _FACTOR_LOCK:
+            factor = _knot_factor(x.tobytes())
+        yp = factor.solve(b[:, None]).reshape(y.shape)
         # Hermite form c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = u - x[i]
         t = (yp[:-1] + yp[1:] - 2 * slope) / dxr
         c = (t / dxr, (slope - yp[:-1]) / dxr - t, yp[:-1], y[:-1])
@@ -207,6 +210,11 @@ class _ColumnSpline:
     def with_derivative(self, u: np.ndarray, buf: np.ndarray | None = None) -> tuple:
         """Values and first derivatives at u from one interval lookup."""
         return tuple(self._eval(u, [self._c, self._dc], buf))
+
+
+# held around the lookups of _knot_factor and _mode_factor: a pool thread asking
+# for a key that another thread is factoring waits for its entry
+_FACTOR_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=4)
@@ -462,7 +470,9 @@ def solve_k_poisson(
     sol0, G0 = _solve_mode0(u, _beta(u, h)[0], a[:, 0])
     rhs = -np.exp(2.0 * u)[:, None] * a[:, 1:]
     rhs[[0, -1]] = 0.0
-    sol = _mode_factor(spec, float(h), tuple(range(n, n * kept, n))).solve(rhs[..., None])
+    with _FACTOR_LOCK:
+        factor = _mode_factor(spec, float(h), tuple(range(n, n * kept, n)))
+    sol = factor.solve(rhs[..., None])
     if not np.all(np.isfinite(sol)):
         raise SolverDivergence("mode solve produced non-finite values")
     return H2Correction(spec, h, n, np.vstack([sol0, sol[..., 0].T]), 2.0 * np.pi * G0[-1], anchor)

@@ -563,14 +563,24 @@ def b_eps_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarra
 
 # -- projections, norms, and the speed selection ---------------------------
 
+def _cell_angles(n_theta: int, cells: int) -> np.ndarray:
+    """The K = ceil(n_theta/cells) midpoint angles (k + 1/2) 2 pi/(cells K) of
+    the sector [0, 2 pi/cells): the first K of the n_theta-point rule, bit for
+    bit, when cells divides n_theta."""
+    k = -(-n_theta // cells)
+    return (np.arange(k) + 0.5) * (2.0 * np.pi / (cells * k))
+
+
 def _polar_gauss_rule(ctx: StreamContext, frac: float, y_cap: float, floor: float,
-                      n_seg: int, n_theta: int):
-    """Nodes (n_r, n_theta, 2) and weights (n_r, n_theta) on the inner disk.
+                      n_seg: int, n_theta: int, cells: int = 1):
+    """Nodes (n_r, K, 2) and weights (n_r, K), K = ceil(n_theta/cells), on the inner disk.
 
     The disk is |y| <= ymax = min(y_cap, frac times the inner radius);
     QuadratureFailure when ymax <= floor.  Radially, n_seg Gauss-Legendre
     nodes on each of the segments [0, 1], [1, 2], [2, 4], ... (the last one
-    ends at ymax); angularly, the n_theta-point midpoint rule.
+    ends at ymax); angularly, the n_theta-point midpoint rule on the first
+    of `cells` sectors (_cell_angles), each weight standing for its angle's
+    whole orbit: the rule of the disk for an integrand with that symmetry.
     """
     ymax = min(y_cap, frac * ctx.inner_radius_y)
     if ymax <= floor:
@@ -586,10 +596,10 @@ def _polar_gauss_rule(ctx: StreamContext, frac: float, y_cap: float, floor: floa
         ww.append(half * weights)
     rr = np.concatenate(rr)
     ww = np.concatenate(ww)
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
+    th = _cell_angles(n_theta, cells)
     y = _polar_points(rr, th)
-    w2d = (ww * rr)[:, None] * (2.0 * np.pi / n_theta)
-    return y, np.broadcast_to(w2d, (rr.size, n_theta))
+    w2d = (ww * rr)[:, None] * (2.0 * np.pi / th.size)
+    return y, np.broadcast_to(w2d, (rr.size, th.size))
 
 
 def calA(alpha: float, ctx: StreamContext) -> float:
@@ -597,12 +607,13 @@ def calA(alpha: float, ctx: StreamContext) -> float:
 
     The normalized projection of the scaled residual onto the translation
     kernel element Z1 over the inner disk; the context (mu, g, H2) is
-    rebuilt at `alpha` if it differs.
+    rebuilt at `alpha` if it differs.  The residual is even across the
+    vertex axis, as Z1 is, so the rule samples the half-disk theta in (0, pi).
     """
     if alpha != ctx.alpha:
         ctx = build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=alpha,
                             delta=ctx.delta, grid=ctx.grid)
-    y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64)
+    y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64, cells=2)
     sres = inner_residual_scaled(y, ctx)
     z1 = -4.0 * y[..., 0] / (1.0 + _dot2(y, y))
     num = float(np.sum(sres * z1 * w))
@@ -757,11 +768,12 @@ def outer_residual_norm(
 
     The scan is confined to the unit disk: with the rotation term frozen,
     negative speeds reactivate the nonlinearity around |x|^2 ~ 2/|alpha|,
-    an artifact of extending the cutoff argument globally.
+    an artifact of extending the cutoff argument globally.  S is invariant
+    under the dihedral group D_N, so the sup is taken on the half-sector
+    theta in [0, pi/N], at the n_theta-point rule's spacing (_cell_angles).
     """
     rr = np.geomspace(ctx.R / 8.0, rho_max, n_r)
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    x = _polar_points(rr, th)
+    x = _polar_points(rr, _cell_angles(n_theta, 2 * ctx.n))
     flat = x.reshape(-1, 2)
     # outer region: every concentrated coordinate beyond delta/sqrt(log)
     keep = np.ones(flat.shape[0], dtype=bool)
@@ -827,13 +839,13 @@ def _weighted_sup(vals: np.ndarray, weight: np.ndarray, what: str) -> float:
 def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
     """Flat sup-grid points y, |y| and weights (1+|y|^{2+a})/(eps mu sqrt|log eps|).
 
-    Radii 0 and geomspace(0.05, ymax, n_r), ymax = min(y_cap, frac times the
-    inner radius), times the n_theta-point midpoint angles.
+    The origin, then radii geomspace(0.05, ymax, n_r), ymax = min(y_cap, frac
+    times the inner radius), times the n_theta-point midpoint angles of the
+    half-disk theta in (0, pi): the inner fields are even across the vertex axis.
     """
     ymax = min(y_cap, frac * ctx.inner_radius_y)
-    rr = np.concatenate([[0.0], np.geomspace(0.05, ymax, n_r)])
-    th = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    y = _polar_points(rr, th).reshape(-1, 2)
+    rings = _polar_points(np.geomspace(0.05, ymax, n_r), _cell_angles(n_theta, 2))
+    y = np.concatenate([np.zeros((1, 2)), rings.reshape(-1, 2)])
     yn = np.sqrt(_dot2(y, y))
     with np.errstate(over="ignore"):        # _weighted_sup reports an infinite weight
         return y, yn, (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)

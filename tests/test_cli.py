@@ -6,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,30 @@ class TestStreamCommands:
                          "--threads", threads]) == 0
             outputs.append((out / "residual_scan.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_pool_factors_each_cached_system_once(self, cfg_file, tmp_path, monkeypatch):
+        # both pool threads ask for the same mode and knot factors; a slowed
+        # factorization keeps the first one busy while the second asks
+        from helix_kmd import elliptic
+
+        cfg_file.write_text(
+            BASE.replace("[stream]\n", "[stream]\ngrid.radial = 64\ngrid.angular = 24\n")
+        )
+        built = []
+        factor = elliptic._Banded.__init__
+
+        def slow_factor(self, bands):
+            built.append(bands.shape)
+            time.sleep(0.05)
+            factor(self, bands)
+
+        monkeypatch.setattr(elliptic._Banded, "__init__", slow_factor)
+        caches = (elliptic._mode_factor, elliptic._knot_factor)
+        for cache in caches:
+            cache.cache_clear()
+        assert main(["residual-scan", "--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                     "--threads", "2"]) == 0
+        assert len(built) == sum(cache.cache_info().currsize for cache in caches)
 
     def test_alpha_solve_json(self, cfg_file, tmp_path):
         out = tmp_path / "as"

@@ -1,21 +1,24 @@
 """Properties of the stream construction over random admissible geometries.
 
-Each example draws (eps, r, h, N, alpha) with N in 2..5, r/sqrt|log eps|
-inside the cutoff and alpha inside the admissible band around the leading
-speed, and builds its context on a coarse polar grid (the properties do
-not depend on the H2 resolution).  Draws are derandomized, so a run does
-not depend on the test order or on a stored example database.
+Each example draws (eps, r, h, N, alpha) with N in 2..5 (2..6 for the
+symmetry-cell samplers), r/sqrt|log eps| inside the cutoff and alpha
+inside the admissible band around the leading speed, and builds its
+context on a coarse polar grid (the properties do not depend on the H2
+resolution).  Draws are derandomized, so a run does not depend on the
+test order or on a stored example database.
 """
 
 import math
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helix_kmd import stream
 from helix_kmd.configurations import (
     KAPPA,
     HelixConfig,
@@ -24,7 +27,7 @@ from helix_kmd.configurations import (
     theorem_alpha,
 )
 from helix_kmd.elliptic import PolarGridSpec
-from helix_kmd.errors import DegenerateConfig
+from helix_kmd.errors import DegenerateConfig, NonFiniteError, QuadratureFailure
 from helix_kmd.filaments import galilean_transform
 from helix_kmd.screw_operator import (
     _dot2,
@@ -34,22 +37,30 @@ from helix_kmd.screw_operator import (
     local_frame,
 )
 from helix_kmd.stream import (
+    UY1Z1,
     _nearest_inner_coords,
+    _polar_gauss_rule,
+    b_eps_bound_check,
     build_context,
+    calA,
     error_g,
+    inner_residual_norm,
+    inner_residual_scaled,
     mu_relation_rhs,
+    outer_residual_norm,
     psi0_sum,
+    residual_S,
 )
 
-# n_angular = 60 is a multiple of lcm(2, N) for every N in 2..5
+# n_angular = 60 is a multiple of lcm(2, N) for every N in 2..6
 GRID = PolarGridSpec(n_radial=64, n_angular=60)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def geometries(draw):
+def geometries(draw, n_max=5):
     """(eps, r, h, n, alpha) inside every band checked before mu is solved."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, n_max))
     exponent = draw(st.floats(10.0, 80.0))
     r = draw(st.floats(0.5, min(2.0, 0.449 * math.sqrt(exponent))))
     h = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
@@ -161,6 +172,99 @@ def test_galilean_boost_maps_polygon_to_helix(r, n, h):
     scale = max(float(np.max(np.abs(s.positions))) for s in ref.snapshots)
     for a, b in zip(boosted.snapshots, ref.snapshots):
         assert np.max(np.abs(a.positions - b.positions)) <= 1e-12 * scale
+
+
+# -- sups and projections on one symmetry cell ------------------------------
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type of the documented failure it raised: a norm
+    whose F is switched on past overflow by the frozen rotation term, an
+    inner disk too small for the grid."""
+    try:
+        return fn(*args, **kwargs)
+    except (NonFiniteError, QuadratureFailure) as err:
+        return type(err)
+
+
+def _agree(cell, whole, rel):
+    """The same failure on both sides, or values within rel of each other."""
+    if isinstance(whole, type):
+        return cell is whole
+    return abs(cell - whole) <= rel * abs(whole)
+
+
+def _outer_orbit_sup(ctx, n_r, n_theta, nu_bar=3.0):
+    """outer_residual_norm's sup over the D_N orbit of its half-sector grid:
+    K = ceil(n_theta/2N) midpoint angles of [0, pi/N], rotated by 2 pi j/N
+    and reflected through the vertex axis."""
+    k = -(-n_theta // (2 * ctx.n))
+    cell = (np.arange(k) + 0.5) * (math.pi / (ctx.n * k))
+    turns = 2.0 * math.pi * np.arange(ctx.n) / ctx.n
+    th = np.concatenate([(cell[None] + turns[:, None]).ravel(),
+                         (turns[:, None] - cell[None]).ravel()])
+    rr = np.geomspace(ctx.R / 8.0, 1.0, n_r)
+    x = (rr[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)).reshape(-1, 2)
+    lim = ctx.delta / ctx.sqrt_log
+    x = x[np.all([np.hypot(*change_to_local(x, f).T) > lim for f in ctx.frames], axis=0)]
+    return stream._weighted_sup(residual_S(x, ctx), 1.0 + np.hypot(*x.T) ** nu_bar, "orbit")
+
+
+@PROPERTY
+@given(geometry=geometries(n_max=6), n_theta=st.sampled_from([96, 180]))
+@example(geometry=(math.exp(-20.0), 1.0, 1.0, 4, 0.5), n_theta=180)
+def test_outer_sup_on_half_sector_is_orbit_sup(geometry, n_theta):
+    # 2N does not divide n_theta = 180 at N = 4, nor n_theta = 96 at N = 5
+    ctx = _context(geometry)
+    cell = _outcome(outer_residual_norm, ctx, n_r=24, n_theta=n_theta)
+    assert _agree(cell, _outcome(_outer_orbit_sup, ctx, 24, n_theta), 1e-12)
+
+
+@PROPERTY
+@given(geometry=geometries(n_max=6), n_theta=st.sampled_from([64, 96, 45]))
+def test_inner_sups_on_half_disk_are_disk_sups(geometry, n_theta):
+    # the same sups over the half-disk grid and its mirror image y2 -> -y2
+    ctx = _context(geometry)
+    half = stream._inner_sup_grid
+    # the origin, then rings of ceil(n_theta/2) midpoint angles of (0, pi)
+    y = half(ctx, 0.98, 0.8, 300.0, 40, n_theta)[0]
+    k = -(-n_theta // 2)
+    assert np.array_equal(y[0], [0.0, 0.0]) and y.shape == (1 + 40 * k, 2)
+    th = np.arctan2(y[1:, 1], y[1:, 0]).reshape(40, k)
+    assert np.allclose(th, (np.arange(k) + 0.5) * (math.pi / k), rtol=0.0, atol=1e-12)
+
+    def mirrored(*args):
+        y, yn, w = half(*args)
+        return np.concatenate([y, y * [1.0, -1.0]]), np.tile(yn, 2), np.tile(w, 2)
+
+    def sups():
+        return [_outcome(norm, ctx, n_r=40, n_theta=n_theta)
+                for norm in (inner_residual_norm, b_eps_bound_check)]
+
+    cells = sups()
+    with patch.object(stream, "_inner_sup_grid", mirrored):
+        disks = sups()
+    for cell, disk in zip(cells, disks):
+        assert _agree(cell, disk, 1e-12)
+
+
+@PROPERTY
+@given(geometry=geometries(n_max=6))
+def test_half_disk_projection_matches_full_rule(geometry):
+    ctx = _context(geometry)
+
+    def full_rule():
+        y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64)
+        terms = inner_residual_scaled(y, ctx) * (-4.0 * y[..., 0] / (1.0 + _dot2(y, y))) * w
+        if not np.all(np.isfinite(terms)):
+            raise QuadratureFailure("projection integral is not finite")
+        return np.sum(terms), np.sum(np.abs(terms))
+
+    full = _outcome(full_rule)
+    half = _outcome(calA, ctx.alpha, ctx)
+    if isinstance(full, type):
+        assert half is full
+    else:
+        assert abs(half * ctx.eps_mu * UY1Z1 - full[0]) <= 1e-12 * full[1]
 
 
 # zero and either sign between 1e-30 and 1e30: sums of products that far
