@@ -177,7 +177,8 @@ def bump_test_field(
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        rp = np.hypot(x[..., 0] - center[0], x[..., 1] - center[1])
+        dx, dy = x[..., 0] - center[0], x[..., 1] - center[1]
+        rp = np.sqrt(dx * dx + dy * dy)
         ax = np.abs(x[..., 2] - axial_center)
         val = (1.0 - _smoothstep(rp / radius)) * (1.0 - _smoothstep(ax / axial_radius))
         out = np.zeros(x.shape)
@@ -195,6 +196,7 @@ def weak_convergence_gap(
     Time is frozen at t = 0: in the co-rotating construction all times
     are equivalent up to a global rotation.
     """
+    from .screw_operator import _mat2_xy
     from .stream import _eta_of_s, _inner_terms, _polar_gauss_rule
 
     h = ctx.h
@@ -202,24 +204,29 @@ def weak_convergence_gap(
     s3 = np.arange(n_axial) * (period / n_axial)      # periodic trapezoid
     y, wq = _polar_gauss_rule(ctx, 0.9, 40.0, 2.0, 16, 48)
     y, wq = y.reshape(-1, 2), wq.ravel()
-    # scaled vorticity on the core grid: w dxi = detM * U eta e^{ds} dy
-    volume = 0.0
-    det_m = float(np.linalg.det(ctx.frames[0].M))
+    # scaled vorticity on the core grid of every frame: w dxi = detM * U eta e^{ds} dy
+    w_scaled, xi1, xi2 = [], [], []
     for j, f in enumerate(ctx.frames):
         ds, u, s_arg = _inner_terms(y, ctx, j + 1)
         eta, _ = _eta_of_s(ctx, s_arg)
-        w_scaled = u * eta * np.exp(ds)               # w * (eps mu)^2
-        xi = f.P + ctx.eps_mu * np.einsum("ij,...j->...i", f.Mj, y)
-        for x3 in s3:
-            xp = _rotate_planar(xi, x3 / h)
-            pts = np.concatenate([xp, np.full(xp.shape[:-1] + (1,), x3)], axis=-1)
-            phi = test_field(pts)
-            integrand = w_scaled * (
-                -xp[..., 1] / h * phi[..., 0]
-                + xp[..., 0] / h * phi[..., 1]
-                + phi[..., 2]
-            )
-            volume += det_m * float(np.sum(integrand * wq)) * (period / n_axial)
+        w_scaled.append(u * eta * np.exp(ds))         # w * (eps mu)^2
+        m1, m2 = _mat2_xy(f.Mj, y[:, 0], y[:, 1])
+        xi1.append(f.P[0] + ctx.eps_mu * m1)
+        xi2.append(f.P[1] + ctx.eps_mu * m2)
+    w_scaled, xi1, xi2 = (np.concatenate(a) for a in (w_scaled, xi1, xi2))
+    # one pass per axial slice over all N cores; each core's sum on its own
+    pts = np.empty((3, xi1.size))
+    sums = np.empty((ctx.n, n_axial))
+    for k, x3 in enumerate(s3):
+        c, s = np.cos(x3 / h), np.sin(x3 / h)
+        pts[0], pts[1], pts[2] = c * xi1 - s * xi2, s * xi1 + c * xi2, x3
+        phi = test_field(pts.T)
+        integrand = -pts[1] / h * phi[:, 0] + pts[0] / h * phi[:, 1] + phi[:, 2]
+        sums[:, k] = np.sum((w_scaled * integrand).reshape(ctx.n, -1) * wq, axis=1)
+    volume = 0.0
+    det_m = float(np.linalg.det(ctx.frames[0].M))
+    for s_jk in sums.ravel():       # frame by frame, then slice, as a loop per frame adds them
+        volume += det_m * float(s_jk) * (period / n_axial)
     line = 0.0
     for c in filament_curves(ctx):
         ss = np.arange(n_axial * 4) * (c.period / (n_axial * 4))

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateConfig
-from .screw_operator import _dot2
+from .screw_operator import _dot2, _soa
 
 _SERIES_TERMS = 140
 _T_SWITCH = 0.7
@@ -97,29 +97,29 @@ def _re_cube(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w0, s0, w2 at t = v/a; series below _T_SWITCH, closed form above."""
+    """w0, s0, w2 at t = v/a; series below _T_SWITCH, closed form above (on the
+    whole array, without a gather, when no entry is below it)."""
     t = np.asarray(t, dtype=float)
-    w0, s0, w2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     small = t < _T_SWITCH
-    if np.any(small):
-        ts = t[small]
-        w0[small] = np.polyval(_W0_C, ts)
-        s0[small] = np.polyval(_S0_C, ts)
-        w2[small] = np.polyval(_W2_C, ts)
+    if not np.any(small):
+        return _kernels_large(t)
+    w0, s0, w2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    ts = t[small]
+    w0[small] = np.polyval(_W0_C, ts)
+    s0[small] = np.polyval(_S0_C, ts)
+    w2[small] = np.polyval(_W2_C, ts)
     large = ~small
     if np.any(large):
-        tl = t[large]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s1l = (
-                0.5 / tl
-                - 2.0 / tl**2
-                + 3.0 * np.log1p(tl) / tl**3
-                - 1.0 / (tl * tl * (1.0 + tl))
-            )
-            w0[large] = 1.0 / (1.0 + tl) + s1l
-            s0[large] = s1l / tl
-            w2[large] = s1l / tl**2 - 0.25 / (tl * (1.0 + tl) ** 2)
+        w0[large], s0[large], w2[large] = _kernels_large(t[large])
     return w0, s0, w2
+
+
+def _kernels_large(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed forms of w0, s0, w2, accurate for t >= _T_SWITCH."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t2, tp = t**2, 1.0 + t
+        s1l = 0.5 / t - 2.0 / t2 + 3.0 * np.log1p(t) / t**3 - 1.0 / (t2 * tp)
+        return 1.0 / tp + s1l, s1l / t, s1l / t2 - 0.25 / (t * tp**2)
 
 
 def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,14 +130,16 @@ def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class _Terms(NamedTuple):
-    """Intermediates of Psi shared by value, grad, hess and laplacian.
+    """Intermediates of Psi shared by value, grad, hess and laplacian, as
+    arrays over the points with components x, y.
 
-    The first-order pieces (r, dg, dq, dp3) are None in a value-only record.
+    The first-order pieces (av2 ... dp2) are None in a value-only record.
     """
 
-    z: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    xx: np.ndarray
+    yy: np.ndarray
     av: np.ndarray         # a + |z|^2
     g: np.ndarray          # Gamma_em
     q: np.ndarray          # 1 + c1 z1 + c2 |z|^2
@@ -145,10 +147,14 @@ class _Terms(NamedTuple):
     W: np.ndarray
     Wp: np.ndarray
     Ws: np.ndarray
+    av2: np.ndarray | None = None    # (a+|z|^2)^2
     r: np.ndarray | None = None      # -4/(a+|z|^2): grad Gamma_em = r z
-    dg: np.ndarray | None = None
-    dq: np.ndarray | None = None
-    dp3: np.ndarray | None = None
+    dg1: np.ndarray | None = None    # grad Gamma_em, grad q and grad P3
+    dg2: np.ndarray | None = None
+    dq1: np.ndarray | None = None
+    dq2: np.ndarray | None = None
+    dp1: np.ndarray | None = None
+    dp2: np.ndarray | None = None
 
 
 class LocalProfile:
@@ -182,21 +188,21 @@ class LocalProfile:
         """Shared intermediates at z; value-only when derivatives is False."""
         z = np.asarray(z, dtype=float)
         x, y = z[..., 0], z[..., 1]
-        v = _dot2(z, z)
+        xx, yy = x * x, y * y
+        v = xx + yy
         av = self.a + v
         g = np.log(8.0) - 2.0 * np.log(av)
         q = 1.0 + self.c1 * x + self.c2 * v
         p3 = _re_cube(x, y)
         W, Wp, Ws = _h1_weights(v, self.a)
-        t = _Terms(z, x, y, av, g, q, p3, W, Wp, Ws)
+        t = _Terms(x, y, xx, yy, av, g, q, p3, W, Wp, Ws)
         if not derivatives:
             return t
         r = -4.0 / av
         return t._replace(
-            r=r,
-            dg=r[..., None] * z,
-            dq=np.stack([self.c1 + 2.0 * self.c2 * x, 2.0 * self.c2 * y], axis=-1),
-            dp3=np.stack([3.0 * x**2 - 3.0 * y**2, -6.0 * x * y], axis=-1),
+            av2=av**2, r=r, dg1=r * x, dg2=r * y,
+            dq1=self.c1 + 2.0 * self.c2 * x, dq2=2.0 * self.c2 * y,
+            dp1=3.0 * xx - 3.0 * yy, dp2=-6.0 * x * y,
         )
 
     def value(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
@@ -205,48 +211,49 @@ class LocalProfile:
 
     def grad(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
         t = self._terms(z) if terms is None else terms
-        out = t.q[..., None] * t.dg + t.g[..., None] * t.dq
-        out += self.kH * (2.0 * (t.Wp * t.p3)[..., None] * t.z + t.W[..., None] * t.dp3)
-        return out
+        wp = 2.0 * (t.Wp * t.p3)
+        g1 = t.q * t.dg1 + t.g * t.dq1
+        g1 += self.kH * (wp * t.x + t.W * t.dp1)
+        g2 = t.q * t.dg2 + t.g * t.dq2
+        g2 += self.kH * (wp * t.y + t.W * t.dp2)
+        return _soa((g1, g2))
 
     def hess(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
         """Hessian (..., 2, 2), assembled one component at a time."""
         t = self._terms(z) if terms is None else terms
-        x, y, q, g, r, p3 = t.x, t.y, t.q, t.g, t.r, t.p3
+        x, y, xx, yy, q, g, r, p3 = t.x, t.y, t.xx, t.yy, t.q, t.g, t.r, t.p3
         # Gamma_em: grad = r z, hess = r I + s z z^T
-        s = 8.0 / t.av**2
-        dg1, dg2 = t.dg[..., 0], t.dg[..., 1]
-        dq1, dq2 = t.dq[..., 0], t.dq[..., 1]
-        dp1, dp2 = t.dp3[..., 0], t.dp3[..., 1]
-        W = t.W
+        s = 8.0 / t.av2
+        dg1, dg2, dq1, dq2, dp1, dp2 = t.dg1, t.dg2, t.dq1, t.dq2, t.dp1, t.dp2
         wz = 4.0 * (t.Ws * p3)
         wd = 2.0 * t.Wp
-        xx, xy, yy = x * x, x * y, y * y
-        out = np.empty(t.z.shape[:-1] + (2, 2))
-        out[..., 0, 0] = (
-            q * (r + s * xx) + (dg1 * dq1 + dq1 * dg1) + g * (2.0 * self.c2)
-            + self.kH * (wz * xx + wd * (p3 + (x * dp1 + dp1 * x)) + W * (6.0 * x))
+        gc = g * (2.0 * self.c2)
+        w6x = t.W * (6.0 * x)
+        xy = x * y
+        # u v + v u = 2 (u v) and a + W (-6 x) = a - W (6 x), both exactly
+        h11 = (
+            q * (r + s * xx) + 2.0 * (dg1 * dq1) + gc
+            + self.kH * (wz * xx + wd * (p3 + 2.0 * (x * dp1)) + w6x)
         )
-        out[..., 1, 1] = (
-            q * (r + s * yy) + (dg2 * dq2 + dq2 * dg2) + g * (2.0 * self.c2)
-            + self.kH * (wz * yy + wd * (p3 + (y * dp2 + dp2 * y)) + W * (-6.0 * x))
+        h22 = (
+            q * (r + s * yy) + 2.0 * (dg2 * dq2) + gc
+            + self.kH * (wz * yy + wd * (p3 + 2.0 * (y * dp2)) - w6x)
         )
-        out[..., 0, 1] = (
+        h12 = (
             q * (s * xy) + (dg1 * dq2 + dq1 * dg2)
-            + self.kH * (wz * xy + wd * (x * dp2 + dp1 * y) + W * (-6.0 * y))
+            + self.kH * (wz * xy + wd * (x * dp2 + dp1 * y) + t.W * (-6.0 * y))
         )
-        out[..., 1, 0] = out[..., 0, 1]
-        return out
+        return _soa([[h11, h12], [h12, h22]], axes=2)
 
     def laplacian(self, z: np.ndarray, terms: _Terms | None = None) -> np.ndarray:
         """Delta Psi; the H1 block contributes exactly -P3/(a+|z|^2)^2."""
         t = self._terms(z) if terms is None else terms
-        lap_g = -8.0 * self.a / t.av**2
+        lap_g = -8.0 * self.a / t.av2
         out = (
-            t.q * lap_g + 2.0 * _dot2(t.dg, t.dq)
+            t.q * lap_g + 2.0 * (t.dg1 * t.dq1 + t.dg2 * t.dq2)
             + 4.0 * self.c2 * t.g
         )
-        out += self.kH * (-t.p3 / t.av**2)
+        out += self.kH * (-t.p3 / t.av2)
         return out
 
     def delta_value(self, z0: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -261,25 +268,21 @@ class LocalProfile:
         """
         t = self._terms(z0)
         dz = np.asarray(dz, dtype=float)
-        zd = _dot2(t.z, dz)
-        dd = _dot2(dz, dz)
-        pd = _dot2(t.dp3, dz)
+        d1, d2 = dz[..., 0], dz[..., 1]
+        d11, d22 = d1 * d1, d2 * d2
+        zd = t.x * d1 + t.y * d2
+        dd = d11 + d22
+        pd = t.dp1 * d1 + t.dp2 * d2
         cross = 2.0 * zd + dd
         g1 = np.log(8.0) - 2.0 * np.log(t.av + cross)
         dgam = -2.0 * np.log1p(cross / t.av)
-        dq = self.c1 * dz[..., 0] + self.c2 * cross
+        dq = self.c1 * d1 + self.c2 * cross
         # H1 increment: first-order term plus explicit curvature correction
         lin = 2.0 * t.Wp * t.p3 * zd + t.W * pd
         quad = (
             2.0 * t.Ws * t.p3 * zd * zd
             + t.Wp * (t.p3 * dd + 2.0 * zd * pd)
-            + 0.5
-            * t.W
-            * (
-                6.0 * t.x * dz[..., 0] ** 2
-                - 12.0 * t.y * dz[..., 0] * dz[..., 1]
-                - 6.0 * t.x * dz[..., 1] ** 2
-            )
+            + 0.5 * t.W * (6.0 * t.x * d11 - 12.0 * t.y * d1 * d2 - 6.0 * t.x * d22)
         )
         dh1 = lin + quad
         return g1 * dq + t.q * dgam + self.kH * dh1

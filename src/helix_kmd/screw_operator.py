@@ -104,15 +104,33 @@ def _dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
+def _soa(parts, axes: int = 1) -> np.ndarray:
+    """Equally shaped arrays nested `axes` deep as one array with those axes last,
+    stored part by part (a struct of arrays): each z[..., k] is contiguous."""
+    out = np.array(parts)
+    return out.transpose(*range(axes, out.ndim), *range(axes))
+
+
 def _mat2(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     """M z for one 2 x 2 M and z of shape (..., 2): einsum's sums, bit for bit."""
-    z0, z1 = z[..., 0], z[..., 1]
-    return np.stack([M[0, 0] * z0 + M[0, 1] * z1, M[1, 0] * z0 + M[1, 1] * z1], axis=-1)
+    return _soa(_mat2_xy(M, z[..., 0], z[..., 1]))
+
+
+def _mat2_xy(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of M z at the points z with components x and y."""
+    return M[0, 0] * x + M[0, 1] * y, M[1, 0] * x + M[1, 1] * y
 
 
 def change_to_local(x: np.ndarray, frame: LocalFrame) -> np.ndarray:
     """z = M_j^-1 (x - P_j), vectorized over x of shape (..., 2)."""
-    return _mat2(frame.Mj_inv, np.asarray(x, dtype=float) - frame.P)
+    x = np.asarray(x, dtype=float)
+    return _soa(_to_local_xy(x[..., 0], x[..., 1], frame))
+
+
+def _to_local_xy(x1: np.ndarray, x2: np.ndarray,
+                 frame: LocalFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The components of change_to_local at the points with components x1, x2."""
+    return _mat2_xy(frame.Mj_inv, x1 - frame.P[0], x2 - frame.P[1])
 
 
 def change_from_local(z: np.ndarray, frame: LocalFrame) -> np.ndarray:

@@ -56,7 +56,9 @@ from . import liouville as lv
 from .configurations import HelixVariant, theorem_alpha
 from .elliptic import H2Correction, PolarGridSpec, _polar_points, solve_k_poisson
 from .errors import DegenerateConfig, NoBracket, NonFiniteError, QuadratureFailure
-from .screw_operator import LocalFrame, _dot2, _mat2, b_operator, change_to_local, local_frame
+from .screw_operator import (
+    LocalFrame, _dot2, _mat2, _soa, _to_local_xy, b_operator, change_to_local, local_frame,
+)
 
 __all__ = [
     "StreamContext",
@@ -233,17 +235,17 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
     The profile's intermediates are computed once and shared by the
     Laplacian, the Hessian and the gradient.
     """
+    z = np.asarray(z, dtype=float)
     t = prof._terms(z)
-    lap = prof.laplacian(t.z, terms=t)
     # b_operator's field bundle: the profile's grad and hess at the shared terms
     at = SimpleNamespace(grad=partial(prof.grad, terms=t), hess=partial(prof.hess, terms=t))
-    bb = b_operator(at, t.z, frame1)
-    return lap + bb - _retained(t.z, prof)
+    return prof.laplacian(z, terms=t) + b_operator(at, z, frame1) - _retained(z, prof)
 
 
 # Points per block of the element-wise kernels: on the default build's 18,524-point
-# defect grid error_g's temporaries peak at 1.6 MB (6.4 MB in one call), inside a 2 MiB
-# L2; on a 2-core Xeon KVM guest it takes 28 ms, 36 at 2,048, 28 at 6,144, 34 unblocked.
+# defect grid error_g's temporaries peak at 1.6 MB (6.5 MB in one call), inside a 2 MiB
+# L2; on a 2-core Xeon KVM guest it takes 16 ms, 21 at 2,048, 15 at 6,144, 14 at 8,192
+# and 20 unblocked (medians of 40 interleaved runs, each with a quartile spread of ~5 ms).
 _POINT_BLOCK = 4096
 
 
@@ -266,20 +268,21 @@ def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
 
 
 def _error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
-    rho = np.hypot(x[..., 0], x[..., 1])
+    x1, x2 = x[..., 0], x[..., 1]
+    rho = np.hypot(x1, x2)
     out = np.zeros(x.shape[:-1])
     e0 = eta0(rho)
     inside = e0 > 0.0
     frame1 = frames[0]
     if np.any(inside):
-        xi = x[inside]
-        acc = np.zeros(xi.shape[:-1])
+        xi1, xi2 = x1[inside], x2[inside]
+        acc = np.zeros(xi1.shape)
         for f in frames:
-            acc += _local_defect(profile, change_to_local(xi, f), frame1)
+            acc += _local_defect(profile, _soa(_to_local_xy(xi1, xi2, f)), frame1)
         out[inside] = e0[inside] * acc
     ring = (rho > 0.5) & (rho < 1.0)
     if np.any(ring):
-        xr = x[ring]
+        xr1, xr2 = x1[ring], x2[ring]
         rr = rho[ring]
         h = profile.h
         beta = h * h / (h * h + rr * rr)
@@ -287,10 +290,10 @@ def _error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
         e0p = -2.0 * _smoothstep_prime(2.0 * (rr - 0.5))      # eta0'
         e0s = -4.0 * _smoothstep_second(2.0 * (rr - 0.5))     # eta0''
         lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
-        rhat = xr / rr[..., None]
-        acc = np.zeros(xr.shape[:-1])
+        rhat = _soa((xr1 / rr, xr2 / rr))
+        acc = np.zeros(rr.shape)
         for f in frames:
-            z = change_to_local(xr, f)
+            z = _soa(_to_local_xy(xr1, xr2, f))
             t = profile._terms(z)
             psi_j = profile.value(z, terms=t)
             grad_x = _mat2(f.Mj_inv.T, profile.grad(z, terms=t))

@@ -8,9 +8,10 @@ systems, a local defect that lets the Laplacian, Hessian and gradient of
 the profile each recompute the profile's intermediates, a far-profile
 increment delta_value that computes its own intermediates and each of its
 dot products with dz twice, a lift-3d box sampled one (x, y) column at
-a time, and the point kernels of `stream` (error_g, residual_S and
+a time, the point kernels of `stream` (error_g, residual_S and
 inner_residual_scaled) run on the whole array instead of in blocks of
-`stream._POINT_BLOCK` points.  The arithmetic per entry is unchanged
+`stream._POINT_BLOCK` points, and the profile, frame-map and `b_operator`
+kernels on interleaved (..., 2) arrays instead of component arrays.  The arithmetic per entry is unchanged
 (the references cube as the library does, x * x * x; `TestCube` bounds
 that cube against the exact one), so results must agree exactly, not to
 a tolerance.  Five exceptions agree
@@ -51,7 +52,7 @@ from scipy.sparse.linalg import spsolve
 
 from helix_kmd import cli, elliptic, linear_theory, liouville, stream
 from helix_kmd.liouville import LocalProfile
-from helix_kmd.screw_operator import b_operator, local_frame
+from helix_kmd.screw_operator import b_operator, change_to_local, local_frame
 
 
 # -- references ---------------------------------------------------------------
@@ -1173,3 +1174,243 @@ class TestPointBlocks:
             tracemalloc.stop()
         # 6.4 MB in one whole-array call, 1.5 MB in blocks
         assert peak < 2.5e6
+
+
+# -- component kernels against their stacked-array versions -------------------
+#
+# The per-point kernels as they were before they ran on component arrays, kept
+# verbatim: `_terms` holding interleaved (..., 2) fields, a Hessian filled entry
+# by entry, frame maps through an interleaved `_mat2`, and `_kernels` gathering
+# and scattering the closed form even when no entry takes the series.  The
+# component kernels run the same operations per entry on separate x and y
+# arrays, so they must agree bit for bit.
+
+def _stacked_kernels(t):
+    t = np.asarray(t, dtype=float)
+    w0, s0, w2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    small = t < liouville._T_SWITCH
+    if np.any(small):
+        ts = t[small]
+        w0[small] = np.polyval(liouville._W0_C, ts)
+        s0[small] = np.polyval(liouville._S0_C, ts)
+        w2[small] = np.polyval(liouville._W2_C, ts)
+    large = ~small
+    if np.any(large):
+        tl = t[large]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s1l = (
+                0.5 / tl
+                - 2.0 / tl**2
+                + 3.0 * np.log1p(tl) / tl**3
+                - 1.0 / (tl * tl * (1.0 + tl))
+            )
+            w0[large] = 1.0 / (1.0 + tl) + s1l
+            s0[large] = s1l / tl
+            w2[large] = s1l / tl**2 - 0.25 / (tl * (1.0 + tl) ** 2)
+    return w0, s0, w2
+
+
+def _dot2_ref(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _mat2_ref(M, z):
+    z0, z1 = z[..., 0], z[..., 1]
+    return np.stack([M[0, 0] * z0 + M[0, 1] * z1, M[1, 0] * z0 + M[1, 1] * z1], axis=-1)
+
+
+class _StackedProfile(LocalProfile):
+    """LocalProfile with the stacked-array value, grad, hess, laplacian and
+    delta_value."""
+
+    def _terms(self, z, derivatives=True):
+        z = np.asarray(z, dtype=float)
+        x, y = z[..., 0], z[..., 1]
+        v = _dot2_ref(z, z)
+        av = self.a + v
+        g = np.log(8.0) - 2.0 * np.log(av)
+        q = 1.0 + self.c1 * x + self.c2 * v
+        p3 = x * x * x - 3.0 * x * y**2
+        w0, s0, w2 = _stacked_kernels(np.asarray(v, dtype=float) / self.a)
+        W, Wp, Ws = w0 / (12.0 * self.a), -s0 / (4.0 * self.a * self.a), w2 / self.a**3
+        t = types.SimpleNamespace(z=z, x=x, y=y, av=av, g=g, q=q, p3=p3, W=W, Wp=Wp, Ws=Ws)
+        if derivatives:
+            t.r = r = -4.0 / av
+            t.dg = r[..., None] * z
+            t.dq = np.stack([self.c1 + 2.0 * self.c2 * x, 2.0 * self.c2 * y], axis=-1)
+            t.dp3 = np.stack([3.0 * x**2 - 3.0 * y**2, -6.0 * x * y], axis=-1)
+        return t
+
+    def value(self, z, terms=None):
+        t = self._terms(z, derivatives=False) if terms is None else terms
+        return t.g * t.q + self.kH * t.W * t.p3
+
+    def grad(self, z, terms=None):
+        t = self._terms(z) if terms is None else terms
+        out = t.q[..., None] * t.dg + t.g[..., None] * t.dq
+        out += self.kH * (2.0 * (t.Wp * t.p3)[..., None] * t.z + t.W[..., None] * t.dp3)
+        return out
+
+    def hess(self, z, terms=None):
+        t = self._terms(z) if terms is None else terms
+        x, y, q, g, r, p3 = t.x, t.y, t.q, t.g, t.r, t.p3
+        s = 8.0 / t.av**2
+        dg1, dg2 = t.dg[..., 0], t.dg[..., 1]
+        dq1, dq2 = t.dq[..., 0], t.dq[..., 1]
+        dp1, dp2 = t.dp3[..., 0], t.dp3[..., 1]
+        W = t.W
+        wz = 4.0 * (t.Ws * p3)
+        wd = 2.0 * t.Wp
+        xx, xy, yy = x * x, x * y, y * y
+        out = np.empty(t.z.shape[:-1] + (2, 2))
+        out[..., 0, 0] = (
+            q * (r + s * xx) + (dg1 * dq1 + dq1 * dg1) + g * (2.0 * self.c2)
+            + self.kH * (wz * xx + wd * (p3 + (x * dp1 + dp1 * x)) + W * (6.0 * x))
+        )
+        out[..., 1, 1] = (
+            q * (r + s * yy) + (dg2 * dq2 + dq2 * dg2) + g * (2.0 * self.c2)
+            + self.kH * (wz * yy + wd * (p3 + (y * dp2 + dp2 * y)) + W * (-6.0 * x))
+        )
+        out[..., 0, 1] = (
+            q * (s * xy) + (dg1 * dq2 + dq1 * dg2)
+            + self.kH * (wz * xy + wd * (x * dp2 + dp1 * y) + W * (-6.0 * y))
+        )
+        out[..., 1, 0] = out[..., 0, 1]
+        return out
+
+    def laplacian(self, z, terms=None):
+        t = self._terms(z) if terms is None else terms
+        lap_g = -8.0 * self.a / t.av**2
+        out = t.q * lap_g + 2.0 * _dot2_ref(t.dg, t.dq) + 4.0 * self.c2 * t.g
+        out += self.kH * (-t.p3 / t.av**2)
+        return out
+
+    def delta_value(self, z0, dz):
+        t = self._terms(z0)
+        dz = np.asarray(dz, dtype=float)
+        zd = _dot2_ref(t.z, dz)
+        dd = _dot2_ref(dz, dz)
+        pd = _dot2_ref(t.dp3, dz)
+        cross = 2.0 * zd + dd
+        g1 = np.log(8.0) - 2.0 * np.log(t.av + cross)
+        dgam = -2.0 * np.log1p(cross / t.av)
+        dq = self.c1 * dz[..., 0] + self.c2 * cross
+        lin = 2.0 * t.Wp * t.p3 * zd + t.W * pd
+        quad = (
+            2.0 * t.Ws * t.p3 * zd * zd
+            + t.Wp * (t.p3 * dd + 2.0 * zd * pd)
+            + 0.5
+            * t.W
+            * (
+                6.0 * t.x * dz[..., 0] ** 2
+                - 12.0 * t.y * dz[..., 0] * dz[..., 1]
+                - 6.0 * t.x * dz[..., 1] ** 2
+            )
+        )
+        return g1 * dq + t.q * dgam + self.kH * (lin + quad)
+
+
+def _stacked_b_coefficients(z, R, h):
+    z = np.asarray(z, dtype=float)
+    m = h / np.sqrt(h * h + R * R)
+    x1 = R + m * z[..., 0]
+    x2 = z[..., 1]
+    d = h * h + x1 * x1 + x2 * x2
+    k11 = (h * h + x2 * x2) / d
+    k12 = -x1 * x2 / d
+    k22 = (h * h + x1 * x1) / d
+    a11 = k11 / (m * m) - 1.0
+    a22 = k22 - 1.0
+    a12 = 2.0 * k12 / m
+    dvk = -(d + 2.0 * h * h) / (d * d)
+    b1 = x1 * dvk / m
+    b2 = x2 * dvk
+    return a11, a22, a12, b1, b2
+
+
+def _stacked_b_operator(field, z, frame):
+    z = np.asarray(z, dtype=float)
+    a11, a22, a12, b1, b2 = _stacked_b_coefficients(z, frame.R, frame.h)
+    H = field.hess(z)
+    g = field.grad(z)
+    return (
+        a11 * H[..., 0, 0]
+        + a22 * H[..., 1, 1]
+        + a12 * H[..., 0, 1]
+        + b1 * g[..., 0]
+        + b2 * g[..., 1]
+    )
+
+
+def _stacked_local_defect(prof, z, frame1):
+    t = prof._terms(z)
+    lap = prof.laplacian(t.z, terms=t)
+    at = types.SimpleNamespace(grad=functools.partial(prof.grad, terms=t),
+                               hess=functools.partial(prof.hess, terms=t))
+    bb = _stacked_b_operator(at, t.z, frame1)
+    retained = prof.a * (-8.0 + prof.kE * t.z[..., 0]) / (prof.a + _dot2_ref(t.z, t.z)) ** 2
+    return lap + bb - retained
+
+
+@st.composite
+def _profile_case(draw):
+    """A profile at random admissible (eps, r, h, N), its frames, and local points
+    z whose t = |z|^2/a lie below _T_SWITCH, above it, or on both sides."""
+    exponent = draw(st.floats(10.0, 80.0))
+    n = draw(st.integers(2, 6))
+    r = draw(st.floats(0.6, 1.3))
+    h = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    eps = math.exp(-exponent)
+    R = r / math.sqrt(exponent)
+    # mu inside build_context's band 0.1 < log mu / log|log eps| < 10
+    log_mu = draw(st.floats(0.2, 5.0)) * math.log(exponent)
+    prof = LocalProfile(eps, math.exp(log_mu), R, h)
+    frames = [local_frame(j, n, R, h) for j in range(1, n + 1)]
+    side = draw(st.sampled_from(["small", "large", "mixed"]))
+    shape = draw(st.sampled_from([(), (1, 1), (3, 5), (7, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    switch = liouville._T_SWITCH
+    small = rng.uniform(0.0, switch, shape)
+    large = switch * np.exp(rng.uniform(0.0, 60.0, shape))
+    if side == "small":
+        t = small
+    elif side == "large":
+        t = large
+    else:
+        t = np.where(rng.random(shape) < 0.5, small, large)
+        if shape:
+            t.flat[0], t.flat[-1] = np.nextafter(switch, 0.0), switch
+    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    rad = np.sqrt(t * prof.a)
+    z = np.stack([rad * np.cos(phi), rad * np.sin(phi)], axis=-1)
+    return prof, frames, t, z
+
+
+def _assert_identical(new, ref):
+    assert np.shape(new) == np.shape(ref)
+    assert np.array_equal(new, ref)
+
+
+class TestComponentKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_profile_case())
+    def test_match_stacked_versions(self, case):
+        prof, frames, t, z = case
+        ref = _StackedProfile(prof.eps, prof.mu, prof.R, prof.h)
+        for new, old in zip(liouville._kernels(t), _stacked_kernels(t)):
+            _assert_identical(new, old)
+        for method in ("value", "grad", "hess", "laplacian"):
+            _assert_identical(getattr(prof, method)(z), getattr(ref, method)(z))
+        # stacked results are stored component by component
+        for part in (prof.grad(z)[..., 1], prof.hess(z)[..., 0, 1],
+                     change_to_local(z, frames[-1])[..., 1]):
+            assert np.asarray(part).flags.c_contiguous
+        _assert_identical(stream._local_defect(prof, z, frames[0]),
+                          _stacked_local_defect(ref, z, frames[0]))
+        for f in frames:
+            _assert_identical(b_operator(prof, z, f), _stacked_b_operator(ref, z, f))
+            x = f.P + _mat2_ref(f.Mj, z)
+            _assert_identical(change_to_local(x, f), _mat2_ref(f.Mj_inv, x - f.P))
+            # increments of the far profiles, as the inner assembly takes them
+            z0 = _mat2_ref(frames[0].Mj_inv, f.P - frames[0].P)
+            _assert_identical(prof.delta_value(z0, z), ref.delta_value(z0, z))

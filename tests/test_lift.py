@@ -69,7 +69,52 @@ class TestSymmetry:
         assert helical_symmetry_defect(g, 0.37) > 0.1
 
 
+def _volume_ref(ctx, test_field, n_axial):
+    """The volume pairing as one pass per frame and axial slice, summed in that order."""
+    from helix_kmd.stream import _eta_of_s, _inner_terms, _polar_gauss_rule
+
+    h = ctx.h
+    period = 2.0 * np.pi * abs(h)
+    s3 = np.arange(n_axial) * (period / n_axial)
+    y, wq = _polar_gauss_rule(ctx, 0.9, 40.0, 2.0, 16, 48)
+    y, wq = y.reshape(-1, 2), wq.ravel()
+    volume = 0.0
+    det_m = float(np.linalg.det(ctx.frames[0].M))
+    for j, f in enumerate(ctx.frames):
+        ds, u, s_arg = _inner_terms(y, ctx, j + 1)
+        eta, _ = _eta_of_s(ctx, s_arg)
+        w_scaled = u * eta * np.exp(ds)
+        xi = f.P + ctx.eps_mu * np.einsum("ij,...j->...i", f.Mj, y)
+        for x3 in s3:
+            xp = _rotate_planar(xi, x3 / h)
+            pts = np.concatenate([xp, np.full(xp.shape[:-1] + (1,), x3)], axis=-1)
+            phi = test_field(pts)
+            integrand = w_scaled * (
+                -xp[..., 1] / h * phi[..., 0]
+                + xp[..., 0] / h * phi[..., 1]
+                + phi[..., 2]
+            )
+            volume += det_m * float(np.sum(integrand * wq)) * (period / n_axial)
+    return volume
+
+
 class TestWeakConvergence:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n_axial", [7, 48, 96])
+    def test_volume_matches_per_frame_slice_loop(self, ctx_cache, n, n_axial):
+        ctx = ctx_cache(20.0, n=n)
+        period = 2.0 * math.pi * abs(ctx.h)
+        # off-centre bumps through the first core: every component of the
+        # pairing, the planar ones included, is nonzero
+        center = _rotate_planar(ctx.frames[0].P, 0.3) + np.array([0.02, -0.01])
+        for component in (0, 1, 2):
+            phi = bump_test_field(center, 0.3, period / 3.0, period / 4.0, component)
+            gap, volume, line = weak_convergence_gap(ctx, phi, n_axial=n_axial,
+                                                     return_parts=True)
+            assert volume != 0.0
+            assert volume == _volume_ref(ctx, phi, n_axial)
+            assert gap == volume - line
+
     def test_disjoint_supports(self, ctx_cache):
         ctx = ctx_cache(20.0)
         phi = bump_test_field(np.array([3.0, 0.0]), 0.4, math.pi, 1.0)
