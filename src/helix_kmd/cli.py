@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,8 @@ from .errors import ConfigError, HelixKmdError
 def _map(args, fn, items) -> list:
     """[fn(x) for x in items], on a pool of `--threads` workers when above 1."""
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -290,7 +291,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory for artifacts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel sweep workers (default 1)")
+                        help="parallel sweep workers (default 1); results do not "
+                             "depend on it")
     parser.add_argument("--epsilon-override", type=str, default=None,
                         help="comma list of epsilon values, e.g. 'e^-10,e^-20'")
     args = parser.parse_args(argv)

@@ -490,6 +490,17 @@ def _run_cli_script(tmp_path, body: str) -> subprocess.CompletedProcess:
                           text=True, timeout=300)
 
 
+def test_cli_import_skips_pool_and_logging(tmp_path):
+    """Importing the CLI loads neither concurrent.futures nor logging."""
+    run = _run_cli_script(tmp_path, """
+        import helix_kmd.cli
+
+        print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+    """)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]"]
+
+
 def test_cli_runs_without_heavy_scipy(tmp_path):
     """No scipy module is loaded by the import or by any subcommand."""
     run = _run_cli_script(tmp_path, """
