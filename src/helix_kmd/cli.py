@@ -15,14 +15,27 @@ from pathlib import Path
 
 import numpy as np
 
+from . import stream
 from .artifacts import RunManifest, write_csv
 from .config import ExperimentConfig, _parse_float_list, grid_spec, load_config
+from .configurations import HelixConfig, HelixVariant, sample
 from .errors import ConfigError, HelixKmdError
+from .filaments import center_of_vorticity, simulate
+from .lift import (
+    bump_test_field,
+    fd_divergence,
+    helical_symmetry_defect,
+    lifted_field,
+    stream_vorticity,
+    weak_convergence_gap,
+)
 
 
 def _map(args, fn, items) -> list:
     """[fn(x) for x in items], on a pool of `--threads` workers when above 1."""
     if args.threads > 1:
+        # nothing else loads concurrent.futures (and its logging): only a
+        # run with a pool pays for them
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -48,17 +61,12 @@ def _epsilons(args, cfg: ExperimentConfig) -> list[float]:
 
 def _build_ctx(cfg: ExperimentConfig, eps: float, alpha):
     """Context at `alpha` (None: build_context's leading-order speed)."""
-    from .stream import build_context
-
     s = cfg.require("stream", "r", "h", "n")
-    return build_context(eps, s["r"], s["h"], s["n"], alpha=alpha,
-                         delta=s.get("delta"), grid=grid_spec(s))
+    return stream.build_context(eps, s["r"], s["h"], s["n"], alpha=alpha,
+                                delta=s.get("delta"), grid=grid_spec(s))
 
 
 def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .configurations import HelixConfig, HelixVariant, sample
-    from .filaments import center_of_vorticity, simulate
-
     c = cfg.require("config", "r", "h", "n_outer")
     k = cfg.require("kmd", "t_final", "dt")
     config = HelixConfig(
@@ -104,8 +112,6 @@ def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
 
 
 def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .stream import psi_star
-
     eps = _epsilons(args, cfg)[0]
     man.start("build_context")
     ctx = _build_ctx(cfg, eps, cfg.get("stream", "alpha"))
@@ -117,7 +123,7 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx, yy], axis=-1)
     man.start("psi_star_grid")
-    vals = psi_star(pts.reshape(-1, 2), ctx)
+    vals = stream.psi_star(pts.reshape(-1, 2), ctx)
     man.stop("psi_star_grid")
     path = out / "psi_star.csv"
     write_csv(path, ["x", "y", "psi_star"],
@@ -147,33 +153,26 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
 
 
 def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .stream import (
-        fit_loglog_slope,
-        generic_scan_alpha,
-        inner_residual_norm,
-        outer_residual_norm,
-    )
-
     eps_values = _epsilons(args, cfg)
     if len(set(eps_values)) < 2:
         raise ConfigError("residual-scan needs at least two distinct epsilon values")
     s = cfg.require("stream", "r", "h", "n")
     nu_bar = s.get("nu_bar", 3.0)
     a_decay = s.get("a_decay", 0.8)
-    alpha = s.get("alpha", generic_scan_alpha(s["r"], s["h"], s["n"]))
+    alpha = s.get("alpha", stream.generic_scan_alpha(s["r"], s["h"], s["n"]))
 
     def one(eps):
         ctx = _build_ctx(cfg, eps, alpha)
         return {
             "eps": eps,
-            "outer_norm": outer_residual_norm(ctx, nu_bar=nu_bar),
-            "inner_norm": inner_residual_norm(ctx, a_decay=a_decay),
+            "outer_norm": stream.outer_residual_norm(ctx, nu_bar=nu_bar),
+            "inner_norm": stream.inner_residual_norm(ctx, a_decay=a_decay),
         }
 
     man.start("scan")
     rows = _map(args, one, eps_values)
     man.stop("scan")
-    slope = fit_loglog_slope([r["eps"] for r in rows], [r["outer_norm"] for r in rows])
+    slope = stream.fit_loglog_slope([r["eps"] for r in rows], [r["outer_norm"] for r in rows])
     path = out / "residual_scan.csv"
     write_csv(
         path, ["epsilon", "outer_norm", "inner_norm", "slope"],
@@ -183,15 +182,13 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
 
 
 def cmd_alpha_solve(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .stream import solve_alpha
-
     eps_values = _epsilons(args, cfg)
 
     def one(eps):
         # solve_alpha projects first at the leading-order speed on the context
         # it is given, so `[stream] alpha` is not used here
         ctx = _build_ctx(cfg, eps, None)
-        _, diag = solve_alpha(ctx)
+        _, diag = stream.solve_alpha(ctx)
         diag["epsilon"] = eps
         return diag
 
@@ -204,15 +201,6 @@ def cmd_alpha_solve(args, cfg: ExperimentConfig, out: Path, man: RunManifest) ->
 
 
 def cmd_lift_3d(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
-    from .lift import (
-        bump_test_field,
-        fd_divergence,
-        helical_symmetry_defect,
-        lifted_field,
-        stream_vorticity,
-        weak_convergence_gap,
-    )
-
     eps = _epsilons(args, cfg)[0]
     man.start("build_context")
     ctx = _build_ctx(cfg, eps, cfg.get("stream", "alpha"))
@@ -255,6 +243,7 @@ def cmd_lift_3d(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> Non
 
 
 def cmd_verify(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> None:
+    # only this command runs verify and linear_theory: import them here
     from .verify import SEED, run_checks
 
     man.seed = SEED

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .elliptic import PolarGridSpec
 from .errors import ConfigError
+from .filaments import step_count
 
 
 def _parse_float(tok: str) -> float:
@@ -104,8 +106,6 @@ _GRID_FIELDS = {"grid.rho_min": "rho_min", "grid.rho_max": "rho_max",
 
 def grid_spec(stream: dict):
     """The `[stream]` polar grid; keys left out keep PolarGridSpec's defaults."""
-    from .elliptic import PolarGridSpec
-
     return PolarGridSpec(**{f: stream[k] for k, f in _GRID_FIELDS.items() if k in stream})
 
 
@@ -119,8 +119,6 @@ def _validate(sections: dict) -> None:
         if kmd.get("stride", 1) < 1:
             raise ConfigError("[kmd] stride must be >= 1")
         if "dt" in kmd and "t_final" in kmd:
-            from .filaments import step_count
-
             try:
                 step_count(kmd["t_final"], kmd["dt"], kmd.get("stride", 1))
             except ValueError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfig
-from .filaments import FilamentEnsemble
+from .filaments import FilamentEnsemble, Trajectory
 
 __all__ = [
     "HelixVariant",
@@ -141,8 +141,6 @@ def sample(
 def sampled_trajectory(config: HelixConfig, dt: float, n_snapshots: int,
                        modes: int = 128, periods: int = 1):
     """Trajectory of exact samples at times 0, dt, ..., (n-1) dt."""
-    from .filaments import Trajectory
-
     snaps = [sample(config, k * dt, modes=modes, periods=periods)
              for k in range(n_snapshots)]
     return Trajectory(snapshots=snaps, dt=dt, scheme="exact-sample")

@@ -28,6 +28,16 @@ from typing import Callable
 
 import numpy as np
 
+from .screw_operator import _mat2_xy
+from .stream import (
+    _eta_of_s,
+    _inner_terms,
+    _polar_gauss_rule,
+    _smoothstep,
+    nonlinearity_F,
+    rotating_argument,
+)
+
 __all__ = [
     "VectorField3",
     "FilamentCurve",
@@ -85,21 +95,20 @@ def lifted_field(w, h: float) -> VectorField3:
     return VectorField3(omega, h)
 
 
-def helical_symmetry_defect(
-    field: VectorField3, rho_angle: float, box: float = 2.0,
-    n_samples: int = 200, seed: int = 0, normalized: bool = False,
-) -> float:
+def helical_symmetry_defect(field: VectorField3, rho_angle: float,
+                            normalized: bool = False) -> float:
     """max |omega(S_{-rho} x) - R_{-rho} omega(x)| over random box samples.
 
-    The screw action rotates the planar components with the same sign as
-    the argument shift; lifted fields satisfy the identity exactly.
+    The 200 samples (seed 0) are uniform in [-2, 2]^2 x [0, 2 pi |h|).  The
+    screw action rotates the planar components with the same sign as the
+    argument shift; lifted fields satisfy the identity exactly.
     """
     if field.h is None:
         raise ValueError("field carries no pitch; cannot apply the screw action")
     h = field.h
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, size=(n_samples, 3))
-    x[:, 2] = rng.uniform(0.0, 2.0 * np.pi * abs(h), size=n_samples)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.0, 2.0, size=(200, 3))
+    x[:, 2] = rng.uniform(0.0, 2.0 * np.pi * abs(h), size=200)
     sx = np.empty_like(x)
     sx[:, :2] = _rotate_planar(x[:, :2], -rho_angle)
     sx[:, 2] = x[:, 2] - h * rho_angle
@@ -158,8 +167,6 @@ def filament_curves(ctx) -> list[FilamentCurve]:
 
 def stream_vorticity(ctx):
     """Planar vorticity w of a stream context (direct evaluation)."""
-    from .stream import nonlinearity_F, rotating_argument
-
     def w(xp):
         return nonlinearity_F(rotating_argument(xp, ctx), ctx)
 
@@ -171,8 +178,6 @@ def bump_test_field(
     axial_radius: float, component: int = 2,
 ) -> VectorField3:
     """Compactly supported C^2 test field along one coordinate axis."""
-    from .stream import _smoothstep
-
     center = np.asarray(center, dtype=float)
 
     def ev(x):
@@ -196,9 +201,6 @@ def weak_convergence_gap(
     Time is frozen at t = 0: in the co-rotating construction all times
     are equivalent up to a global rotation.
     """
-    from .screw_operator import _mat2_xy
-    from .stream import _eta_of_s, _inner_terms, _polar_gauss_rule
-
     h = ctx.h
     period = 2.0 * np.pi * abs(h)
     s3 = np.arange(n_axial) * (period / n_axial)      # periodic trapezoid

@@ -244,8 +244,9 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
 
 # Points per block of the element-wise kernels: on the default build's 18,524-point
 # defect grid error_g's temporaries peak at 1.6 MB (6.5 MB in one call), inside a 2 MiB
-# L2; on a 2-core Xeon KVM guest it takes 16 ms, 21 at 2,048, 15 at 6,144, 14 at 8,192
-# and 20 unblocked (medians of 40 interleaved runs, each with a quartile spread of ~5 ms).
+# L2; on a 2-core Xeon KVM guest it takes 16-18 ms against 20-21 ms in one call (three
+# runs of scripts/thread_scaling.py's table 2), and 21 ms at 2,048, 15 at 6,144 and 14
+# at 8,192 (medians of 40 interleaved runs, each with a quartile spread of ~5 ms).
 _POINT_BLOCK = 4096
 
 

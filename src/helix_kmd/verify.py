@@ -13,6 +13,39 @@ import math
 
 import numpy as np
 
+from .configurations import (
+    HelixConfig,
+    HelixVariant,
+    rotation_speed,
+    sample,
+    sampled_trajectory,
+    stationary_radius,
+)
+from .filaments import (
+    center_of_vorticity,
+    galilean_transform,
+    kmd_residual,
+    kmd_rhs,
+    simulate,
+)
+from .lift import fd_divergence, helical_symmetry_defect, lifted_field
+from .linear_theory import (
+    _half_line_integral,
+    gamma_constants,
+    kernel_Z,
+    phi2o,
+    projected_solve,
+)
+from .liouville import liouville_density
+from .screw_operator import (
+    apply_L,
+    change_from_local,
+    change_to_local,
+    k_matrix,
+    local_frame,
+)
+from .stream import build_context, error_g, mu_relation_rhs, psi0_sum, psi_star
+
 SEED = 0
 
 
@@ -29,45 +62,15 @@ def _fd_linearized(f, y, d=1e-3):
     return lap + 8.0 / (1.0 + v) ** 2 * f(y)
 
 
-def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> list[dict]:
+def run_checks() -> list[dict]:
     """Run every check; returns {"name", "passed", "detail"} per check in order."""
-    from . import (
-        HelixConfig,
-        HelixVariant,
-        apply_L,
-        center_of_vorticity,
-        fd_divergence,
-        gamma_constants,
-        galilean_transform,
-        helical_symmetry_defect,
-        kernel_Z,
-        k_matrix,
-        kmd_residual,
-        kmd_rhs,
-        lifted_field,
-        local_frame,
-        change_to_local,
-        change_from_local,
-        phi2o,
-        projected_solve,
-        rotation_speed,
-        sample,
-        sampled_trajectory,
-        simulate,
-        stationary_radius,
-    )
-    from .linear_theory import _half_line_integral
-    from .liouville import liouville_density
-    from .stream import build_context, error_g, mu_relation_rhs, psi0_sum, psi_star
-
     rng = np.random.default_rng(SEED)
     checks = []
 
     def check(name, ok, detail=""):
         status = "PASS" if ok else "FAIL"
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
-        if verbose:
-            print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
+        print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
 
     # filament model and exact families
     cfg = HelixConfig(1.0, 1.0, 3, 0.0, HelixVariant.STRAIGHT_POLYGON)
@@ -148,8 +151,8 @@ def run_checks(eps: float = math.exp(-20.0), verbose: bool = True) -> list[dict]
           abs(sol.d[1] - 1.0) < 1e-6 and abs(sol.d[0]) < 1e-6 and abs(sol.d[2]) < 1e-6,
           f"d={np.round(sol.d, 9)}")
 
-    # stream construction at the requested eps
-    ctx = build_context(eps, 1.0, 1.0, 3)
+    # stream construction
+    ctx = build_context(math.exp(-20.0), 1.0, 1.0, 3)
     rhs_vals = [mu_relation_rhs(ctx, i) for i in range(1, 4)]
     spread = max(rhs_vals) - min(rhs_vals)
     check("mu relation vertex independence", spread < 1e-12, f"{spread:.2e}")

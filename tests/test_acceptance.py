@@ -11,20 +11,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helix_kmd import (
+from helix_kmd.configurations import (
     HelixConfig,
     HelixVariant,
-    center_of_vorticity,
-    gamma_constants,
-    kernel_Z,
-    kmd_residual,
-    phi2o,
-    projected_solve,
     sample,
     sampled_trajectory,
-    simulate,
     stationary_radius,
 )
+from helix_kmd.filaments import center_of_vorticity, kmd_residual, simulate
 from helix_kmd.lift import (
     bump_test_field,
     fd_divergence,
@@ -34,6 +28,7 @@ from helix_kmd.lift import (
     weak_convergence_gap,
 )
 from helix_kmd.lift import _rotate_planar
+from helix_kmd.linear_theory import gamma_constants, kernel_Z, phi2o, projected_solve
 from helix_kmd.liouville import liouville_density
 from helix_kmd.stream import (
     build_context,

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -466,6 +467,22 @@ def test_all_names_exist(module):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+def test_imports_sit_at_module_top():
+    # a module imports what it uses when it loads; the CLI defers only what
+    # one command alone runs: verify (with linear_theory) and the sweep pool
+    src = Path(importlib.import_module("helix_kmd").__file__).parent
+    deferred = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            deferred += [
+                (path.stem, getattr(top, "name", None), node.module)
+                for node in ast.walk(top)
+                if node is not top and isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    assert deferred == [("cli", "_map", "concurrent.futures"),
+                        ("cli", "cmd_verify", "verify")]
+
+
 def _run_cli_script(tmp_path, body: str) -> subprocess.CompletedProcess:
     """Run `body` in a fresh interpreter on src/ after the tiny-grid CLI runs.
 
@@ -491,14 +508,19 @@ def _run_cli_script(tmp_path, body: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_skips_pool_and_logging(tmp_path):
-    """Importing the CLI loads neither concurrent.futures nor logging."""
+    """Importing the package loads no submodule; importing the CLI loads
+    neither concurrent.futures, logging, verify nor linear_theory."""
     run = _run_cli_script(tmp_path, """
+        import helix_kmd
+
+        print(sorted(m for m in sys.modules if m.startswith("helix_kmd.")))
         import helix_kmd.cli
 
-        print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+        print(sorted(m for m in ("concurrent.futures", "logging", "helix_kmd.verify",
+                                 "helix_kmd.linear_theory") if m in sys.modules))
     """)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]"]
+    assert run.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_cli_runs_without_heavy_scipy(tmp_path):

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from helix_kmd import (
-    DegenerateConfig,
+from helix_kmd.configurations import (
     HelixConfig,
     HelixVariant,
-    kmd_residual,
     rotation_speed,
     sample,
     sampled_trajectory,
     stationary_radius,
     theorem_alpha,
 )
+from helix_kmd.errors import DegenerateConfig
+from helix_kmd.filaments import kmd_residual
 
 
 class TestSample:

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from helix_kmd import (
-    CollisionError,
+from helix_kmd.configurations import HelixConfig, HelixVariant, sample, sampled_trajectory
+from helix_kmd.errors import CollisionError, InvalidTransform
+from helix_kmd.filaments import (
     FilamentEnsemble,
-    HelixConfig,
-    HelixVariant,
-    InvalidTransform,
     center_of_vorticity,
     galilean_transform,
     kmd_residual,
     kmd_rhs,
     min_separation,
-    sample,
-    sampled_trajectory,
     simulate,
     step,
+    step_count,
 )
-from helix_kmd.filaments import step_count
 
 
 def straight(positions, kappa=2.0, modes=64):
