@@ -143,4 +143,4 @@ def sampled_trajectory(config: HelixConfig, dt: float, n_snapshots: int,
     """Trajectory of exact samples at times 0, dt, ..., (n-1) dt."""
     snaps = [sample(config, k * dt, modes=modes, periods=periods)
              for k in range(n_snapshots)]
-    return Trajectory(snapshots=snaps, dt=dt, scheme="exact-sample")
+    return Trajectory(snapshots=snaps, dt=dt)

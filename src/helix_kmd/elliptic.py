@@ -50,6 +50,8 @@ from .errors import SolverDivergence
 _BLOCK = 2048
 # rows per diagonal block of _Banded's block LU
 _LU_BLOCK = 8
+# relative cut of solve_k_poisson's mode series
+_MODE_CUT = 1e-13
 
 __all__ = ["PolarGridSpec", "H2Correction", "solve_k_poisson"]
 
@@ -443,13 +445,13 @@ class H2Correction:
 
 def solve_k_poisson(
     g_half: np.ndarray, spec: PolarGridSpec, h: float, n: int,
-    anchor: np.ndarray | None = None, mode_cut: float = 1e-13,
+    anchor: np.ndarray | None = None,
 ) -> H2Correction:
     """Solve div(K grad H) = -g for g even in theta and of period 2 pi/n.
 
     g_half[i, j] samples g at rho_i and theta_j = 2 pi j/n_angular for the
     half-sector j = 0 .. s//2, s = n_angular/n.  The series keeps every
-    mode up to the last one whose coefficient reaches mode_cut times the
+    mode up to the last one whose coefficient reaches _MODE_CUT times the
     largest.  H vanishes at `anchor` when one is given.
     """
     s = spec.n_angular // n
@@ -463,7 +465,7 @@ def solve_k_poisson(
     cos = twice[:, None] * np.cos((2.0 * np.pi / s) * (np.outer(j, j) % s)) / s
     b = np.einsum("ij,jm->im", g_half, cos)
     scale = np.max(np.abs(b)) + 1e-300
-    above = np.flatnonzero(~(np.max(np.abs(b[:, 1:]), axis=0) < mode_cut * scale))
+    above = np.flatnonzero(~(np.max(np.abs(b[:, 1:]), axis=0) < _MODE_CUT * scale))
     kept = above[-1] + 2 if above.size else 1
     # series coefficients: modes other than 0 and Nyquist pair with -m
     a = b[:, :kept] * twice[:kept]

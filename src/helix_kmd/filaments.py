@@ -105,7 +105,6 @@ class Trajectory:
 
     snapshots: list[FilamentEnsemble]
     dt: float
-    scheme: str = "strang-rk4"
 
     def __post_init__(self):
         if len(self.snapshots) < 1:
@@ -271,7 +270,7 @@ def galilean_transform(obj, nu: float, kappa0: float):
         return _transform_state(obj, nu, kappa0)
     if isinstance(obj, Trajectory):
         snaps = [_transform_state(s, nu, kappa0) for s in obj.snapshots]
-        return Trajectory(snapshots=snaps, dt=obj.dt, scheme=obj.scheme)
+        return Trajectory(snapshots=snaps, dt=obj.dt)
     raise TypeError("expected FilamentEnsemble or Trajectory")
 
 

@@ -206,16 +206,17 @@ def weak_convergence_gap(
     s3 = np.arange(n_axial) * (period / n_axial)      # periodic trapezoid
     y, wq = _polar_gauss_rule(ctx, 0.9, 40.0, 2.0, 16, 48)
     y, wq = y.reshape(-1, 2), wq.ravel()
-    # scaled vorticity on the core grid of every frame: w dxi = detM * U eta e^{ds} dy
-    w_scaled, xi1, xi2 = [], [], []
-    for j, f in enumerate(ctx.frames):
-        ds, u, s_arg = _inner_terms(y, ctx, j + 1)
-        eta, _ = _eta_of_s(ctx, s_arg)
-        w_scaled.append(u * eta * np.exp(ds))         # w * (eps mu)^2
+    # scaled vorticity on vertex 1's core grid, w dxi = detM * U eta e^{ds} dy; every
+    # core is a rotated copy of it, at its own points xi
+    ds, u, s_arg = _inner_terms(y, ctx)
+    eta, _ = _eta_of_s(ctx, s_arg)
+    w_scaled = u * eta * np.exp(ds)                   # w * (eps mu)^2
+    xi1, xi2 = [], []
+    for f in ctx.frames:
         m1, m2 = _mat2_xy(f.Mj, y[:, 0], y[:, 1])
         xi1.append(f.P[0] + ctx.eps_mu * m1)
         xi2.append(f.P[1] + ctx.eps_mu * m2)
-    w_scaled, xi1, xi2 = (np.concatenate(a) for a in (w_scaled, xi1, xi2))
+    xi1, xi2 = np.concatenate(xi1), np.concatenate(xi2)
     # one pass per axial slice over all N cores; each core's sum on its own
     pts = np.empty((3, xi1.size))
     sums = np.empty((ctx.n, n_axial))
@@ -224,7 +225,7 @@ def weak_convergence_gap(
         pts[0], pts[1], pts[2] = c * xi1 - s * xi2, s * xi1 + c * xi2, x3
         phi = test_field(pts.T)
         integrand = -pts[1] / h * phi[:, 0] + pts[0] / h * phi[:, 1] + phi[:, 2]
-        sums[:, k] = np.sum((w_scaled * integrand).reshape(ctx.n, -1) * wq, axis=1)
+        sums[:, k] = np.sum(w_scaled * integrand.reshape(ctx.n, -1) * wq, axis=1)
     volume = 0.0
     det_m = float(np.linalg.det(ctx.frames[0].M))
     for s_jk in sums.ravel():       # frame by frame, then slice, as a loop per frame adds them

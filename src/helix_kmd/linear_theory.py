@@ -241,9 +241,9 @@ class ProjectedSolution:
             out += vals[:, j].reshape(rho.shape) * fn(k * theta)
         return out
 
-    def weighted_norm(self, m: float, n_samples: int = 400) -> float:
-        """sup (1+|y|)^{m-2} |phi| over the solved disk."""
-        rho = np.geomspace(np.exp(self.u[0]), self.rho_max, n_samples)
+    def weighted_norm(self, m: float) -> float:
+        """sup (1+|y|)^{m-2} |phi| over the solved disk, on 400 radii x 64 angles."""
+        rho = np.geomspace(np.exp(self.u[0]), self.rho_max, 400)
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         y = _polar_points(rho, th)
         vals = np.abs(self.phi(y))
@@ -266,16 +266,16 @@ def _decay_exponent(h_func, rho_max: float) -> float:
 def projected_solve(
     h_func,
     rho_max: float = 100.0,
-    modes: int = 8,
     n_radial: int = 3072,
-    rho_min: float = 1e-5,
 ) -> ProjectedSolution:
     """Solve the projected linearized problem for a planar source h(y).
 
     h_func must be vectorized over y of shape (..., 2) and decay faster
-    than |y|^-2; SlowDecay otherwise.  Returns the solution with kernel
-    components removed and the multipliers (d0, d1, d2).
+    than |y|^-2; SlowDecay otherwise.  The angular modes 0..8 are solved on
+    n_radial log-spaced radii in [1e-5, rho_max].  Returns the solution with
+    kernel components removed and the multipliers (d0, d1, d2).
     """
+    modes, rho_min = 8, 1e-5
     m_fit = _decay_exponent(h_func, rho_max)
     if m_fit <= 2.0:
         raise SlowDecay(f"source decays like |y|^-{m_fit:.2f}; need faster than -2")

@@ -129,8 +129,8 @@ class StreamContext:
     log_mu: float
     profile: lv.LocalProfile
     h2: H2Correction
-    h2_grad: np.ndarray            # (N, 2) gradient of H2 at each vertex
-    far_geometry: tuple = field(repr=False, default=())
+    h2_grad: np.ndarray            # (2,) gradient of H2 at vertex 1
+    far_geometry: tuple = field(repr=False, default=())     # vertex 1's, _far_geometry
 
     # -- convenience -------------------------------------------------------
     @property
@@ -173,21 +173,19 @@ class StreamContext:
         return theorem_alpha(self.r, self.h, self.n, HelixVariant.POLYGON_HELIX)
 
 
-def _far_geometry(frames):
-    """Per-vertex tables z0[i][j] = M_j^-1 (P_i - P_j), D[i][j] = M_j^-1 M_i."""
-    n = len(frames)
-    z0 = np.empty((n, n - 1, 2))
-    dd = np.empty((n, n - 1, 2, 2))
-    for i, fi in enumerate(frames):
-        others = [f for f in frames if f.j != fi.j]
-        for col, fj in enumerate(others):
-            z0[i, col] = fj.Mj_inv @ (fi.P - fj.P)
-            dd[i, col] = fj.Mj_inv @ fi.Mj
-    return z0, dd
+def _far_geometry(frames, i: int = 0):
+    """Tables of vertex frames[i] over the other vertices j, in frame order:
+    z0[j] = M_j^-1 (P_i - P_j), shape (N-1, 2), and D[j] = M_j^-1 M_i, shape
+    (N-1, 2, 2).  By dihedral symmetry every vertex core is a rotated copy of
+    vertex 1's, so the inner assembly uses vertex 1's tables alone."""
+    fi = frames[i]
+    others = frames[:i] + frames[i + 1:]
+    return (np.array([fj.Mj_inv @ (fi.P - fj.P) for fj in others]),
+            np.array([fj.Mj_inv @ fi.Mj for fj in others]))
 
 
-def _far_sum(profile: lv.LocalProfile, z0_row: np.ndarray) -> float:
-    return float(np.sum(profile.value(z0_row)))
+def _far_sum(profile: lv.LocalProfile, z0: np.ndarray) -> float:
+    return float(np.sum(profile.value(z0)))
 
 
 def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
@@ -206,7 +204,7 @@ def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
 
     def excess(log_mu):                     # rhs(log mu) - log mu
         prof = lv.LocalProfile(eps, math.exp(log_mu), R, h)
-        return 0.5 * (_far_sum(prof, z0[0]) - alpha_term) - log_mu
+        return 0.5 * (_far_sum(prof, z0) - alpha_term) - log_mu
 
     x0 = (n - 1.0) * math.log(abs_log)
     f0 = excess(x0)
@@ -215,8 +213,7 @@ def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
 
 def mu_relation_rhs(ctx: StreamContext, i: int) -> float:
     """Right-hand side of the mu relation at vertex i (1-based), incl. H2."""
-    z0, _ = ctx.far_geometry
-    far = _far_sum(ctx.profile, z0[i - 1])
+    far = _far_sum(ctx.profile, _far_geometry(ctx.frames, i - 1)[0])
     h2_at = float(ctx.h2.value(ctx.frames[i - 1].P))
     return far + h2_at - 0.5 * ctx.alpha * ctx.r * ctx.r
 
@@ -382,7 +379,7 @@ def build_context(
     return StreamContext(
         eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta,
         d_eps=d_eps, grid=grid, R=R, frames=frames, log_mu=log_mu, profile=profile,
-        h2=h2, h2_grad=h2.gradient(np.array([f.P for f in frames])),
+        h2=h2, h2_grad=h2.gradient(frames[0].P),
         far_geometry=_far_geometry(frames),
     )
 
@@ -453,54 +450,29 @@ def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
 
 
 def residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
-    """S(x) = div(K grad psi_*) + F(psi_* - (alpha/2)|log eps||x|^2).
-
-    Near the vertices (|y| below the switch radius) the cancellation-free
-    scaled assembly is used and divided by (eps mu)^2; elsewhere both
-    terms are benign and evaluated directly.
+    """S(x) = div(K grad psi_*) + F(psi_* - (alpha/2)|log eps||x|^2), assembled
+    directly: for x outside the vertex cores, where both terms are benign.
+    Within |y| <= switch_radius_y of a vertex they cancel to below float64
+    resolution; there inner_residual_scaled assembles (eps mu)^2 S.
     """
     return _blockwise(_residual_S, np.atleast_2d(np.asarray(x, dtype=float)), ctx)
 
 
 def _residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
-    out = np.empty(x.shape[:-1])
-    y, idx = _nearest_inner_coords(ctx, x)
-    ynorm = np.hypot(y[..., 0], y[..., 1])
-    deep = ynorm <= ctx.switch_radius_y
-    if np.any(deep):
-        for i in range(ctx.n):
-            sel = deep & (idx == i)
-            if np.any(sel):
-                scaled_i = inner_residual_scaled(y[sel], ctx, vertex=i + 1)
-                out[sel] = scaled_i / ctx.eps_mu**2
-    rest = ~deep
-    if np.any(rest):
-        xr = x[rest]
-        out[rest] = _concentrated_terms(ctx, xr) + nonlinearity_F(
-            rotating_argument(xr, ctx), ctx
-        )
-    return out
+    return _concentrated_terms(ctx, x) + nonlinearity_F(rotating_argument(x, ctx), ctx)
 
 
-def _nearest_inner_coords(ctx: StreamContext, x: np.ndarray):
-    """Concentrated coordinates y w.r.t. the nearest vertex (the first one
-    on a tie), plus its index."""
-    z = np.stack([change_to_local(x, f) for f in ctx.frames])
-    idx = np.argmin(_dot2(z, z), axis=0)
-    return np.take_along_axis(z, idx[None, ..., None], axis=0)[0] / ctx.eps_mu, idx
-
-
-def _inner_terms(y, ctx: StreamContext, vertex: int):
-    """(ds, U(y), s) at x = P_i + eps mu M_i y with s = Gamma(y) - 4 log eps
-    - 2 log mu + ds: the scaled inner assembly.
+def _inner_terms(y, ctx: StreamContext):
+    """(ds, U(y), s) at x = P_1 + eps mu M_1 y with s = Gamma(y) - 4 log eps
+    - 2 log mu + ds: the scaled inner assembly of vertex 1, of which every
+    other vertex core is a rotated copy.
 
     ds is assembled from exact difference formulas; every term is
     individually small, so it carries full relative precision even when
     eps*mu ~ 1e-31.
     """
     y = np.asarray(y, dtype=float)
-    i = vertex - 1
-    f = ctx.frames[i]
+    f = ctx.frames[0]
     prof = ctx.profile
     em = ctx.eps_mu
     yn2 = _dot2(y, y)
@@ -518,11 +490,10 @@ def _inner_terms(y, ctx: StreamContext, vertex: int):
     z0, dd = ctx.far_geometry
     my = _mat2(f.Mj, y)
     term_c = np.zeros(y.shape[:-1])
-    for col in range(ctx.n - 1):
-        dz = em * _mat2(dd[i, col], y)
-        term_c += prof.delta_value(z0[i, col], dz)
+    for z0_j, d_j in zip(z0, dd):
+        term_c += prof.delta_value(z0_j, em * _mat2(d_j, y))
     # (d) first-order increment of H2 away from its vertex zero
-    term_d = em * _dot2(ctx.h2_grad[i], my)
+    term_d = em * _dot2(ctx.h2_grad, my)
     # (e) exact increment of -(alpha/2)|log eps| |x|^2
     pmy = _dot2(f.P, my)
     my2 = _dot2(my, my)
@@ -531,35 +502,31 @@ def _inner_terms(y, ctx: StreamContext, vertex: int):
     return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
 
 
-def _scaled_residual(y, ctx: StreamContext, vertex: int, ds, u, s) -> np.ndarray:
+def _scaled_residual(y, ctx: StreamContext, ds, u, s) -> np.ndarray:
     """inner_residual_scaled from the inner assembly (ds, u, s) at y."""
-    i = vertex - 1
     eta, _ = _eta_of_s(ctx, s)
     core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
     em = ctx.eps_mu
     out = u * core + (ctx.profile.kE / 8.0) * em * y[..., 0] * u
     # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
     z0, dd = ctx.far_geometry
-    for col in range(ctx.n - 1):
-        z = z0[i, col] + em * _mat2(dd[i, col], y)
-        out += _retained(z, ctx.profile, em * em)
+    for z0_j, d_j in zip(z0, dd):
+        out += _retained(z0_j + em * _mat2(d_j, y), ctx.profile, em * em)
     return out
 
 
-def inner_residual_scaled(
-    y: np.ndarray, ctx: StreamContext, vertex: int = 1
-) -> np.ndarray:
-    """(eps mu)^2 S at x = P_i + eps mu M_i y, cancellation-free."""
-    return _blockwise(_inner_residual_scaled, np.asarray(y, dtype=float), ctx, vertex)
+def inner_residual_scaled(y: np.ndarray, ctx: StreamContext) -> np.ndarray:
+    """(eps mu)^2 S at x = P_1 + eps mu M_1 y, cancellation-free."""
+    return _blockwise(_inner_residual_scaled, np.asarray(y, dtype=float), ctx)
 
 
-def _inner_residual_scaled(y: np.ndarray, ctx: StreamContext, vertex: int) -> np.ndarray:
-    return _scaled_residual(y, ctx, vertex, *_inner_terms(y, ctx, vertex))
+def _inner_residual_scaled(y: np.ndarray, ctx: StreamContext) -> np.ndarray:
+    return _scaled_residual(y, ctx, *_inner_terms(y, ctx))
 
 
-def b_eps_inner(y: np.ndarray, ctx: StreamContext, vertex: int = 1) -> np.ndarray:
-    """b(y) = (eps mu)^2 F'(s(x)) - e^Gamma(y) on the inner region."""
-    ds, u, s = _inner_terms(y, ctx, vertex)
+def b_eps_inner(y: np.ndarray, ctx: StreamContext) -> np.ndarray:
+    """b(y) = (eps mu)^2 F'(s(x)) - e^Gamma(y) on vertex 1's inner region."""
+    ds, u, s = _inner_terms(y, ctx)
     eta, etap = _eta_of_s(ctx, s)
     w = eta + etap
     return u * np.where(w >= 1.0, np.expm1(ds), w * np.exp(ds) - 1.0)
@@ -805,17 +772,14 @@ def inner_residual_norm(
     itself carries a bounded but slowly-equilibrating O(U) mismatch.
     """
     flat, yn, weight = _inner_sup_grid(ctx, 0.98, a_decay, y_cap, n_r, n_theta)
-    ds, u, s = _inner_terms(flat, ctx, 1)
+    ds, u, s = _inner_terms(flat, ctx)
     deep = yn <= ctx.switch_radius_y
     vals = np.empty(flat.shape[0])
     if np.any(deep):
-        vals[deep] = _scaled_residual(flat[deep], ctx, 1, ds[deep], u[deep], s[deep])
+        vals[deep] = _scaled_residual(flat[deep], ctx, ds[deep], u[deep], s[deep])
     if np.any(~deep):
         x = ctx.frames[0].P + ctx.eps_mu * _mat2(ctx.frames[0].Mj, flat[~deep])
-        vals[~deep] = ctx.eps_mu**2 * (
-            _concentrated_terms(ctx, x)
-            + nonlinearity_F(rotating_argument(x, ctx), ctx)
-        )
+        vals[~deep] = ctx.eps_mu**2 * residual_S(x, ctx)
     mask = _eta_of_s(ctx, s)[0] >= 1.0
     if not np.any(mask):
         raise QuadratureFailure("cutoff never saturates on the inner grid")

@@ -540,23 +540,23 @@ class TestDeltaValue:
     @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_reference_on_every_vertex_pair(self, rng, exponent, n):
-        # the increments _inner_terms takes: far vertex z0 = M_j^-1 (P_i - P_j),
-        # dz = eps mu M_j^-1 M_i y for |y| from the deep core to the sup grid
+        # the increments _inner_terms takes at vertex i = 1, and at every other
+        # vertex i: far vertex z0 = M_j^-1 (P_i - P_j), dz = eps mu M_j^-1 M_i y
+        # for |y| from the deep core to the sup grid
         eps = math.exp(-exponent)
         R = 1.0 / math.sqrt(exponent)
         mu = math.exp(stream.solve_mu(eps, 1.0, 1.0, n, 2.0 * (2.0 - n)))
         prof = LocalProfile(eps, mu, R, 1.0)
-        z0, dd = stream._far_geometry(tuple(local_frame(j, n, R, 1.0)
-                                            for j in range(1, n + 1)))
+        frames = tuple(local_frame(j, n, R, 1.0) for j in range(1, n + 1))
         rad = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), 4000))
         phi = rng.uniform(0.0, 2.0 * np.pi, rad.size)
         y = np.stack([rad * np.cos(phi), rad * np.sin(phi)], axis=-1)
         for i in range(n):
-            for col in range(n - 1):
-                dz = prof.eps_mu * np.einsum("ij,...j->...i", dd[i, col], y)
-                new = prof.delta_value(z0[i, col], dz)
+            for z0, d in zip(*stream._far_geometry(frames, i)):
+                dz = prof.eps_mu * np.einsum("ij,...j->...i", d, y)
+                new = prof.delta_value(z0, dz)
                 assert new.shape == y.shape[:-1]
-                assert np.array_equal(new, _delta_value_ref(prof, z0[i, col], dz))
+                assert np.array_equal(new, _delta_value_ref(prof, z0, dz))
 
 
 class TestCube:
@@ -599,7 +599,7 @@ class TestCube:
 
         ctx, y = ctx_cache(20.0), self._points(rng) * 1e-2
         monkeypatch.setattr(liouville, "_re_cube", spy)
-        stream._inner_terms(y, ctx, 1)
+        stream._inner_terms(y, ctx)
         # P3(y) of the vertex itself, then P3 at each far vertex (delta_value)
         assert len(seen) == 1 + 2
         assert np.array_equal(seen[0][0], y[:, 0]) and np.array_equal(seen[0][1], y[:, 1])
@@ -1096,9 +1096,8 @@ _B = stream._POINT_BLOCK
 
 
 def _kernel_inputs(ctx, rng, size):
-    """Points for error_g and residual_S (a quarter of them deep in a vertex
-    core, where residual_S takes the scaled assembly) and for
-    inner_residual_scaled, each shaped size + (2,)."""
+    """Points for error_g and residual_S (a quarter of them within 5 eps mu of
+    a vertex) and for inner_residual_scaled, each shaped size + (2,)."""
     n = math.prod(size)
     x = rng.uniform(-1.1, 1.1, size=(n, 2))
     deep = rng.random(n) < 0.25
@@ -1117,8 +1116,8 @@ def _kernels(ctx):
          lambda x, y: stream._error_g(x, ctx.profile, ctx.frames)),
         ("residual_S", lambda x, y: stream.residual_S(x, ctx),
          lambda x, y: stream._residual_S(x, ctx)),
-        ("inner_residual_scaled", lambda x, y: stream.inner_residual_scaled(y, ctx, 2),
-         lambda x, y: stream._inner_residual_scaled(y, ctx, 2)),
+        ("inner_residual_scaled", lambda x, y: stream.inner_residual_scaled(y, ctx),
+         lambda x, y: stream._inner_residual_scaled(y, ctx)),
     ]
 
 

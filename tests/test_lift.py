@@ -70,7 +70,8 @@ class TestSymmetry:
 
 
 def _volume_ref(ctx, test_field, n_axial):
-    """The volume pairing as one pass per frame and axial slice, summed in that order."""
+    """The volume pairing as one pass per frame and axial slice, summed in that order,
+    with vertex 1's scaled vorticity in every frame."""
     from helix_kmd.stream import _eta_of_s, _inner_terms, _polar_gauss_rule
 
     h = ctx.h
@@ -80,10 +81,10 @@ def _volume_ref(ctx, test_field, n_axial):
     y, wq = y.reshape(-1, 2), wq.ravel()
     volume = 0.0
     det_m = float(np.linalg.det(ctx.frames[0].M))
-    for j, f in enumerate(ctx.frames):
-        ds, u, s_arg = _inner_terms(y, ctx, j + 1)
-        eta, _ = _eta_of_s(ctx, s_arg)
-        w_scaled = u * eta * np.exp(ds)
+    ds, u, s_arg = _inner_terms(y, ctx)
+    eta, _ = _eta_of_s(ctx, s_arg)
+    w_scaled = u * eta * np.exp(ds)
+    for f in ctx.frames:
         xi = f.P + ctx.eps_mu * np.einsum("ij,...j->...i", f.Mj, y)
         for x3 in s3:
             xp = _rotate_planar(xi, x3 / h)

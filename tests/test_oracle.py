@@ -72,7 +72,7 @@ def _oracle(ctx, y):
         em = eps * mpmath.exp(log_mu)
         a = em * em
         lo = 2 * mpmath.log(abs_log) + 2 * log_mu + mpmath.log(8) + mpf(ctx.d_eps)
-        grad = mpmath.matrix(ctx.h2_grad[0].tolist())
+        grad = mpmath.matrix(ctx.h2_grad.tolist())
         out = []
         for row in y:
             dx = em * (m1 * mpmath.matrix(row.tolist()))

@@ -9,7 +9,6 @@ test order or on a stored example database.
 """
 
 import math
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helix_kmd import stream
+from helix_kmd import liouville, stream
 from helix_kmd.configurations import (
     KAPPA,
     HelixConfig,
@@ -38,7 +37,6 @@ from helix_kmd.screw_operator import (
 )
 from helix_kmd.stream import (
     UY1Z1,
-    _nearest_inner_coords,
     _polar_gauss_rule,
     b_eps_bound_check,
     build_context,
@@ -127,35 +125,92 @@ def test_frame_round_trip(geometry, data):
                            atol=1e-14 * np.max(np.abs(z)))
 
 
-def _nearest_reference(frames, eps_mu, x):
-    """One point and one frame at a time; the lowest index wins a tie."""
-    idx = np.empty(len(x), dtype=int)
-    y = np.empty_like(x)
-    for p, xp in enumerate(x):
-        zs = [change_to_local(xp, f) for f in frames]
-        norms = [z[0] * z[0] + z[1] * z[1] for z in zs]
-        idx[p] = min(range(len(zs)), key=lambda k: (norms[k], k))
-        y[p] = zs[idx[p]] / eps_mu
-    return y, idx
+# -- every vertex core is a rotated copy of vertex 1's -----------------------
+
+def _far_tables_ref(frames):
+    """Every vertex's tables: z0[i][j] = M_j^-1 (P_i - P_j), D[i][j] = M_j^-1 M_i."""
+    n = len(frames)
+    z0 = np.empty((n, n - 1, 2))
+    dd = np.empty((n, n - 1, 2, 2))
+    for i, fi in enumerate(frames):
+        others = [f for f in frames if f.j != fi.j]
+        for col, fj in enumerate(others):
+            z0[i, col] = fj.Mj_inv @ (fi.P - fj.P)
+            dd[i, col] = fj.Mj_inv @ fi.Mj
+    return z0, dd
+
+
+def _inner_terms_ref(y, ctx, vertex):
+    """stream._inner_terms assembled at any vertex i, from that vertex's own
+    frame, far tables and H2 gradient: (ds, U(y), s) at x = P_i + eps mu M_i y."""
+    i = vertex - 1
+    f = ctx.frames[i]
+    prof = ctx.profile
+    em = ctx.eps_mu
+    yn2 = _dot2(y, y)
+    gam = math.log(8.0) - 2.0 * np.log1p(yn2)
+    log_em = math.log(ctx.eps) + ctx.log_mu
+    term_a = (gam - 4.0 * log_em) * (prof.c1 * em * y[..., 0] + prof.c2 * em * em * yn2)
+    w0, _, _ = liouville._kernels(yn2)
+    term_b = prof.kH * em * (w0 / 12.0) * liouville._re_cube(y[..., 0], y[..., 1])
+    z0, dd = _far_tables_ref(ctx.frames)
+    my = _mat2(f.Mj, y)
+    term_c = np.zeros(y.shape[:-1])
+    for col in range(ctx.n - 1):
+        term_c += prof.delta_value(z0[i, col], em * _mat2(dd[i, col], y))
+    term_d = em * _dot2(ctx.h2.gradient(f.P), my)
+    term_e = -0.5 * ctx.alpha * ctx.abs_log_eps * (2.0 * em * _dot2(f.P, my)
+                                                   + em * em * _dot2(my, my))
+    ds = term_a + term_b + term_c + term_d + term_e
+    return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+
+
+def _scaled_residual_ref(y, ctx, vertex, ds, u, s):
+    """stream._scaled_residual at any vertex i, from that vertex's far tables."""
+    i = vertex - 1
+    eta, _ = stream._eta_of_s(ctx, s)
+    core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
+    em = ctx.eps_mu
+    out = u * core + (ctx.profile.kE / 8.0) * em * y[..., 0] * u
+    z0, dd = _far_tables_ref(ctx.frames)
+    for col in range(ctx.n - 1):
+        out += stream._retained(z0[i, col] + em * _mat2(dd[i, col], y), ctx.profile, em * em)
+    return out
 
 
 @PROPERTY
-@given(geometry=geometries(), data=st.data())
-def test_nearest_inner_coords_match_brute_force(geometry, data):
-    eps, r, h, n, _ = geometry
-    R = r / math.sqrt(-math.log(eps))
-    frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    x = np.concatenate([rng.uniform(-1.0, 1.0, size=(40, 2)),
-                        frames[-1].P + 1e-3 * rng.normal(size=(10, 2))])
-    # a repeated frame ties with its copy at every point
-    for fr in (frames, frames[-1:] + frames):
-        ctx = SimpleNamespace(frames=fr, eps_mu=1e-3 * eps)
-        y, idx = _nearest_inner_coords(ctx, x)
-        y_ref, idx_ref = _nearest_reference(fr, ctx.eps_mu, x)
-        assert np.array_equal(idx, idx_ref)
-        assert np.array_equal(y, y_ref)
+@given(geometry=geometries(n_max=6))
+def test_vertex_cores_are_copies_of_vertex_one(geometry):
+    # the inner assembly evaluates vertex 1 alone: the same assembly at any
+    # other vertex, from its own tables, must agree to rounding.  The bounds
+    # are about ten times the largest spreads over 80 random draws: 3.3e-16
+    # of max|w|, 3.1e-15 in ds, 4.9e-14 of the residual's max, 9e-16 of the
+    # tables' max
+    ctx = _context(geometry)
+    ymax = min(300.0, 0.98 * ctx.inner_radius_y)
+    y = stream._polar_points(np.geomspace(0.05, ymax, 128),
+                             stream._cell_angles(60, 1)).reshape(-1, 2)
+    ds1, u1, s1 = stream._inner_terms(y, ctx)
+    w1 = u1 * stream._eta_of_s(ctx, s1)[0] * np.exp(ds1)
+    res1 = stream.inner_residual_scaled(y, ctx)
+    z1, d1 = stream._far_geometry(ctx.frames)
+    for vertex in range(1, ctx.n + 1):
+        ds, u, s = _inner_terms_ref(y, ctx, vertex)
+        w = u * stream._eta_of_s(ctx, s)[0] * np.exp(ds)
+        res = _scaled_residual_ref(y, ctx, vertex, ds, u, s)
+        if vertex == 1:
+            for new, ref in ((ds1, ds), (w1, w), (res1, res)):
+                assert np.array_equal(new, ref)
+        assert np.max(np.abs(w - w1)) <= 5e-14 * np.max(np.abs(w1))
+        assert np.max(np.abs(ds - ds1)) <= 4e-14
+        assert np.max(np.abs(res - res1)) <= 1.2e-12 * np.max(np.abs(res1))
+        # vertex i's rows, from vertex i + 1 on, are vertex 1's rows rotated
+        z, d = stream._far_geometry(ctx.frames, vertex - 1)
+        assert z.shape == (ctx.n - 1, 2) and d.shape == (ctx.n - 1, 2, 2)
+        assert np.allclose(np.roll(z, 1 - vertex, axis=0), z1, rtol=0.0,
+                           atol=1e-14 * np.max(np.abs(z1)))
+        assert np.allclose(np.roll(d, 1 - vertex, axis=0), d1, rtol=0.0,
+                           atol=1e-14 * np.max(np.abs(d1)))
 
 
 @PROPERTY
@@ -215,8 +270,19 @@ def _outer_orbit_sup(ctx, n_r, n_theta, nu_bar=3.0):
 def test_outer_sup_on_half_sector_is_orbit_sup(geometry, n_theta):
     # 2N does not divide n_theta = 180 at N = 4, nor n_theta = 96 at N = 5
     ctx = _context(geometry)
-    cell = _outcome(outer_residual_norm, ctx, n_r=24, n_theta=n_theta)
+    sampled = []
+
+    def recorded(x, ctx):
+        sampled.append(x)
+        return residual_S(x, ctx)
+
+    with patch.object(stream, "residual_S", recorded):
+        cell = _outcome(outer_residual_norm, ctx, n_r=24, n_theta=n_theta)
     assert _agree(cell, _outcome(_outer_orbit_sup, ctx, 24, n_theta), 1e-12)
+    # residual_S's direct assembly is only asked for outside the vertex cores
+    (x,) = sampled
+    for f in ctx.frames:
+        assert np.all(np.hypot(*change_to_local(x, f).T) > ctx.switch_radius_y * ctx.eps_mu)
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from helix_kmd.elliptic import PolarGridSpec, solve_k_poisson
 from helix_kmd.errors import DegenerateConfig, HelixKmdError
 from helix_kmd.liouville import liouville_unit
+from helix_kmd.screw_operator import change_to_local
 from helix_kmd.stream import (
     _inner_terms,
     b_eps_bound_check,
@@ -206,7 +207,7 @@ class TestVertexSum:
         ctx = ctx_cache(20.0)
         z0, _ = ctx.far_geometry
         expected = ctx.profile.value(np.zeros(2)) + float(
-            np.sum(ctx.profile.value(z0[0]))
+            np.sum(ctx.profile.value(z0))
         )
         assert psi0_sum(ctx.frames[0].P, ctx) == pytest.approx(expected, rel=1e-14)
 
@@ -314,7 +315,7 @@ class TestPsiStar:
         x = f1.P + em * np.einsum("ij,...j->...i", f1.Mj, y)
         gam = liouville_unit(y)
         s_stable = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu \
-            + _inner_terms(y, ctx, 1)[0]
+            + _inner_terms(y, ctx)[0]
         s_direct = rotating_argument(x, ctx)
         # the stable path keeps the correction field to first order; allow
         # its quadratic remainder (eps mu |y|)^2 |Hess H2| on top of roundoff
@@ -327,7 +328,7 @@ class TestPsiStar:
         ctx = ctx_cache(20.0)
         tt = np.geomspace(5.0, 500.0, 12)
         y = np.stack([np.zeros_like(tt), tt], axis=-1)
-        ds = np.abs(_inner_terms(y, ctx, 1)[0])
+        ds = np.abs(_inner_terms(y, ctx)[0])
         order = np.polyfit(np.log(tt), np.log(ds), 1)[0]
         assert 1.8 <= order <= 2.2
         bound = ctx.abs_log_eps * (ctx.eps_mu * tt) ** 2
@@ -426,14 +427,39 @@ class TestResidual:
         )
         assert np.max(np.abs(stable - direct)) < rel_tol * np.max(np.abs(stable))
 
-    def test_residual_S_routing(self, ctx_cache):
-        ctx = ctx_cache(10.0)
+    @staticmethod
+    def _off_core_points(ctx, rng):
+        # a spiral from twice vertex 1's core radius out to 0.3, plus a spread
         f1 = ctx.frames[0]
-        y_deep = np.array([[1.0, 0.5]])
-        x_deep = f1.P + ctx.eps_mu * np.einsum("ij,...j->...i", f1.Mj, y_deep)
-        val = residual_S(x_deep, ctx)
-        ref = inner_residual_scaled(y_deep, ctx) / ctx.eps_mu**2
-        assert val[0] == pytest.approx(float(ref[0]), rel=1e-12)
+        rad = np.geomspace(2.0 * ctx.switch_radius_y * ctx.eps_mu, 0.3, 20)
+        th = rng.uniform(0.0, 2.0 * np.pi, rad.size)
+        x = np.concatenate([f1.P + np.stack([rad * np.cos(th), rad * np.sin(th)], axis=-1),
+                            rng.normal(size=(25, 2)) * 0.4])
+        for f in ctx.frames:
+            assert np.all(np.hypot(*change_to_local(x, f).T)
+                          > ctx.switch_radius_y * ctx.eps_mu)
+        return x
+
+    def test_dihedral_invariance_outside_cores(self, ctx_cache, rng):
+        # the direct assembly carries the polygon's rotations; max|d| was
+        # 8e-15 of max|S|
+        ctx = ctx_cache(20.0)
+        x = self._off_core_points(ctx, rng)
+        s = residual_S(x, ctx)
+        for i in (1, 2):
+            Q = ctx.frames[i].Q
+            assert np.max(np.abs(residual_S(x @ Q.T, ctx) - s)) < 1e-13 * np.max(np.abs(s))
+
+    def test_evenness_in_frame_coordinates_outside_cores(self, ctx_cache, rng):
+        # max|d| was 8e-15 of max|S|
+        ctx = ctx_cache(20.0)
+        f1 = ctx.frames[0]
+        z = change_to_local(self._off_core_points(ctx, rng), f1)
+        zm = z.copy()
+        zm[:, 1] *= -1.0
+        a = residual_S(f1.P + z @ f1.M.T, ctx)
+        b = residual_S(f1.P + zm @ f1.M.T, ctx)
+        assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
 
 
 class TestSpeedSelection:
