@@ -157,16 +157,14 @@ def cmd_residual_scan(args, cfg: ExperimentConfig, out: Path, man: RunManifest) 
     if len(set(eps_values)) < 2:
         raise ConfigError("residual-scan needs at least two distinct epsilon values")
     s = cfg.require("stream", "r", "h", "n")
-    nu_bar = s.get("nu_bar", 3.0)
-    a_decay = s.get("a_decay", 0.8)
     alpha = s.get("alpha", stream.generic_scan_alpha(s["r"], s["h"], s["n"]))
 
     def one(eps):
         ctx = _build_ctx(cfg, eps, alpha)
         return {
             "eps": eps,
-            "outer_norm": stream.outer_residual_norm(ctx, nu_bar=nu_bar),
-            "inner_norm": stream.inner_residual_norm(ctx, a_decay=a_decay),
+            "outer_norm": stream.outer_residual_norm(ctx),
+            "inner_norm": stream.inner_residual_norm(ctx),
         }
 
     man.start("scan")

@@ -52,8 +52,6 @@ _SCHEMAS: dict[str, dict[str, str]] = {
         "n": "int",
         "alpha": "float",
         "delta": "float",
-        "nu_bar": "float",
-        "a_decay": "float",
         "grid.rho_min": "float",
         "grid.rho_max": "float",
         "grid.radial": "int",
@@ -149,9 +147,6 @@ def _validate(sections: dict) -> None:
             raise ConfigError("[stream] need r > 0 and h != 0")
         if stream.get("n", 2) < 2:
             raise ConfigError("[stream] n must be >= 2")
-        # the inner norm's weight 1 + |y|^(2 + a_decay) is infinite at y = 0 below -2
-        if not stream.get("a_decay", 0.8) >= -2.0:
-            raise ConfigError("[stream] a_decay must be >= -2")
         grid = grid_spec(stream)
         if grid.n_radial < 4 or grid.n_angular < 1:
             raise ConfigError("[stream] need grid.radial >= 4 and grid.angular >= 1")

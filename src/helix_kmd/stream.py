@@ -164,11 +164,6 @@ class StreamContext:
         """Inner-region extent in the concentrated variable y."""
         return self.delta / (self.eps_mu * self.sqrt_log)
 
-    @property
-    def switch_radius_y(self) -> float:
-        """Below this |y| the cancellation-free assembly is used."""
-        return self.delta**2 / (self.eps_mu * self.sqrt_log)
-
     def leading_alpha(self) -> float:
         return theorem_alpha(self.r, self.h, self.n, HelixVariant.POLYGON_HELIX)
 
@@ -452,8 +447,8 @@ def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
 def residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     """S(x) = div(K grad psi_*) + F(psi_* - (alpha/2)|log eps||x|^2), assembled
     directly: for x outside the vertex cores, where both terms are benign.
-    Within |y| <= switch_radius_y of a vertex they cancel to below float64
-    resolution; there inner_residual_scaled assembles (eps mu)^2 S.
+    Near a vertex they cancel to below float64 resolution; there
+    inner_residual_scaled assembles (eps mu)^2 S.
     """
     return _blockwise(_residual_S, np.atleast_2d(np.asarray(x, dtype=float)), ctx)
 
@@ -731,11 +726,8 @@ def _brent(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> float:
     raise NoBracket(f"Brent's method did not converge in {_BRENT_MAXITER} steps")
 
 
-def outer_residual_norm(
-    ctx: StreamContext, nu_bar: float = 3.0, rho_max: float = 1.0,
-    n_r: int = 96, n_theta: int = 180,
-) -> float:
-    """sup over the outer region (inside |x| <= rho_max) of (1+|x|^nu)|S|.
+def outer_residual_norm(ctx: StreamContext, n_r: int = 96, n_theta: int = 180) -> float:
+    """sup over the outer region of the unit disk of (1+|x|^3)|S|.
 
     The scan is confined to the unit disk: with the rotation term frozen,
     negative speeds reactivate the nonlinearity around |x|^2 ~ 2/|alpha|,
@@ -743,7 +735,7 @@ def outer_residual_norm(
     under the dihedral group D_N, so the sup is taken on the half-sector
     theta in [0, pi/N], at the n_theta-point rule's spacing (_cell_angles).
     """
-    rr = np.geomspace(ctx.R / 8.0, rho_max, n_r)
+    rr = np.geomspace(ctx.R / 8.0, 1.0, n_r)
     x = _polar_points(rr, _cell_angles(n_theta, 2 * ctx.n))
     flat = x.reshape(-1, 2)
     # outer region: every concentrated coordinate beyond delta/sqrt(log)
@@ -753,59 +745,48 @@ def outer_residual_norm(
         z = change_to_local(flat, f)
         keep &= np.hypot(z[..., 0], z[..., 1]) > lim
     pts = flat[keep]
-    svals = residual_S(pts, ctx)
     rho = np.hypot(pts[..., 0], pts[..., 1])
-    what = f"outer residual norm (nu_bar = {nu_bar:g})"
-    with np.errstate(over="ignore"):        # _weighted_sup reports an infinite weight
-        return _weighted_sup(svals, 1.0 + rho**nu_bar, what)
+    return _weighted_sup(residual_S(pts, ctx), 1.0 + rho**3.0, "outer residual norm")
 
 
-def inner_residual_norm(
-    ctx: StreamContext, a_decay: float = 0.8, y_cap: float = 300.0,
-    n_r: int = 120, n_theta: int = 96,
-) -> float:
-    """sup of (eps mu)^2 |S| (1+|y|^{2+a}) / (eps mu sqrt log) near a vertex.
+def inner_residual_norm(ctx: StreamContext, n_r: int = 120, n_theta: int = 96) -> float:
+    """sup of (eps mu)^2 |S| (1+|y|^2.8) / (eps mu sqrt log) near a vertex.
 
     The sup is taken over the part of the inner region where the
     vorticity cutoff is fully on, which is where the concentrated
     expansion of the residual has ε-stable content; the switch ring
     itself carries a bounded but slowly-equilibrating O(U) mismatch.
+    Saturation (s >= X + 2 d_eps) holds only within |y| < delta^2/(eps mu
+    sqrt|log eps|), inside the core, so the scaled residual covers it.
     """
-    flat, yn, weight = _inner_sup_grid(ctx, 0.98, a_decay, y_cap, n_r, n_theta)
-    ds, u, s = _inner_terms(flat, ctx)
-    deep = yn <= ctx.switch_radius_y
-    vals = np.empty(flat.shape[0])
-    if np.any(deep):
-        vals[deep] = _scaled_residual(flat[deep], ctx, ds[deep], u[deep], s[deep])
-    if np.any(~deep):
-        x = ctx.frames[0].P + ctx.eps_mu * _mat2(ctx.frames[0].Mj, flat[~deep])
-        vals[~deep] = ctx.eps_mu**2 * residual_S(x, ctx)
+    y, weight = _inner_sup_grid(ctx, 0.98, 300.0, n_r, n_theta)
+    ds, u, s = _inner_terms(y, ctx)
     mask = _eta_of_s(ctx, s)[0] >= 1.0
     if not np.any(mask):
         raise QuadratureFailure("cutoff never saturates on the inner grid")
-    return _weighted_sup(vals[mask], weight[mask], f"inner residual norm (a_decay = {a_decay:g})")
+    vals = _scaled_residual(y[mask], ctx, ds[mask], u[mask], s[mask])
+    return _weighted_sup(vals, weight[mask], "inner residual norm")
 
 
-def b_eps_bound_check(ctx: StreamContext, a_decay: float = 0.8, y_cap: float = 200.0,
-                      n_r: int = 96, n_theta: int = 64) -> float:
+def b_eps_bound_check(ctx: StreamContext, n_r: int = 96, n_theta: int = 64) -> float:
     """Fitted constant of the derivative-deviation bound.
 
     Computes b(y) = (eps mu)^2 F'(s(x(y))) - e^Gamma(y) on the inner disk
-    and returns sup |b| (1+|y|^{2+a}) / (eps mu sqrt|log eps|).
+    and returns sup |b| (1+|y|^2.8) / (eps mu sqrt|log eps|).
     """
-    y, _, weight = _inner_sup_grid(ctx, 0.9, a_decay, y_cap, n_r, n_theta)
-    return _weighted_sup(b_eps_inner(y, ctx), weight, f"b_eps bound (a_decay = {a_decay:g})")
+    y, weight = _inner_sup_grid(ctx, 0.9, 200.0, n_r, n_theta)
+    return _weighted_sup(b_eps_inner(y, ctx), weight, "b_eps bound")
 
 
 def _weighted_sup(vals: np.ndarray, weight: np.ndarray, what: str) -> float:
-    """max |vals| weight; NonFiniteError if it is inf or nan, as an overflowed weight makes it."""
+    """max |vals| weight; NonFiniteError if it is inf or nan, as an overflowed residual makes it."""
     if not math.isfinite(out := float(np.max(np.abs(vals) * weight))):
         raise NonFiniteError(f"{what} is not finite")
     return out
 
 
-def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
-    """Flat sup-grid points y, |y| and weights (1+|y|^{2+a})/(eps mu sqrt|log eps|).
+def _inner_sup_grid(ctx: StreamContext, frac, y_cap, n_r, n_theta):
+    """Flat sup-grid points y and weights (1+|y|^2.8)/(eps mu sqrt|log eps|).
 
     The origin, then radii geomspace(0.05, ymax, n_r), ymax = min(y_cap, frac
     times the inner radius), times the n_theta-point midpoint angles of the
@@ -814,9 +795,7 @@ def _inner_sup_grid(ctx: StreamContext, frac, a_decay, y_cap, n_r, n_theta):
     ymax = min(y_cap, frac * ctx.inner_radius_y)
     rings = _polar_points(np.geomspace(0.05, ymax, n_r), _cell_angles(n_theta, 2))
     y = np.concatenate([np.zeros((1, 2)), rings.reshape(-1, 2)])
-    yn = np.sqrt(_dot2(y, y))
-    with np.errstate(over="ignore"):        # _weighted_sup reports an infinite weight
-        return y, yn, (1.0 + yn ** (2.0 + a_decay)) / (ctx.eps_mu * ctx.sqrt_log)
+    return y, (1.0 + np.sqrt(_dot2(y, y)) ** 2.8) / (ctx.eps_mu * ctx.sqrt_log)
 
 
 def generic_scan_alpha(r: float, h: float, n: int) -> float:

@@ -81,6 +81,19 @@ class TestConfig:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["nu_bar = nan", "a_decay = inf"])
+    def test_retired_stream_keys_exit_2(self, tmp_path, capsys, line):
+        # the residual norm weights are fixed, so their former keys are
+        # unknown whatever their value
+        p = tmp_path / "retired.ini"
+        p.write_text(BASE.replace("n = 3", f"n = 3\n{line}"))
+        out = tmp_path / "o"
+        assert main(["residual-scan", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown key '{line.split(' = ')[0]}' in section [stream]"
+        ]
+        assert not out.exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         # [sweep] is retired: the thread count comes from --threads only
@@ -99,10 +112,8 @@ class TestConfig:
                      stream + "grid.rho_max = 1e-7\n", stream + "out_grid.n = 0\n",
                      "[grid]\nnx = 0\n", "[grid]\nny = 0\n", "[grid]\nnz = 0\n",
                      "[config]\nvariant = PolygonHelix\nperiods = 0\n",
-                     # a central filament without circulation; an inner-norm
-                     # weight 1 + |y|^(2 + a_decay) infinite at y = 0
+                     # a central filament without circulation
                      "[config]\nvariant = PolygonWithCenter\nkappa0 = 0\n",
-                     stream + "a_decay = -5\n",
                      # 100 steps that stride 7 does not divide; 100.05 steps;
                      # a step longer than the run
                      "[kmd]\ndt = 1e-3\nt_final = 0.1\nstride = 7\n",
@@ -112,9 +123,7 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 load_config(p)
         # NaN and inf are rejected where they are parsed, with the key named
-        for text, key in ((stream + "nu_bar = nan\n", "[stream] nu_bar"),
-                          (stream + "a_decay = inf\n", "[stream] a_decay"),
-                          (stream + "out_grid.extent = nan\n", "[stream] out_grid.extent"),
+        for text, key in ((stream + "out_grid.extent = nan\n", "[stream] out_grid.extent"),
                           (stream + "alpha = nan\n", "[stream] alpha"),
                           (stream.replace("r = 1", "r = nan"), "[stream] r"),
                           (stream.replace("h = 1", "h = inf"), "[stream] h"),
@@ -124,15 +133,16 @@ class TestConfig:
             p.write_text(text)
             with pytest.raises(ConfigError, match=rf"^bad value for \{key}: "):
                 load_config(p)
+        # the norm weights are fixed: their former keys are unknown
+        p.write_text(stream + "nu_bar = 3\n")
+        with pytest.raises(ConfigError, match=r"^unknown key 'nu_bar' in section \[stream\]$"):
+            load_config(p)
         # the smallest sizes are accepted
         p.write_text(stream + "grid.radial = 4\ngrid.angular = 1\nout_grid.n = 1\n"
-                     "a_decay = -2\n"
                      "[grid]\nnx = 1\nny = 1\nnz = 1\n")
         load_config(p)
 
     @pytest.mark.parametrize("subcommand,section,key,value", [
-        ("residual-scan", "stream", "nu_bar", "nan"),
-        ("residual-scan", "stream", "a_decay", "inf"),
         ("build-stream", "stream", "out_grid.extent", "nan"),
         ("build-stream", "stream", "r", "nan"),
         ("build-stream", "stream", "h", "inf"),
@@ -414,21 +424,23 @@ class TestStreamCommands:
         assert not (out / "residual_scan.csv").exists()
 
     @pytest.mark.filterwarnings("error")      # one stderr line: no overflow warning
-    @pytest.mark.parametrize("key, value, norm", [
-        ("nu_bar", "-1000", "outer residual norm (nu_bar = -1000)"),
-        ("a_decay", "1000", "inner residual norm (a_decay = 1000)"),
-    ])
-    def test_overflowing_norm_weight_exits_3(self, cfg_file, tmp_path, capsys,
-                                             key, value, norm):
-        # 1 + rho^nu_bar at rho >= R/8 and 1 + |y|^(2 + a_decay) up to |y| = 300
-        # overflow: the scan would write an infinite norm and a nan slope
-        grid = "[stream]\ngrid.radial = 64\ngrid.angular = 24\n"
-        cfg_file.write_text(BASE.replace("[stream]\n", grid + f"{key} = {value}\n"))
-        out = tmp_path / "inf"
-        assert main(["residual-scan", "--config", str(cfg_file), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"numerical failure: {norm} is not finite"
-        ]
+    @pytest.mark.parametrize("stream, message", [
+        # an admitted speed (|alpha| <= 66 here) whose frozen rotation term
+        # switches F on past overflow in the outer region: the scan would
+        # write an infinite norm and a nan slope
+        ("epsilon = e^-41.9, e^-42\nr = 0.5\nh = 2\nn = 3\nalpha = -38\n",
+         "outer residual norm is not finite"),
+        # at e^-10 with N = 4 the vorticity cutoff is fully on nowhere on the
+        # inner sup grid, so the inner norm has no points to take its sup over
+        ("epsilon = e^-10, e^-20\nr = 1\nh = 1\nn = 4\n",
+         "cutoff never saturates on the inner grid"),
+    ], ids=["outer-overflow", "unsaturated"])
+    def test_norm_failure_exits_3(self, tmp_path, capsys, stream, message):
+        cfg = tmp_path / "fail.ini"
+        cfg.write_text(f"[stream]\n{stream}grid.radial = 64\ngrid.angular = 24\n")
+        out = tmp_path / "fail"
+        assert main(["residual-scan", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
         assert not (out / "residual_scan.csv").exists()
 
 

@@ -282,7 +282,26 @@ def test_outer_sup_on_half_sector_is_orbit_sup(geometry, n_theta):
     # residual_S's direct assembly is only asked for outside the vertex cores
     (x,) = sampled
     for f in ctx.frames:
-        assert np.all(np.hypot(*change_to_local(x, f).T) > ctx.switch_radius_y * ctx.eps_mu)
+        assert np.all(np.hypot(*change_to_local(x, f).T) > ctx.delta**2 / ctx.sqrt_log)
+
+
+def _two_branch_inner_norm(ctx, n_r, n_theta):
+    """inner_residual_norm with its former second assembly: the scaled residual
+    within |y| <= delta^2/(eps mu sqrt|log eps|), the direct residual_S beyond."""
+    y, weight = stream._inner_sup_grid(ctx, 0.98, 300.0, n_r, n_theta)
+    yn = np.sqrt(_dot2(y, y))
+    ds, u, s = stream._inner_terms(y, ctx)
+    deep = yn <= ctx.delta**2 / (ctx.eps_mu * ctx.sqrt_log)
+    vals = np.empty(y.shape[0])
+    if np.any(deep):
+        vals[deep] = stream._scaled_residual(y[deep], ctx, ds[deep], u[deep], s[deep])
+    if np.any(~deep):
+        x = ctx.frames[0].P + ctx.eps_mu * _mat2(ctx.frames[0].Mj, y[~deep])
+        vals[~deep] = ctx.eps_mu**2 * residual_S(x, ctx)
+    mask = stream._eta_of_s(ctx, s)[0] >= 1.0
+    if not np.any(mask):
+        raise QuadratureFailure("cutoff never saturates on the inner grid")
+    return stream._weighted_sup(vals[mask], weight[mask], "two-branch inner norm")
 
 
 @PROPERTY
@@ -292,15 +311,15 @@ def test_inner_sups_on_half_disk_are_disk_sups(geometry, n_theta):
     ctx = _context(geometry)
     half = stream._inner_sup_grid
     # the origin, then rings of ceil(n_theta/2) midpoint angles of (0, pi)
-    y = half(ctx, 0.98, 0.8, 300.0, 40, n_theta)[0]
+    y = half(ctx, 0.98, 300.0, 40, n_theta)[0]
     k = -(-n_theta // 2)
     assert np.array_equal(y[0], [0.0, 0.0]) and y.shape == (1 + 40 * k, 2)
     th = np.arctan2(y[1:, 1], y[1:, 0]).reshape(40, k)
     assert np.allclose(th, (np.arange(k) + 0.5) * (math.pi / k), rtol=0.0, atol=1e-12)
 
     def mirrored(*args):
-        y, yn, w = half(*args)
-        return np.concatenate([y, y * [1.0, -1.0]]), np.tile(yn, 2), np.tile(w, 2)
+        y, w = half(*args)
+        return np.concatenate([y, y * [1.0, -1.0]]), np.tile(w, 2)
 
     def sups():
         return [_outcome(norm, ctx, n_r=40, n_theta=n_theta)
@@ -311,6 +330,13 @@ def test_inner_sups_on_half_disk_are_disk_sups(geometry, n_theta):
         disks = sups()
     for cell, disk in zip(cells, disks):
         assert _agree(cell, disk, 1e-12)
+    # the cutoff saturates only inside the former switch radius, so the
+    # single scaled assembly gives the two-branch norm bit for bit
+    saturated = stream._eta_of_s(ctx, stream._inner_terms(y, ctx)[2])[0] >= 1.0
+    switch = ctx.delta**2 / (ctx.eps_mu * ctx.sqrt_log)
+    assert np.all(np.hypot(*y[saturated].T) < switch)
+    two_branch = _outcome(_two_branch_inner_norm, ctx, 40, n_theta)
+    assert cells[0] == two_branch
 
 
 @PROPERTY

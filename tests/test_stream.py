@@ -431,13 +431,12 @@ class TestResidual:
     def _off_core_points(ctx, rng):
         # a spiral from twice vertex 1's core radius out to 0.3, plus a spread
         f1 = ctx.frames[0]
-        rad = np.geomspace(2.0 * ctx.switch_radius_y * ctx.eps_mu, 0.3, 20)
+        rad = np.geomspace(2.0 * ctx.delta**2 / ctx.sqrt_log, 0.3, 20)
         th = rng.uniform(0.0, 2.0 * np.pi, rad.size)
         x = np.concatenate([f1.P + np.stack([rad * np.cos(th), rad * np.sin(th)], axis=-1),
                             rng.normal(size=(25, 2)) * 0.4])
         for f in ctx.frames:
-            assert np.all(np.hypot(*change_to_local(x, f).T)
-                          > ctx.switch_radius_y * ctx.eps_mu)
+            assert np.all(np.hypot(*change_to_local(x, f).T) > ctx.delta**2 / ctx.sqrt_log)
         return x
 
     def test_dihedral_invariance_outside_cores(self, ctx_cache, rng):
