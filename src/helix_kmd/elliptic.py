@@ -93,59 +93,62 @@ class _Banded:
         _, n, m = bands.shape
         b = _LU_BLOCK
         p = -(-n // b)
-        self._bands = bands
-        padded = np.zeros((5, p * b, m))
-        padded[:, :n] = bands
-        padded[2, n:] = 1.0
-        # B[d, q, j, r]: band d of row q*b + r of matrix j
-        B = padded.reshape(5, p, b, m).transpose(0, 1, 3, 2)
-        blocks = np.zeros((p, m, b, b))
-        flat = blocks.reshape(p, m, b * b)
-        for dd in range(5):
-            # diagonal s of every block: a strided slice of the flat blocks
-            s = dd - 2
-            lo, hi = max(0, -s), b - max(0, s)
-            flat[..., lo * (b + 1) + s:(hi - 1) * (b + 1) + s + 1:b + 1] = B[dd][..., lo:hi]
         # rows 0, 1 of block q on columns b-2, b-1 of block q-1, and
         # rows b-2, b-1 of block q on columns 0, 1 of block q+1
         self._low = low = np.zeros((p, m, 2, 2))
-        low[..., 0, 0], low[..., 0, 1], low[..., 1, 1] = B[0, ..., 0], B[1, ..., 0], B[0, ..., 1]
-        up = np.zeros((p, m, 2, 2))
-        up[..., 0, 0], up[..., 1, 0], up[..., 1, 1] = B[4, ..., -2], B[3, ..., -1], B[4, ..., -1]
-        self._inv = inv = np.empty((p, m, b, b))
+        low[1:, :, 0] = bands[:2, b::b].transpose(1, 2, 0)
+        low[1:1 + (n - 2) // b, :, 1, 1] = bands[0, b + 1::b]
+        up = np.zeros((p - 1, m, 2, 2))
+        V = bands[:, :(p - 1) * b].reshape(5, p - 1, b, m)    # the blocks before the last
+        up[..., 0, 0], up[..., 1, 0], up[..., 1, 1] = V[4, :, -2], V[3, :, -1], V[4, :, -1]
         # the inverse block's last two columns times the upper corner
-        self._w = w = np.empty((p, m, b, 2))
+        self._w = w = np.empty((p - 1, m, b, 2))
+        # the diagonal blocks where their inverses go; rows past n are identity rows
+        self._inv = inv = np.zeros((p, m, b, b))
+        flat = inv.reshape(p, m, b * b)
+        for q0, q1 in ((0, n // b), (n // b, p)):
+            # R[d, q, j, r]: band d of row q*b + r < n of matrix j
+            nr = min(b, n - q0 * b)
+            R = bands[:, q0 * b:q1 * b].reshape(5, q1 - q0, nr, m).transpose(0, 1, 3, 2)
+            flat[q0:q1, :, nr * (b + 1)::b + 1] = 1.0
+            for dd in range(5):
+                # diagonal s of the blocks: a strided slice of the flat blocks
+                s = dd - 2
+                lo = max(0, -s)
+                hi = max(lo, min(b - max(0, s), nr))
+                flat[q0:q1, :, lo * (b + 1) + s:hi * (b + 1) + s:b + 1] = R[dd, ..., lo:hi]
         for q in range(p):
             if q:
-                blocks[q, :, :2, :2] -= low[q] @ w[q - 1, :, -2:]
+                inv[q, :, :2, :2] -= low[q] @ w[q - 1, :, -2:]
             try:
-                inv[q] = np.linalg.inv(blocks[q])
+                inv[q] = np.linalg.inv(inv[q])
             except np.linalg.LinAlgError:
                 raise SolverDivergence("singular block in a banded solve") from None
-            np.matmul(inv[q, :, :, -2:], up[q], out=w[q])
+            if q < p - 1:
+                np.matmul(inv[q, :, :, -2:], up[q], out=w[q])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x[:, j] solving matrix j against rhs[:, j]; rhs has shape (n, m, columns)."""
         n, m, c = rhs.shape
         p, b = self._inv.shape[0], _LU_BLOCK
-        y = np.zeros((p * b, m, c))
-        y[:n] = rhs
-        y = np.ascontiguousarray(y.reshape(p, b, m, c).transpose(0, 2, 1, 3))
-        x = np.empty_like(y)
+        # x[q, j, r]: row q*b + r of matrix j, eliminated in place
+        x = np.zeros((p, m, b, c))
+        x.transpose(0, 2, 1, 3)[divmod(np.arange(n), b)] = rhs
         for q in range(p):
             if q:
-                y[q, :, :2] -= self._low[q] @ x[q - 1, :, -2:]
-            np.matmul(self._inv[q], y[q], out=x[q])
+                x[q, :, :2] -= self._low[q] @ x[q - 1, :, -2:]
+            x[q] = self._inv[q] @ x[q]
         for q in range(p - 2, -1, -1):
             x[q] -= self._w[q] @ x[q + 1, :, :2]
         return x.transpose(0, 2, 1, 3).reshape(p * b, m, c)[:n]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The matrices times x of shape (n, m, columns)."""
-        n = x.shape[0]
-        xp = np.zeros((n + 4,) + x.shape[1:])
-        xp[2:-2] = x
-        return sum(self._bands[d][:, :, None] * xp[d:d + n] for d in range(5))
+
+def _banded_matvec(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrices of row-aligned bands (as in _Banded) times x (n, m, columns)."""
+    n = x.shape[0]
+    xp = np.zeros((n + 4,) + x.shape[1:])
+    xp[2:-2] = x
+    return sum(bands[d][:, :, None] * xp[d:d + n] for d in range(5))
 
 
 class _ColumnSpline:
@@ -179,13 +182,13 @@ class _ColumnSpline:
         self.x = x
         # one contiguous (n-1, columns) array per power
         self._c = [np.ascontiguousarray(ck) for ck in c]
-        self._dc = [3.0 * self._c[0], 2.0 * self._c[1], self._c[2]]
 
-    def _eval(self, u: np.ndarray, polys: list, buf: np.ndarray | None) -> list:
-        """Each piecewise polynomial of `polys` at the 1-D points u, written
-        into buf (len(polys) + 1, >= u.size, columns) or a new array."""
+    def _eval(self, u: np.ndarray, derivative: bool, buf: np.ndarray | None) -> list:
+        """The values and, with derivative, the first derivatives at the 1-D
+        points u, written into buf (2 + derivative, >= u.size, columns) or a
+        new array."""
         if buf is None:
-            buf = np.empty((len(polys) + 1, u.size, self._c[0].shape[1]))
+            buf = np.empty((2 + derivative, u.size, self._c[0].shape[1]))
         term = buf[-1, :u.size]
         # interval index among the interior knots: points beyond an end
         # knot fall in the end interval, as in scipy
@@ -193,13 +196,17 @@ class _ColumnSpline:
         s = (u - self.x[i])[:, None]
         s2 = s * s
         powers = (s, s2, s2 * s)
+        # from the constant term up; the derivative's 2 c[1] and 3 c[0] on the rows
+        polys = [(self._c[::-1], (1, 1, 1)), (self._c[-2::-1], (2.0, 3.0))][:1 + derivative]
         outs = []
-        for c, v in zip(polys, buf):
+        for (c, factors), v in zip(polys, buf):
             # scipy's order: ((c[3] + c[2] s) + c[1] s^2) + c[0] s^3;
             # mode="clip" (all indices are in range) writes unbuffered
-            v = np.take(c[-1], i, axis=0, out=v[:u.size], mode="clip")
-            for ck, p in zip(c[-2::-1], powers):
+            v = np.take(c[0], i, axis=0, out=v[:u.size], mode="clip")
+            for ck, f, p in zip(c[1:], factors, powers):
                 np.take(ck, i, axis=0, out=term, mode="clip")
+                if f != 1:
+                    term *= f
                 term *= p
                 v += term
             outs.append(v)
@@ -207,11 +214,11 @@ class _ColumnSpline:
 
     def __call__(self, u: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
         """Values at the 1-D points u, shape (u.size, columns)."""
-        return self._eval(u, [self._c], buf)[0]
+        return self._eval(u, False, buf)[0]
 
     def with_derivative(self, u: np.ndarray, buf: np.ndarray | None = None) -> tuple:
         """Values and first derivatives at u from one interval lookup."""
-        return tuple(self._eval(u, [self._c, self._dc], buf))
+        return tuple(self._eval(u, True, buf))
 
 
 # held around the lookups of _knot_factor and _mode_factor: a pool thread asking
@@ -267,20 +274,21 @@ def _beta(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return beta, -2.0 * beta * rho * rho / (h * h + rho * rho)
 
 
-@lru_cache(maxsize=4)
-def _mode_factor(spec: PolarGridSpec, h: float, ks: tuple) -> _Banded:
-    """Factors of the mode systems k in ks (>= 1), decay (Dirichlet) edges.
-
-    They depend on the grid, h and the kept wavenumbers but not on the
-    source, so builds that share these factor once.
-    """
+def _mode_bands(spec: PolarGridSpec, h: float, ks: tuple) -> np.ndarray:
+    """Bands of the mode systems k in ks (>= 1), decay (Dirichlet) edges."""
     u = spec.u_nodes()
     beta, beta_u = _beta(u, h)
     k2 = np.array([float(k * k) for k in ks])
     bands = _radial_stencil(u, beta[:, None], beta_u[:, None],
                             np.broadcast_to(-k2, (u.size, k2.size)))
     bands[2, 0] = bands[2, -1] = 1.0
-    return _Banded(bands)
+    return bands
+
+
+@lru_cache(maxsize=4)
+def _mode_factor(spec: PolarGridSpec, h: float, ks: tuple) -> _Banded:
+    """Factors of the _mode_bands systems, shared by builds: they do not depend on g."""
+    return _Banded(_mode_bands(spec, h, ks))
 
 
 def _solve_mode0(u, beta, g0_hat):

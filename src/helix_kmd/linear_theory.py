@@ -29,7 +29,7 @@ import numpy as np
 from numpy.fft import rfft
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import _Banded, _ColumnSpline, _polar_points, _radial_stencil
+from .elliptic import _Banded, _banded_matvec, _ColumnSpline, _polar_points, _radial_stencil
 from .errors import ODESolveFailure, QuadratureFailure, SlowDecay
 
 __all__ = [
@@ -199,7 +199,7 @@ def _radial_solve(u: np.ndarray, hc: np.ndarray, hs: np.ndarray):
 
     d = np.zeros((2, 2))
     d[:nb] = border_step(phi, 0.0)
-    res = rhs[..., :2] - system.matvec(phi)
+    res = rhs[..., :2] - _banded_matvec(bands, phi)
     res[:, :nb] += rhs[:, :nb, 2:] * d[:nb]
     z = system.solve(res)
     d[:nb] += border_step(z, -np.einsum("kn,nkc->kc", rows, phi[:, :nb]))
@@ -275,7 +275,7 @@ def projected_solve(
     n_radial log-spaced radii in [1e-5, rho_max].  Returns the solution with
     kernel components removed and the multipliers (d0, d1, d2).
     """
-    modes, rho_min = 8, 1e-5
+    modes, rho_min, block = 8, 1e-5, 256
     m_fit = _decay_exponent(h_func, rho_max)
     if m_fit <= 2.0:
         raise SlowDecay(f"source decays like |y|^-{m_fit:.2f}; need faster than -2")
@@ -283,13 +283,15 @@ def projected_solve(
     u = np.linspace(math.log(rho_min), math.log(rho_max), n_radial)
     rho = np.exp(u)
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    y = _polar_points(rho, th)
-    hh = rfft(h_func(y), axis=1)
+    # h_func acts pointwise and rfft per radius, so blocks give the same modes
+    hh = np.empty((n_radial, modes + 1), dtype=complex)
+    for i in range(0, n_radial, block):
+        b = slice(i, i + block)
+        hh[b] = rfft(h_func(_polar_points(rho[b], th)), axis=1)[:, :modes + 1]
     # n_theta > 2 modes: no solved mode is the Nyquist mode
     scale = np.full(modes + 1, 2.0 / n_theta)
     scale[0] = 1.0 / n_theta
-    phi, d = _radial_solve(u, scale * hh[:, :modes + 1].real,
-                           -scale * hh[:, :modes + 1].imag)
+    phi, d = _radial_solve(u, scale * hh.real, -scale * hh.imag)
     cos_modes = {0: phi[:, 0, 0]}
     sin_modes = {}
     for k in range(1, modes + 1):

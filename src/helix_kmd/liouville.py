@@ -93,7 +93,7 @@ def dipole_coefficient(R: float, h: float) -> float:
 
 def _re_cube(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Re((x + i y)^3) = x^3 - 3 x y^2; the cube as products, not libm pow."""
-    return x * x * x - 3.0 * x * y**2
+    return x * x * x - 3.0 * x * (y * y)
 
 
 def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,9 +117,9 @@ def _kernels(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _kernels_large(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed forms of w0, s0, w2, accurate for t >= _T_SWITCH."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t2, tp = t**2, 1.0 + t
+        t2, tp = t * t, 1.0 + t
         s1l = 0.5 / t - 2.0 / t2 + 3.0 * np.log1p(t) / t**3 - 1.0 / (t2 * tp)
-        return 1.0 / tp + s1l, s1l / t, s1l / t2 - 0.25 / (t * tp**2)
+        return 1.0 / tp + s1l, s1l / t, s1l / t2 - 0.25 / (t * (tp * tp))
 
 
 def _h1_weights(v: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,7 +200,7 @@ class LocalProfile:
             return t
         r = -4.0 / av
         return t._replace(
-            av2=av**2, r=r, dg1=r * x, dg2=r * y,
+            av2=av * av, r=r, dg1=r * x, dg2=r * y,
             dq1=self.c1 + 2.0 * self.c2 * x, dq2=2.0 * self.c2 * y,
             dp1=3.0 * xx - 3.0 * yy, dp2=-6.0 * x * y,
         )
