@@ -14,9 +14,10 @@ three tables.
    two wall times.  Below about 1.0x the threads only trade the GIL.
 2. `stream.error_g` on the defect grid of the default build (one
    dihedral half-sector at e^-20, r = h = 1, N = 3): the median wall time
-   of the whole-array evaluation and of the `_POINT_BLOCK` blocks, on one
-   thread and with two threads each evaluating it once, plus each
-   evaluation's tracemalloc peak.  Whole and blocked runs alternate.
+   of one whole-array call and of `stream.solve_H2`'s blocks of about
+   `_POINT_BLOCK` points (whole rows), on one thread and with two threads
+   each evaluating it once, plus each evaluation's tracemalloc peak.
+   Whole and blocked runs alternate.
 3. `residual-scan` end to end over e^-10, e^-20, e^-40, e^-80 (r = h = 1,
    N = 3, default grid: the benchmark's seed-0 `scan`) at `--threads 1`
    and `--threads 2`, each run in a fresh interpreter that imports
@@ -24,7 +25,7 @@ three tables.
    range of its wall time, its CPU time (all threads), the interpreter's
    peak RSS and its minor page faults.  The two pool sizes alternate.
 
-`stream.error_g` blocks only while the main thread is the only Python
+`stream.solve_H2` blocks only while the main thread is the only Python
 thread; table 2 times both evaluations directly, so the two-thread rows
 show what the rule avoids.  The numbers depend on the machine: run it
 with nothing else busy and compare rows within one run.
@@ -93,25 +94,25 @@ def error_g_table(repeats: int) -> None:
 
     ctx = stream.build_context(np.exp(-20.0), 1.0, 1.0, 3)
     grid, n = ctx.grid, ctx.n
-    rho = grid.radial_nodes()
+    rows = grid.radial_nodes()
+    rows = rows[rows <= 1.02]
     theta = grid.theta_nodes()[: grid.n_angular // n // 2 + 1]
-    x = _polar_points(rho[rho <= 1.02], theta)
+    x = _polar_points(rows, theta)
     args = (ctx.profile, ctx.frames)
-    block = stream._POINT_BLOCK
+    step = max(1, stream._POINT_BLOCK // theta.size)
 
     def whole():
-        return stream._error_g(x, *args)
+        return stream.error_g(x, *args)
 
     def blocked():
-        # stream._blockwise without its single-thread rule
+        # solve_H2's blocks of rows without its single-thread rule
         out = np.empty(x.shape[:-1])
-        flat, pts = out.reshape(-1), x.reshape(-1, 2)
-        for lo in range(0, flat.size, block):
-            flat[lo:lo + block] = stream._error_g(pts[lo:lo + block], *args)
+        for lo in range(0, rows.size, step):
+            b = slice(lo, min(lo + step, rows.size))
+            out[b] = stream.error_g(_polar_points(rows[b], theta), *args)
         return out
 
     assert np.array_equal(blocked(), whole())
-    assert np.array_equal(stream.error_g(x, *args), whole())
     peaks = {}
     for name, fn in (("whole", whole), ("blocked", blocked)):
         tracemalloc.start()
@@ -124,7 +125,8 @@ def error_g_table(repeats: int) -> None:
             for k in (1, 2):
                 times[name, k].append(_wall([fn] * k))
     print(f"\nerror_g on the e^-20 half-sector: {x[..., 0].size} points, "
-          f"blocks of {block} (median of {repeats} interleaved runs)")
+          f"blocks of {step} rows, {step * theta.size} points "
+          f"(median of {repeats} interleaved runs)")
     print(f"  {'evaluation':>10}  {'1 thread ms':>11}  {'2 threads x 1 call ms':>21}"
           "  tracemalloc peak MB")
     for name in ("whole", "blocked"):

@@ -71,7 +71,6 @@ def cmd_simulate_kmd(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     k = cfg.require("kmd", "t_final", "dt")
     config = HelixConfig(
         r=c["r"], h=c["h"], n_outer=c["n_outer"],
-        nu=(0.0 if c["variant"] == "StraightPolygon" else 1.0 / c["h"]),
         variant=HelixVariant(c["variant"]),
         kappa0=c.get("kappa0", 2.0),
     )
@@ -293,7 +292,10 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("--config is required for this subcommand")
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {out}: {exc.strerror}") from None
         man = RunManifest(cfg.source_bytes)
         _COMMANDS[args.subcommand](args, cfg, out, man)
         man.write(out)

@@ -55,23 +55,24 @@ class HelixConfig:
     r: float
     h: float
     n_outer: int
-    nu: float
     variant: HelixVariant
     kappa0: float = KAPPA   # central filament strength, PolygonWithCenter only
 
     def __post_init__(self):
+        if not isinstance(self.variant, HelixVariant):
+            raise DegenerateConfig(f"variant must be a HelixVariant, not {self.variant!r}")
         if self.r <= 0.0:
             raise DegenerateConfig("radius must be positive")
         if self.h == 0.0:
             raise DegenerateConfig("pitch parameter h must be nonzero")
         if self.n_outer < 2:
             raise DegenerateConfig("need at least two outer filaments")
-        if self.variant is HelixVariant.STRAIGHT_POLYGON:
-            if self.nu != 0.0:
-                raise DegenerateConfig("straight polygon requires nu = 0")
-        else:
-            if abs(self.nu * self.h - 1.0) > 1e-12:
-                raise DegenerateConfig("helix variants require nu*h = 1")
+
+    @property
+    def nu(self) -> float:
+        """Axial wavenumber of the outer filaments: 0 for the straight polygon,
+        nu h = 1 for the helices."""
+        return 0.0 if self.variant is HelixVariant.STRAIGHT_POLYGON else 1.0 / self.h
 
 
 def rotation_speed(config: HelixConfig) -> float:

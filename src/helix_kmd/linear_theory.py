@@ -211,35 +211,30 @@ def _radial_solve(u: np.ndarray, hc: np.ndarray, hs: np.ndarray):
 
 @dataclass
 class ProjectedSolution:
-    """phi and the kernel multipliers (d0, d1, d2) of a projected solve."""
+    """phi and the kernel multipliers (d0, d1, d2) of a projected solve.
+
+    modes[:, k] holds the cos and sin radial modes of cos(k theta) and
+    sin(k theta) on the knots u, shape (n, K+1, 2).
+    """
 
     u: np.ndarray
-    cos_modes: dict
-    sin_modes: dict
+    modes: np.ndarray
     d: tuple[float, float, float]
     rho_max: float
 
     @cached_property
     def _spline(self) -> _ColumnSpline:
-        """One spline over the cos columns followed by the sin columns."""
-        return _ColumnSpline(
-            self.u, np.stack([*self.cos_modes.values(), *self.sin_modes.values()],
-                             axis=1),
-        )
+        """One spline over every mode's cos and sin columns."""
+        return _ColumnSpline(self.u, self.modes.reshape(self.u.size, -1))
 
     def phi(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         rho = np.hypot(y[..., 0], y[..., 1])
         theta = np.arctan2(y[..., 1], y[..., 0])
         uc = np.clip(np.log(np.maximum(rho, 1e-300)), self.u[0], self.u[-1])
-        vals = self._spline(uc.ravel())
-        out = np.zeros_like(rho)
-        # mode by mode in the order of the dicts, cos before sin
-        trig = ([(k, np.cos) for k in self.cos_modes]
-                + [(k, np.sin) for k in self.sin_modes])
-        for j, (k, fn) in enumerate(trig):
-            out += vals[:, j].reshape(rho.shape) * fn(k * theta)
-        return out
+        vals = self._spline(uc.ravel()).reshape(rho.shape + self.modes.shape[1:])
+        kt = np.multiply.outer(theta, np.arange(self.modes.shape[1]))
+        return np.sum(vals[..., 0] * np.cos(kt) + vals[..., 1] * np.sin(kt), axis=-1)
 
     def weighted_norm(self, m: float) -> float:
         """sup (1+|y|)^{m-2} |phi| over the solved disk, on 400 radii x 64 angles."""
@@ -292,24 +287,11 @@ def projected_solve(
     scale = np.full(modes + 1, 2.0 / n_theta)
     scale[0] = 1.0 / n_theta
     phi, d = _radial_solve(u, scale * hh.real, -scale * hh.imag)
-    cos_modes = {0: phi[:, 0, 0]}
-    sin_modes = {}
-    for k in range(1, modes + 1):
-        if np.max(np.abs(phi[:, k, 0])) > 0.0:
-            cos_modes[k] = phi[:, k, 0]
-        if np.max(np.abs(phi[:, k, 1])) > 0.0:
-            sin_modes[k] = phi[:, k, 1]
-    z1 = _z1_radial(rho)
     # remove residual k=1 kernel components in the e^Gamma-weighted product
     # (mode 0 is already unique: its far field is pinned to zero)
-    e2u = np.exp(2.0 * u)
-    wq = e2u * _e_gamma(rho)
-    nz1 = np.sum(wq * z1 * z1)
-    if 1 in cos_modes:
-        cos_modes[1] = cos_modes[1] - (np.sum(wq * z1 * cos_modes[1]) / nz1) * z1
-    if 1 in sin_modes:
-        sin_modes[1] = sin_modes[1] - (np.sum(wq * z1 * sin_modes[1]) / nz1) * z1
+    z1 = _z1_radial(rho)
+    wz1 = np.exp(2.0 * u) * _e_gamma(rho) * z1
+    phi[:, 1] -= np.multiply.outer(z1, wz1 @ phi[:, 1] / np.sum(wz1 * z1))
     return ProjectedSolution(
-        u=u, cos_modes=cos_modes, sin_modes=sin_modes,
-        d=(float(d[0, 0]), float(d[1, 0]), float(d[1, 1])), rho_max=rho_max,
+        u=u, modes=phi, d=(float(d[0, 0]), float(d[1, 0]), float(d[1, 1])), rho_max=rho_max,
     )

@@ -234,33 +234,19 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
     return prof.laplacian(z, terms=t) + b_operator(at, z, frame1) - _retained(z, prof)
 
 
-# Points per block of the element-wise kernels: on the default build's 18,524-point
-# defect grid error_g's temporaries peak at 1.6 MB (6.5 MB in one call), inside a 2 MiB
-# L2; on a 2-core Xeon KVM guest it takes 16-18 ms against 20-21 ms in one call (three
-# runs of scripts/thread_scaling.py's table 2), and 21 ms at 2,048, 15 at 6,144 and 14
-# at 8,192 (medians of 40 interleaved runs, each with a quartile spread of ~5 ms).
+# Points per block of solve_H2's defect sampling: on the default build's 18,524-point
+# defect grid error_g's temporaries peak at 1.7 MB (6.5 MB in one call), inside a 2 MiB
+# L2; on a 2-core Xeon KVM guest it takes 9.0-10.0 ms against 12.3-13.2 ms in one call
+# (three runs of scripts/thread_scaling.py's table 2), and, measured on point blocks,
+# 21 ms at 2,048, 15 at 6,144 and 14 at 8,192 against 16-18 ms at 4,096 (medians of 40
+# interleaved runs, each with a quartile spread of ~5 ms).
 _POINT_BLOCK = 4096
-
-
-def _blockwise(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(x, *args), fn acting on each point alone, in blocks of _POINT_BLOCK points;
-    whole-array while other threads run, as short numpy calls trade the GIL."""
-    if threading.active_count() > 1 or x[..., 0].size <= _POINT_BLOCK:
-        return fn(x, *args)
-    out = np.empty(x.shape[:-1])
-    flat, pts = out.reshape(-1), x.reshape(-1, x.shape[-1])
-    for lo in range(0, flat.size, _POINT_BLOCK):
-        flat[lo:lo + _POINT_BLOCK] = fn(pts[lo:lo + _POINT_BLOCK], *args)
-    return out
 
 
 def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
     """Compactly supported defect density driving the H2 correction, from
     the vertex profile and frames alone (build_context needs it first)."""
-    return _blockwise(_error_g, np.asarray(x, dtype=float), profile, frames)
-
-
-def _error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     rho = np.hypot(x1, x2)
     out = np.zeros(x.shape[:-1])
@@ -312,11 +298,16 @@ def solve_H2(profile: lv.LocalProfile, frames, h: float,
         raise DegenerateConfig(
             f"n_angular = {grid.n_angular} is not a multiple of N = {n}"
         )
-    rho = grid.radial_nodes()
     theta = grid.theta_nodes()[: grid.n_angular // n // 2 + 1]
-    mask = rho <= 1.02
+    rows = grid.radial_nodes()
+    rows = rows[rows <= 1.02]                   # the first rows: rho ascends
     g = np.zeros((grid.n_radial, theta.size))
-    g[mask] = error_g(_polar_points(rho[mask], theta), profile, frames)
+    # blocks of about _POINT_BLOCK points; all rows in one call while other
+    # threads run, as short numpy calls trade the GIL
+    step = max(1, rows.size if threading.active_count() > 1 else _POINT_BLOCK // theta.size)
+    for lo in range(0, rows.size, step):
+        b = slice(lo, min(lo + step, rows.size))
+        g[b] = error_g(_polar_points(rows[b], theta), profile, frames)
     return solve_k_poisson(g, grid, h, n, anchor=frames[0].P)
 
 
@@ -450,10 +441,7 @@ def residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     Near a vertex they cancel to below float64 resolution; there
     inner_residual_scaled assembles (eps mu)^2 S.
     """
-    return _blockwise(_residual_S, np.atleast_2d(np.asarray(x, dtype=float)), ctx)
-
-
-def _residual_S(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     return _concentrated_terms(ctx, x) + nonlinearity_F(rotating_argument(x, ctx), ctx)
 
 
@@ -512,10 +500,7 @@ def _scaled_residual(y, ctx: StreamContext, ds, u, s) -> np.ndarray:
 
 def inner_residual_scaled(y: np.ndarray, ctx: StreamContext) -> np.ndarray:
     """(eps mu)^2 S at x = P_1 + eps mu M_1 y, cancellation-free."""
-    return _blockwise(_inner_residual_scaled, np.asarray(y, dtype=float), ctx)
-
-
-def _inner_residual_scaled(y: np.ndarray, ctx: StreamContext) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     return _scaled_residual(y, ctx, *_inner_terms(y, ctx))
 
 

@@ -73,19 +73,19 @@ def run_checks() -> list[dict]:
         print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
 
     # filament model and exact families
-    cfg = HelixConfig(1.0, 1.0, 3, 0.0, HelixVariant.STRAIGHT_POLYGON)
+    cfg = HelixConfig(1.0, 1.0, 3, HelixVariant.STRAIGHT_POLYGON)
     st = sample(cfg, modes=64)
     rhs = kmd_rhs(st)
     err = float(np.max(np.abs(rhs - 4.0j * st.positions)))
     check("polygon right-hand side = i kappa (N-1)/r^2 X", err < 1e-12, f"{err:.2e}")
 
-    hel = HelixConfig(1.0, 1.0, 4, 1.0, HelixVariant.POLYGON_HELIX)
+    hel = HelixConfig(1.0, 1.0, 4, HelixVariant.POLYGON_HELIX)
     res = kmd_residual(sampled_trajectory(hel, 1e-4, 5, modes=64))
     check("helix family solves the filament model", res < 1e-6, f"{res:.2e}")
 
     rstat = stationary_radius(1.0, 5)
     check("stationary radius h sqrt(N-1)", abs(rstat - 2.0) < 1e-14, f"{rstat}")
-    stat = HelixConfig(rstat, 1.0, 5, 1.0, HelixVariant.POLYGON_HELIX)
+    stat = HelixConfig(rstat, 1.0, 5, HelixVariant.POLYGON_HELIX)
     check("stationary helix speed", abs(rotation_speed(stat)) < 1e-12)
 
     traj = simulate(st, 0.1, 1e-3, stride=10)
@@ -95,7 +95,7 @@ def run_checks() -> list[dict]:
     tr_hel = galilean_transform(
         sampled_trajectory(cfg, 1e-3, 4, modes=64), 1.0, 2.0
     )
-    ref = sampled_trajectory(HelixConfig(1.0, 1.0, 3, 1.0, HelixVariant.POLYGON_HELIX),
+    ref = sampled_trajectory(HelixConfig(1.0, 1.0, 3, HelixVariant.POLYGON_HELIX),
                              1e-3, 4, modes=64)
     gerr = max(
         float(np.max(np.abs(a.positions - b.positions)))

@@ -60,17 +60,17 @@ def kmd_runs():
     runs = {}
     t0 = time.perf_counter()
     polygon = sample(
-        HelixConfig(1.0, 1.0, 3, 0.0, HelixVariant.STRAIGHT_POLYGON), modes=64
+        HelixConfig(1.0, 1.0, 3, HelixVariant.STRAIGHT_POLYGON), modes=64
     )
     runs["polygon"] = simulate(polygon, 1.0, 1e-4, stride=100)
     runs["polygon_runtime"] = time.perf_counter() - t0
     r_stat = stationary_radius(1.0, 3)
     stat = sample(
-        HelixConfig(r_stat, 1.0, 3, 1.0, HelixVariant.POLYGON_HELIX), modes=64
+        HelixConfig(r_stat, 1.0, 3, HelixVariant.POLYGON_HELIX), modes=64
     )
     runs["stationary"] = simulate(stat, 1.0, 1e-3, stride=100)
     center = sample(
-        HelixConfig(2.0, 1.0, 3, 1.0, HelixVariant.POLYGON_WITH_CENTER), modes=64
+        HelixConfig(2.0, 1.0, 3, HelixVariant.POLYGON_WITH_CENTER), modes=64
     )
     runs["center"] = simulate(center, 1.0, 1e-3, stride=100)
     return runs
@@ -117,7 +117,7 @@ def test_criterion_02_helix_family_residual():
     worst = 0.0
     worst_ratio = np.inf
     for n in (2, 3, 4, 5):
-        cfg = HelixConfig(1.0, 1.0, n, 1.0, HelixVariant.POLYGON_HELIX)
+        cfg = HelixConfig(1.0, 1.0, n, HelixVariant.POLYGON_HELIX)
         res = kmd_residual(sampled_trajectory(cfg, 1e-4, 5, modes=128))
         worst = max(worst, res)
         res_half = kmd_residual(sampled_trajectory(cfg, 5e-5, 5, modes=128))

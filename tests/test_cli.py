@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helix_kmd import cli
 from helix_kmd.cli import main
 from helix_kmd.config import load_config
 from helix_kmd.errors import ConfigError
@@ -233,6 +234,23 @@ class TestConfig:
             f"config error: --threads must be >= 1, got {threads}"
         ]
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("subcommand, out, reason", [
+        ("verify", "file", "File exists"),
+        ("build-stream", "file/sub", "Not a directory"),
+    ])
+    def test_out_that_cannot_be_created_exits_2(self, cfg_file, tmp_path, capsys,
+                                                monkeypatch, subcommand, out, reason):
+        (tmp_path / "file").write_text("")
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, subcommand, lambda *args: ran.append(args))
+        out = tmp_path / out
+        code = main([subcommand, "--config", str(cfg_file), "--out", str(out)])
+        assert (code, ran) == (2, [])
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot create --out {out}: {reason}"
+        ]
 
 
 class TestSimulateKmd:

@@ -28,7 +28,7 @@ def straight(positions, kappa=2.0, modes=64):
 
 
 def polygon(n=3, r=1.0, modes=64):
-    return sample(HelixConfig(r, 1.0, n, 0.0, HelixVariant.STRAIGHT_POLYGON),
+    return sample(HelixConfig(r, 1.0, n, HelixVariant.STRAIGHT_POLYGON),
                   modes=modes)
 
 
@@ -153,19 +153,19 @@ class TestGalilean:
 
     def test_polygon_becomes_helix_family(self):
         tr = sampled_trajectory(
-            HelixConfig(1.0, 1.0, 3, 0.0, HelixVariant.STRAIGHT_POLYGON),
+            HelixConfig(1.0, 1.0, 3, HelixVariant.STRAIGHT_POLYGON),
             1e-3, 4, modes=64,
         )
         boosted = galilean_transform(tr, 1.0, 2.0)
         ref = sampled_trajectory(
-            HelixConfig(1.0, 1.0, 3, 1.0, HelixVariant.POLYGON_HELIX),
+            HelixConfig(1.0, 1.0, 3, HelixVariant.POLYGON_HELIX),
             1e-3, 4, modes=64,
         )
         for a, b in zip(boosted.snapshots, ref.snapshots):
             assert np.max(np.abs(a.positions - b.positions)) < 1e-12
 
     def test_residual_of_boosted_trajectory(self):
-        cfg = HelixConfig(1.0, 1.0, 3, 0.0, HelixVariant.STRAIGHT_POLYGON)
+        cfg = HelixConfig(1.0, 1.0, 3, HelixVariant.STRAIGHT_POLYGON)
         tr = sampled_trajectory(cfg, 1e-4, 5, modes=64)
         res0 = kmd_residual(tr)
         res1 = kmd_residual(galilean_transform(tr, 1.0, 2.0))
@@ -209,12 +209,12 @@ class TestDiagnostics:
 
 class TestResidual:
     def test_helix_family_residual_small(self):
-        cfg = HelixConfig(1.0, 1.0, 3, 1.0, HelixVariant.POLYGON_HELIX)
+        cfg = HelixConfig(1.0, 1.0, 3, HelixVariant.POLYGON_HELIX)
         res = kmd_residual(sampled_trajectory(cfg, 1e-4, 5, modes=128))
         assert res < 2e-8
 
     def test_stationary_helix_spectral_tail_only(self):
-        cfg = HelixConfig(np.sqrt(2.0), 1.0, 3, 1.0, HelixVariant.POLYGON_HELIX)
+        cfg = HelixConfig(np.sqrt(2.0), 1.0, 3, HelixVariant.POLYGON_HELIX)
         res = kmd_residual(sampled_trajectory(cfg, 1e-4, 5, modes=64))
         assert res < 1e-10
 
@@ -230,12 +230,12 @@ class TestResidual:
         assert kmd_residual(traj) > 0.1
 
     def test_dt_halving_order(self):
-        for variant, r, nu in [
-            (HelixVariant.POLYGON_HELIX, 1.0, 1.0),
-            (HelixVariant.POLYGON_WITH_CENTER, 1.0, 1.0),
-            (HelixVariant.STRAIGHT_POLYGON, 1.0, 0.0),
+        for variant, r in [
+            (HelixVariant.POLYGON_HELIX, 1.0),
+            (HelixVariant.POLYGON_WITH_CENTER, 1.0),
+            (HelixVariant.STRAIGHT_POLYGON, 1.0),
         ]:
-            cfg = HelixConfig(r, 1.0, 3, nu, variant)
+            cfg = HelixConfig(r, 1.0, 3, variant)
             r1 = kmd_residual(sampled_trajectory(cfg, 2e-4, 5, modes=64))
             r2 = kmd_residual(sampled_trajectory(cfg, 1e-4, 5, modes=64))
             if r1 > 1e-12:

@@ -8,9 +8,8 @@ systems, a local defect that lets the Laplacian, Hessian and gradient of
 the profile each recompute the profile's intermediates, a far-profile
 increment delta_value that computes its own intermediates and each of its
 dot products with dz twice, a lift-3d box sampled one (x, y) column at
-a time, the point kernels of `stream` (error_g, residual_S and
-inner_residual_scaled) run on the whole array instead of in blocks of
-`stream._POINT_BLOCK` points, and the profile, frame-map and `b_operator`
+a time, `stream.error_g` on the whole defect grid instead of in
+`stream.solve_H2`'s blocks of rows, and the profile, frame-map and `b_operator`
 kernels on interleaved (..., 2) arrays instead of component arrays.  The arithmetic per entry is unchanged
 (the references cube as the library does, x * x * x; `TestCube` bounds
 that cube against the exact one), so results must agree exactly, not to
@@ -355,10 +354,9 @@ def _phi_ref(sol, y):
     theta = np.arctan2(y[..., 1], y[..., 0])
     uc = np.clip(np.log(np.maximum(rho, 1e-300)), sol.u[0], sol.u[-1])
     out = np.zeros_like(rho)
-    for k, m in sol.cos_modes.items():
-        out += CubicSpline(sol.u, m)(uc) * np.cos(k * theta)
-    for k, m in sol.sin_modes.items():
-        out += CubicSpline(sol.u, m)(uc) * np.sin(k * theta)
+    for k in range(sol.modes.shape[1]):
+        out += CubicSpline(sol.u, sol.modes[:, k, 0])(uc) * np.cos(k * theta)
+        out += CubicSpline(sol.u, sol.modes[:, k, 1])(uc) * np.sin(k * theta)
     return out
 
 
@@ -1047,7 +1045,7 @@ class TestProjectedSolutionSpline:
             0.3 + 0.7 * y[..., 0] - 0.4 * y[..., 1] + 0.2 * y[..., 0] * y[..., 1]
         )
         sol = linear_theory.projected_solve(h, n_radial=512)
-        assert len(sol.cos_modes) > 1 and len(sol.sin_modes) > 1
+        assert np.any(sol.modes[:, 1:, 0]) and np.any(sol.modes[:, 1:, 1])
         rho = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), 50))
         theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         y = np.stack([rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)],
@@ -1129,83 +1127,87 @@ class TestLiftBox:
 _B = stream._POINT_BLOCK
 
 
-def _kernel_inputs(ctx, rng, size):
-    """Points for error_g and residual_S (a quarter of them within 5 eps mu of
-    a vertex) and for inner_residual_scaled, each shaped size + (2,)."""
-    n = math.prod(size)
-    x = rng.uniform(-1.1, 1.1, size=(n, 2))
-    deep = rng.random(n) < 0.25
-    frame = rng.integers(0, ctx.n, n)
-    y = rng.uniform(-5.0, 5.0, size=(n, 2))
-    for j, f in enumerate(ctx.frames):
-        sel = deep & (frame == j)
-        x[sel] = f.P + ctx.eps_mu * y[sel] @ f.Mj.T
-    return x.reshape(size + (2,)), rng.uniform(-40.0, 40.0, size=size + (2,))
+def _sampled_g(ctx, grid, monkeypatch):
+    """solve_H2's defect samples g on `grid`, captured in place of the solve,
+    with the rho <= 1.02 rows and the half-sector angles it samples."""
+    seen = {}
 
+    def capture(g, *args, **kwargs):
+        seen["g"] = g
 
-def _kernels(ctx):
-    """(name, blocked call, whole-array call) of each routed point kernel."""
-    return [
-        ("error_g", lambda x, y: stream.error_g(x, ctx.profile, ctx.frames),
-         lambda x, y: stream._error_g(x, ctx.profile, ctx.frames)),
-        ("residual_S", lambda x, y: stream.residual_S(x, ctx),
-         lambda x, y: stream._residual_S(x, ctx)),
-        ("inner_residual_scaled", lambda x, y: stream.inner_residual_scaled(y, ctx),
-         lambda x, y: stream._inner_residual_scaled(y, ctx)),
-    ]
+    monkeypatch.setattr(stream, "solve_k_poisson", capture)
+    stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
+    rho = grid.radial_nodes()
+    theta = grid.theta_nodes()[: grid.n_angular // ctx.n // 2 + 1]
+    return seen["g"], rho[rho <= 1.02], theta
 
 
 class TestPointBlocks:
-    SIZES = [(_B - 1,), (_B,), (_B + 1,), (2 * _B + 3,), (61, 97)]
+    # (grid, points per block): the default grid in ragged blocks of 93 rows,
+    # a 64 x 1536 grid in blocks of 15 rows, a 64 x 24 grid whose rows all fit
+    # in one block, and that grid in blocks of a single row, each wider than
+    # the block
+    GRIDS = [(None, _B), (elliptic.PolarGridSpec(n_radial=64, n_angular=1536), _B),
+             (elliptic.PolarGridSpec(n_radial=64, n_angular=24), _B),
+             (elliptic.PolarGridSpec(n_radial=64, n_angular=24), 3)]
 
-    @pytest.mark.parametrize("size", SIZES, ids=lambda s: "x".join(map(str, s)))
-    def test_blocks_match_one_whole_array_call(self, ctx_cache, rng, size):
+    @pytest.mark.parametrize("grid, block", GRIDS,
+                             ids=["default", "64x1536", "64x24", "64x24-row-blocks"])
+    def test_blocks_match_one_whole_array_call(self, ctx_cache, monkeypatch, grid, block):
         ctx = ctx_cache(20.0)
-        x, y = _kernel_inputs(ctx, rng, size)
-        for name, blocked, whole in _kernels(ctx):
-            got, ref = blocked(x, y), whole(x, y)
-            assert got.shape == size, name
-            assert np.array_equal(got, ref), name
-
-    def test_pool_threads_evaluate_whole_arrays(self, ctx_cache, rng, monkeypatch):
-        ctx = ctx_cache(20.0)
-        x, y = _kernel_inputs(ctx, rng, (2 * _B + 3,))
+        grid = grid or ctx.grid
+        monkeypatch.setattr(stream, "_POINT_BLOCK", block)
+        ref = stream.error_g
         calls = []
-        body = stream._error_g
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return body(*args)
+        def counting(x, *args):
+            calls.append(x.shape[0])
+            return ref(x, *args)
 
-        monkeypatch.setattr(stream, "_error_g", counting)
-        serial = {name: blocked(x, y) for name, blocked, _ in _kernels(ctx)}
-        assert calls == [_B, _B, 3]
+        monkeypatch.setattr(stream, "error_g", counting)
+        g, rows, theta = _sampled_g(ctx, grid, monkeypatch)
+        step = max(1, block // theta.size)
+        assert calls == [min(step, rows.size - lo) for lo in range(0, rows.size, step)]
+        assert 0 < rows.size < grid.n_radial
+        assert np.array_equal(g[: rows.size], ref(elliptic._polar_points(rows, theta),
+                                                  ctx.profile, ctx.frames))
+        assert not np.any(g[rows.size:])
+
+    def test_pool_threads_evaluate_whole_arrays(self, ctx_cache, monkeypatch):
+        ctx = ctx_cache(20.0)
+        body = stream.error_g
+        calls = []
+
+        def counting(x, *args):
+            calls.append(x.shape[:-1])
+            return body(x, *args)
+
+        monkeypatch.setattr(stream, "error_g", counting)
+        serial, rows, theta = _sampled_g(ctx, ctx.grid, monkeypatch)
+        step = _B // theta.size
+        assert len(calls) == -(-rows.size // step) > 1
+        assert calls[0] == (step, theta.size)
         calls.clear()
         with ThreadPoolExecutor(2) as pool:
-            pooled = {name: pool.submit(blocked, x, y)
-                      for name, blocked, _ in _kernels(ctx)}
-            pooled = {name: fut.result(timeout=120) for name, fut in pooled.items()}
+            pooled = pool.submit(_sampled_g, ctx, ctx.grid, monkeypatch).result(timeout=120)[0]
         # one whole-array call while the pool's threads are alive
-        assert calls == [2 * _B + 3]
-        for name in serial:
-            assert np.array_equal(pooled[name], serial[name]), name
+        assert calls == [(rows.size, theta.size)]
+        assert np.array_equal(pooled, serial)
 
-    def test_error_g_peak_memory_on_the_defect_grid(self, ctx_cache):
-        # the half-sector of the default grid that solve_H2 samples
+    def test_error_g_peak_memory_on_the_defect_grid(self, ctx_cache, monkeypatch):
+        # solve_H2's sampling of the default grid, the solve stubbed
         ctx = ctx_cache(20.0)
+        monkeypatch.setattr(stream, "solve_k_poisson", lambda *args, **kwargs: None)
         grid = ctx.grid
-        rho = grid.radial_nodes()
-        theta = grid.theta_nodes()[: grid.n_angular // ctx.n // 2 + 1]
-        x = elliptic._polar_points(rho[rho <= 1.02], theta)
-        assert x[..., 0].size > 4 * _B
-        stream.error_g(x, ctx.profile, ctx.frames)
+        assert (grid.radial_nodes() <= 1.02).sum() * (grid.n_angular // ctx.n // 2 + 1) > 4 * _B
+        stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
         tracemalloc.start()
         try:
-            stream.error_g(x, ctx.profile, ctx.frames)
+            stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 6.4 MB in one whole-array call, 1.5 MB in blocks
+        # 6.4 MB in one whole-array call, 1.7 MB in blocks of rows
         assert peak < 2.5e6
 
 

@@ -219,8 +219,8 @@ def test_vertex_cores_are_copies_of_vertex_one(geometry):
 def test_galilean_boost_maps_polygon_to_helix(r, n, h):
     # the boost with nu = 1/h (one axial mode of the period 2 pi |h|) turns
     # the straight polygon's exact trajectory into the polygon of helices'
-    polygon = HelixConfig(r, h, n, 0.0, HelixVariant.STRAIGHT_POLYGON)
-    helix = HelixConfig(r, h, n, 1.0 / h, HelixVariant.POLYGON_HELIX)
+    polygon = HelixConfig(r, h, n, HelixVariant.STRAIGHT_POLYGON)
+    helix = HelixConfig(r, h, n, HelixVariant.POLYGON_HELIX)
     boosted = galilean_transform(sampled_trajectory(polygon, 1e-3, 4, modes=64),
                                  1.0 / h, KAPPA)
     ref = sampled_trajectory(helix, 1e-3, 4, modes=64)
