@@ -11,7 +11,8 @@ default grids and, unless said otherwise, r = h = 1, N = 3:
   * build-stream and lift-3d at e^-20;
   * residual-scan with --threads 1 and --threads 2, and alpha-solve, over
     e^-10, e^-20, e^-40, e^-80;
-  * residual-scan at r = 1.3, h = -0.8, N = 5 over e^-20, e^-40, e^-80;
+  * residual-scan at r = 1.3, h = -0.8, N = 5 over e^-20, e^-40, e^-80,
+    and lift-3d there at e^-20, where s/h and 1/h round differently;
   * verify;
   * simulate-kmd on a 32-mode PolygonHelix, and on a 32-mode
     PolygonWithCenter (the paper's N + 1 filaments) with the same [kmd].
@@ -34,7 +35,7 @@ from pathlib import Path
 
 STREAM = "[stream]\nepsilon = {eps}\nr = 1.0\nh = 1.0\nn = 3\n"
 SWEEP = "e^-10, e^-20, e^-40, e^-80"
-STREAM_N5 = "[stream]\nepsilon = e^-20, e^-40, e^-80\nr = 1.3\nh = -0.8\nn = 5\n"
+STREAM_N5 = "[stream]\nepsilon = {eps}\nr = 1.3\nh = -0.8\nn = 5\n"
 KMD = """[config]
 variant = {variant}
 r = 1.0
@@ -55,7 +56,8 @@ RUNS = {
     "lift-3d": ("lift-3d", STREAM.format(eps="e^-20"), []),
     "residual-scan-t1": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "1"]),
     "residual-scan-t2": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "2"]),
-    "residual-scan-n5": ("residual-scan", STREAM_N5, []),
+    "residual-scan-n5": ("residual-scan", STREAM_N5.format(eps="e^-20, e^-40, e^-80"), []),
+    "lift-3d-n5": ("lift-3d", STREAM_N5.format(eps="e^-20"), []),
     "alpha-solve": ("alpha-solve", STREAM.format(eps=SWEEP), ["--threads", "1"]),
     "verify": ("verify", None, []),
     "simulate-kmd": ("simulate-kmd", KMD.format(variant="PolygonHelix"), []),

@@ -224,7 +224,7 @@ def cmd_lift_3d(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -> Non
     rng = np.random.default_rng(0)
     sample_pts = rng.uniform(-1.0, 1.0, size=(50, 3))
     div_defect = float(np.max(np.abs(fd_divergence(proxy, sample_pts))))
-    sym_defect = helical_symmetry_defect(field, 0.37, normalized=True)
+    sym_defect = helical_symmetry_defect(field, ctx.h, 0.37, normalized=True)
     phi = bump_test_field(np.zeros(2), 0.7, np.pi * abs(ctx.h), np.pi * abs(ctx.h) * 0.8)
     gap = weak_convergence_gap(ctx, phi, n_axial=96)
     man.stop("diagnostics")

@@ -10,9 +10,10 @@ which is 2 pi h periodic in x3 and satisfies omega(S_{-rho} x)
 group.  For the constructed vorticity w = F(psi_* - (alpha/2)
 |log eps||x'|^2) the field concentrates around the helices
 
-    gamma_j(s) = (R exp(i s/h) exp(i theta_j), s),   R = r/sqrt|log eps|,
+    gamma_j(s) = (Q_{s/h} P_j, s),
 
-with unit mass 8 pi per cross-section, and the weak-convergence gap
+one per vertex P_j of the context's frames, with unit mass 8 pi per
+cross-section, and the weak-convergence gap
 
     int omega . phi dx  -  8 pi sum_j int phi(gamma_j(s)) . gamma_j'(s) ds
 
@@ -22,9 +23,6 @@ periodic trapezoid rules along the axis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,8 +37,6 @@ from .stream import (
 )
 
 __all__ = [
-    "VectorField3",
-    "FilamentCurve",
     "lifted_field",
     "helical_symmetry_defect",
     "fd_divergence",
@@ -51,25 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorField3:
-    """3D vector field; h is the pitch of a screw-symmetric field, else None."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    h: float | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class FilamentCurve:
-    """Parametrized curve s -> R^3 with tangent and circulation weight."""
-
-    curve: Callable[[np.ndarray], np.ndarray]
-    tangent: Callable[[np.ndarray], np.ndarray]
-    weight: float = 8.0 * np.pi
-    period: float = 2.0 * np.pi
+_FD_STEP = 1e-3          # centered-difference step of fd_divergence
 
 
 def _rotate_planar(xy: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -80,11 +58,12 @@ def _rotate_planar(xy: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def lifted_field(w, h: float) -> VectorField3:
+def lifted_field(w, h: float):
     """omega(x) of the planar scalar w (vectorized over (..., 2)) for x of
     shape (..., 3)."""
 
     def omega(x):
+        x = np.asarray(x, dtype=float)
         scal = w(_rotate_planar(x[..., :2], -x[..., 2] / h))
         out = np.empty(x.shape)
         out[..., 0] = -x[..., 1] / h * scal
@@ -92,20 +71,18 @@ def lifted_field(w, h: float) -> VectorField3:
         out[..., 2] = scal
         return out
 
-    return VectorField3(omega, h)
+    return omega
 
 
-def helical_symmetry_defect(field: VectorField3, rho_angle: float,
+def helical_symmetry_defect(field, h: float, rho_angle: float,
                             normalized: bool = False) -> float:
-    """max |omega(S_{-rho} x) - R_{-rho} omega(x)| over random box samples.
+    """max |omega(S_{-rho} x) - R_{-rho} omega(x)| over random box samples,
+    for the screw group of pitch h.
 
     The 200 samples (seed 0) are uniform in [-2, 2]^2 x [0, 2 pi |h|).  The
     screw action rotates the planar components with the same sign as the
-    argument shift; lifted fields satisfy the identity exactly.
+    argument shift; fields lifted with pitch h satisfy the identity exactly.
     """
-    if field.h is None:
-        raise ValueError("field carries no pitch; cannot apply the screw action")
-    h = field.h
     rng = np.random.default_rng(0)
     x = rng.uniform(-2.0, 2.0, size=(200, 3))
     x[:, 2] = rng.uniform(0.0, 2.0 * np.pi * abs(h), size=200)
@@ -124,45 +101,28 @@ def helical_symmetry_defect(field: VectorField3, rho_angle: float,
     return float(np.max(diff))
 
 
-def fd_divergence(field: VectorField3, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
+def fd_divergence(field, x: np.ndarray) -> np.ndarray:
     """Centered-difference divergence at x of shape (..., 3)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
     for i in range(3):
         e = np.zeros(3)
-        e[i] = step
-        out += (field(x + e)[..., i] - field(x - e)[..., i]) / (2.0 * step)
+        e[i] = _FD_STEP
+        out += (field(x + e)[..., i] - field(x - e)[..., i]) / (2.0 * _FD_STEP)
     return out
 
 
-def filament_curves(ctx) -> list[FilamentCurve]:
-    """Concentration helices of a stream context at t = 0."""
-    curves = []
-    nu = 1.0 / ctx.h
-    for j in range(ctx.n):
-        theta_j = 2.0 * np.pi * j / ctx.n
-
-        def curve(s, th=theta_j):
-            s = np.asarray(s, dtype=float)
-            out = np.empty(s.shape + (3,))
-            out[..., 0] = ctx.R * np.cos(nu * s + th)
-            out[..., 1] = ctx.R * np.sin(nu * s + th)
-            out[..., 2] = s
-            return out
-
-        def tangent(s, th=theta_j):
-            s = np.asarray(s, dtype=float)
-            out = np.empty(s.shape + (3,))
-            out[..., 0] = -ctx.R * nu * np.sin(nu * s + th)
-            out[..., 1] = ctx.R * nu * np.cos(nu * s + th)
-            out[..., 2] = 1.0
-            return out
-
-        curves.append(
-            FilamentCurve(curve, tangent, weight=8.0 * np.pi,
-                          period=2.0 * np.pi * abs(ctx.h))
-        )
-    return curves
+def filament_curves(ctx, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concentration helices of a stream context at t = 0, one per frame:
+    gamma_j(s) = (Q_{s/h} P_j, s) and its tangent (-gamma_2/h, gamma_1/h, 1),
+    each of shape (len(ctx.frames), *s.shape, 3)."""
+    s = np.asarray(s, dtype=float)
+    P = np.array([f.P for f in ctx.frames]).reshape((-1,) + (1,) * s.ndim + (2,))
+    pts = np.empty(P.shape[:1] + s.shape + (3,))
+    pts[..., :2] = _rotate_planar(np.broadcast_to(P, pts.shape[:-1] + (2,)), s / ctx.h)
+    pts[..., 2] = s
+    tan = np.stack([-pts[..., 1] / ctx.h, pts[..., 0] / ctx.h, np.ones(pts.shape[:-1])], -1)
+    return pts, tan
 
 
 def stream_vorticity(ctx):
@@ -176,7 +136,7 @@ def stream_vorticity(ctx):
 def bump_test_field(
     center: np.ndarray, radius: float, axial_center: float,
     axial_radius: float, component: int = 2,
-) -> VectorField3:
+):
     """Compactly supported C^2 test field along one coordinate axis."""
     center = np.asarray(center, dtype=float)
 
@@ -190,12 +150,10 @@ def bump_test_field(
         out[..., component] = val
         return out
 
-    return VectorField3(ev)
+    return ev
 
 
-def weak_convergence_gap(
-    ctx, test_field: VectorField3, n_axial: int = 48, return_parts: bool = False,
-):
+def weak_convergence_gap(ctx, test_field, n_axial: int = 48, return_parts: bool = False):
     """Volume pairing of the lifted vorticity minus the filament line sums.
 
     Time is frozen at t = 0: in the co-rotating construction all times
@@ -230,15 +188,11 @@ def weak_convergence_gap(
     det_m = float(np.linalg.det(ctx.frames[0].M))
     for s_jk in sums.ravel():       # frame by frame, then slice, as a loop per frame adds them
         volume += det_m * float(s_jk) * (period / n_axial)
+    ds_line = period / (n_axial * 4)
+    gam, tan = filament_curves(ctx, np.arange(n_axial * 4) * ds_line)
     line = 0.0
-    for c in filament_curves(ctx):
-        ss = np.arange(n_axial * 4) * (c.period / (n_axial * 4))
-        pts = c.curve(ss)
-        tan = c.tangent(ss)
-        phi = test_field(pts)
-        line += c.weight * float(
-            np.sum(np.einsum("...i,...i->...", phi, tan)) * (c.period / (n_axial * 4))
-        )
+    for pairing in np.einsum("...i,...i->...", test_field(gam), tan):     # helix by helix
+        line += 8.0 * np.pi * float(np.sum(pairing) * ds_line)
     gap = volume - line
     if return_parts:
         return gap, volume, line

@@ -241,6 +241,8 @@ def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> n
 # 21 ms at 2,048, 15 at 6,144 and 14 at 8,192 against 16-18 ms at 4,096 (medians of 40
 # interleaved runs, each with a quartile spread of ~5 ms).
 _POINT_BLOCK = 4096
+# g vanishes at rho >= 1 (eta0's support); solve_H2 samples it on the rings inside this
+_DEFECT_RHO = 1.02
 
 
 def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
@@ -288,7 +290,7 @@ def solve_H2(profile: lv.LocalProfile, frames, h: float,
     g is invariant under the dihedral group D_N of the polygon (rotations
     by 2 pi/N and the reflection theta -> -theta through P_1), so it is a
     cosine series in N theta.  error_g runs only on the half-sector theta
-    in [0, pi/N] of the rho <= 1.02 rings, the first n_angular/N // 2 + 1
+    in [0, pi/N] of the rho <= _DEFECT_RHO rings, the first n_angular/N // 2 + 1
     angular nodes, and solve_k_poisson takes the series' coefficients from
     these samples.  Raises DegenerateConfig when n_angular is not a
     multiple of N.
@@ -300,7 +302,7 @@ def solve_H2(profile: lv.LocalProfile, frames, h: float,
         )
     theta = grid.theta_nodes()[: grid.n_angular // n // 2 + 1]
     rows = grid.radial_nodes()
-    rows = rows[rows <= 1.02]                   # the first rows: rho ascends
+    rows = rows[rows <= _DEFECT_RHO]            # the first rows: rho ascends
     g = np.zeros((grid.n_radial, theta.size))
     # blocks of about _POINT_BLOCK points; all rows in one call while other
     # threads run, as short numpy calls trade the GIL
@@ -351,6 +353,10 @@ def build_context(
             rho_min=grid.rho_min, rho_max=grid.rho_max, n_radial=grid.n_radial,
             n_angular=block * math.ceil(grid.n_angular / block),
         )
+    # necessary, not sufficient: the vertices and the sampled defect band lie on the grid
+    if not (grid.rho_min < R and grid.rho_max > _DEFECT_RHO):
+        raise DegenerateConfig(f"polar grid [{grid.rho_min:g}, {grid.rho_max:g}] must have "
+                               f"rho_min < R = {R:.4g} and rho_max > {_DEFECT_RHO:g}")
     # support padding: keeps F switched off on the delta-ring, where the
     # profile tilt contributes up to ~2 delta r/h^2 + |alpha - alpha*| r delta
     pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25

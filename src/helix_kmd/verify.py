@@ -178,7 +178,7 @@ def run_checks() -> list[dict]:
     pts = rng.uniform(-1.5, 1.5, size=(40, 3))
     dv = float(np.max(np.abs(fd_divergence(fld, pts))))
     check("lifted field divergence-free", dv < 1e-5, f"{dv:.2e}")
-    defect = helical_symmetry_defect(fld, 0.37)
+    defect = helical_symmetry_defect(fld, 1.3, 0.37)
     check("helical symmetry identity", defect < 1e-12, f"{defect:.2e}")
 
     return checks

@@ -271,8 +271,8 @@ def test_criterion_12_vorticity_lift(ctx_cache, alpha_sweeps, rng):
     wfun = lambda xp: np.exp(-np.einsum("...i,...i->...", xp, xp) / 2.0)
     proxy = lifted_field(wfun, 1.0)
     pts = rng.uniform(-1.2, 1.2, size=(60, 3))
-    div = float(np.max(np.abs(fd_divergence(proxy, pts, step=1e-3))))
-    sym = helical_symmetry_defect(proxy, 0.61)
+    div = float(np.max(np.abs(fd_divergence(proxy, pts))))
+    sym = helical_symmetry_defect(proxy, 1.0, 0.61)
     roots = {row["exponent"]: row["alpha_root"]
              for row in alpha_sweeps["generic"]}
     phi = bump_test_field(np.zeros(2), 0.7, math.pi, math.pi * 0.8)
@@ -287,10 +287,11 @@ def test_criterion_12_vorticity_lift(ctx_cache, alpha_sweeps, rng):
     center = _rotate_planar(ctx40.frames[0].P, 0.3)
     chi = bump_test_field(center, 0.12, 0.3, 0.45)
     _, vol, _ = weak_convergence_gap(ctx40, chi, n_axial=160, return_parts=True)
-    c = filament_curves(ctx40)[0]
-    ss = np.linspace(0, c.period, 3000, endpoint=False)
-    weights = np.einsum("...i,...i->...", chi(c.curve(ss)), c.tangent(ss))
-    line = 8 * math.pi * float(np.sum(weights)) * (c.period / 3000)
+    period = 2.0 * math.pi * abs(ctx40.h)
+    ss = np.linspace(0, period, 3000, endpoint=False)
+    pts, tan = filament_curves(ctx40, ss)
+    weights = np.einsum("...i,...i->...", chi(pts[0]), tan[0])
+    line = 8 * math.pi * float(np.sum(weights)) * (period / 3000)
     mass_dev = abs(vol - line) / abs(line)
     ok = div <= 1e-5 and sym <= 1e-12 and monotone and mass_dev <= 0.05
     verdict(12, ok, f"divergence {div:.1e} <= 1e-5; symmetry defect {sym:.1e} "

@@ -452,7 +452,13 @@ class TestStreamCommands:
         # inner sup grid, so the inner norm has no points to take its sup over
         ("epsilon = e^-10, e^-20\nr = 1\nh = 1\nn = 4\n",
          "cutoff never saturates on the inner grid"),
-    ], ids=["outer-overflow", "unsaturated"])
+        # polar grids that miss the defect band or the vertices (R = 0.2236): the
+        # solve would run and give wrong norms
+        ("epsilon = e^-20, e^-40\nr = 1\nh = 1\nn = 3\ngrid.rho_max = 0.8\n",
+         "polar grid [1e-06, 0.8] must have rho_min < R = 0.2236 and rho_max > 1.02"),
+        ("epsilon = e^-20, e^-40\nr = 1\nh = 1\nn = 3\ngrid.rho_min = 0.6\n",
+         "polar grid [0.6, 20] must have rho_min < R = 0.2236 and rho_max > 1.02"),
+    ], ids=["outer-overflow", "unsaturated", "grid-inside-defect-band", "grid-outside-vertices"])
     def test_norm_failure_exits_3(self, tmp_path, capsys, stream, message):
         cfg = tmp_path / "fail.ini"
         cfg.write_text(f"[stream]\n{stream}grid.radial = 64\ngrid.angular = 24\n")

@@ -1,10 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helix_kmd.lift import (
-    VectorField3,
     bump_test_field,
     fd_divergence,
     filament_curves,
@@ -14,6 +14,7 @@ from helix_kmd.lift import (
     weak_convergence_gap,
 )
 from helix_kmd.lift import _rotate_planar
+from helix_kmd.screw_operator import local_frame
 
 
 def gaussian_w(xp):
@@ -40,7 +41,7 @@ class TestLift:
     def test_divergence_free(self, rng):
         f = lifted_field(gaussian_w, 1.3)
         pts = rng.uniform(-1.5, 1.5, size=(60, 3))
-        assert np.max(np.abs(fd_divergence(f, pts, step=1e-3))) < 1e-5
+        assert np.max(np.abs(fd_divergence(f, pts))) < 1e-5
 
     def test_axial_periodicity(self, rng):
         h = 0.9
@@ -55,18 +56,17 @@ class TestSymmetry:
     def test_lifted_field_exact(self):
         f = lifted_field(lambda xp: xp[..., 0] * np.exp(-np.sum(xp * xp, -1)), 1.1)
         for rho in (0.37, -1.1, 2.0):
-            assert helical_symmetry_defect(f, rho) < 1e-12
+            assert helical_symmetry_defect(f, 1.1, rho) < 1e-12
 
     def test_full_turn_periodicity(self):
         f = lifted_field(gaussian_w, 1.1)
-        assert helical_symmetry_defect(f, 2.0 * math.pi) < 1e-12
+        assert helical_symmetry_defect(f, 1.1, 2.0 * math.pi) < 1e-12
 
     def test_non_helical_control(self):
-        g = VectorField3(
-            lambda x: np.broadcast_to(np.array([1.0, 0.0, 0.0]), x.shape).copy(),
-            h=1.1,
-        )
-        assert helical_symmetry_defect(g, 0.37) > 0.1
+        def g(x):
+            return np.broadcast_to(np.array([1.0, 0.0, 0.0]), x.shape).copy()
+
+        assert helical_symmetry_defect(g, 1.1, 0.37) > 0.1
 
 
 def _volume_ref(ctx, test_field, n_axial):
@@ -127,10 +127,11 @@ class TestWeakConvergence:
         chi = bump_test_field(center, 0.12, 0.3, 0.45)
         gap, vol, line = weak_convergence_gap(ctx, chi, n_axial=160,
                                               return_parts=True)
-        c = filament_curves(ctx)[0]
-        ss = np.linspace(0, c.period, 3000, endpoint=False)
-        weights = np.einsum("...i,...i->...", chi(c.curve(ss)), c.tangent(ss))
-        l1 = 8 * math.pi * np.sum(weights) * (c.period / 3000)
+        period = 2.0 * math.pi * abs(ctx.h)
+        ss = np.linspace(0, period, 3000, endpoint=False)
+        pts, tan = filament_curves(ctx, ss)
+        weights = np.einsum("...i,...i->...", chi(pts[0]), tan[0])
+        l1 = 8 * math.pi * np.sum(weights) * (period / 3000)
         assert abs(vol - l1) / abs(l1) < 0.05
 
     def test_gap_decreases_along_sweep(self, ctx_cache):
@@ -142,22 +143,33 @@ class TestWeakConvergence:
     def test_lifted_stream_field_symmetry(self, ctx_cache):
         ctx = ctx_cache(20.0)
         f = lifted_field(stream_vorticity(ctx), ctx.h)
-        assert helical_symmetry_defect(f, 0.61, normalized=True) < 1e-10
+        assert helical_symmetry_defect(f, ctx.h, 0.61, normalized=True) < 1e-10
 
 
 class TestCurves:
     def test_tangent_is_curve_derivative(self, ctx_cache):
         ctx = ctx_cache(20.0)
-        c = filament_curves(ctx)[1]
-        s = np.linspace(0.0, c.period, 17)
+        s = np.linspace(0.0, 2.0 * math.pi * abs(ctx.h), 17)
         d = 1e-6
-        fd = (c.curve(s + d) - c.curve(s - d)) / (2 * d)
-        assert np.max(np.abs(fd - c.tangent(s))) < 1e-8
+        _, tan = filament_curves(ctx, s)
+        fd = (filament_curves(ctx, s + d)[0] - filament_curves(ctx, s - d)[0]) / (2 * d)
+        assert np.max(np.abs(fd - tan)) < 1e-8
 
-    def test_curve_weight_and_period(self, ctx_cache):
+    def test_helix_through_vertex_and_period(self, ctx_cache):
         ctx = ctx_cache(20.0)
-        for c in filament_curves(ctx):
-            assert c.weight == pytest.approx(8.0 * math.pi)
-            assert c.period == pytest.approx(2.0 * math.pi * abs(ctx.h))
-            jump = c.curve(np.array(c.period)) - c.curve(np.array(0.0))
-            assert np.allclose(jump, [0.0, 0.0, c.period], atol=1e-12)
+        period = 2.0 * math.pi * abs(ctx.h)
+        pts, _ = filament_curves(ctx, np.array([0.0, period]))
+        assert pts.shape == (len(ctx.frames), 2, 3)
+        for f, (start, end) in zip(ctx.frames, pts):
+            assert np.array_equal(start, [f.P[0], f.P[1], 0.0])
+            assert np.allclose(end - start, [0.0, 0.0, period], atol=1e-12)
+
+    @pytest.mark.parametrize("h", [1.0, -0.8])
+    def test_helix_from_its_frame_alone(self, h):
+        # a frame at P = 0, as the centre filament's, gives the straight axis
+        stub = SimpleNamespace(h=h, frames=(local_frame(1, 1, 0.0, h),))
+        s = np.linspace(-3.0, 7.0, 11)
+        pts, tan = filament_curves(stub, s)
+        assert pts.shape == tan.shape == (1, 11, 3)
+        assert np.array_equal(pts[0], np.stack([0 * s, 0 * s, s], -1))
+        assert np.array_equal(tan[0], np.broadcast_to([0.0, 0.0, 1.0], (11, 3)))

@@ -65,12 +65,18 @@ class TestAdmissibility:
         ({"eps": math.exp(-10.0), "r": 1.42, "n": 2, "alpha": 1.85},
          "mu escaped the admissible logarithmic band"),
         ({"eps": math.exp(-400.0)}, "eps\\*mu underflow"),
+        # the grid must reach inside R = 1/sqrt(20) and past the defect band rho <= 1.02
+        ({"grid": PolarGridSpec(rho_max=0.8, n_radial=64, n_angular=24)},
+         "rho_min < R = 0.2236 and rho_max > 1.02"),
+        ({"grid": PolarGridSpec(rho_min=0.6, n_radial=64, n_angular=24)},
+         "rho_min < R = 0.2236 and rho_max > 1.02"),
     ])
     def test_out_of_band_inputs(self, kwargs, match):
-        args = {"eps": math.exp(-20.0), "r": 1.0, "h": 1.0, "n": 3, **kwargs}
+        args = {"eps": math.exp(-20.0), "r": 1.0, "h": 1.0, "n": 3,
+                "grid": PolarGridSpec(n_radial=64, n_angular=24), **kwargs}
         with pytest.raises(DegenerateConfig, match=match):
             build_context(args.pop("eps"), args.pop("r"), args.pop("h"), args.pop("n"),
-                          grid=PolarGridSpec(n_radial=64, n_angular=24), **args)
+                          **args)
 
 
 class TestMu:
