@@ -12,7 +12,10 @@ default grids and, unless said otherwise, r = h = 1, N = 3:
   * residual-scan with --threads 1 and --threads 2, and alpha-solve, over
     e^-10, e^-20, e^-40, e^-80;
   * residual-scan at r = 1.3, h = -0.8, N = 5 over e^-20, e^-40, e^-80,
-    and lift-3d there at e^-20, where s/h and 1/h round differently;
+    and build-stream and lift-3d there at e^-20, where s/h and 1/h round
+    differently; that build-stream's h2_correction.csv holds H2 on the
+    whole solver grid to 17 digits, a direct byte check of the defect
+    density g and its cutoff-ring term away from r = h = 1;
   * verify;
   * simulate-kmd on a 32-mode PolygonHelix, and on a 32-mode
     PolygonWithCenter (the paper's N + 1 filaments) with the same [kmd].
@@ -57,6 +60,7 @@ RUNS = {
     "residual-scan-t1": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "1"]),
     "residual-scan-t2": ("residual-scan", STREAM.format(eps=SWEEP), ["--threads", "2"]),
     "residual-scan-n5": ("residual-scan", STREAM_N5.format(eps="e^-20, e^-40, e^-80"), []),
+    "build-stream-n5": ("build-stream", STREAM_N5.format(eps="e^-20"), []),
     "lift-3d-n5": ("lift-3d", STREAM_N5.format(eps="e^-20"), []),
     "alpha-solve": ("alpha-solve", STREAM.format(eps=SWEEP), ["--threads", "1"]),
     "verify": ("verify", None, []),

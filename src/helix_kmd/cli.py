@@ -44,7 +44,7 @@ def _map(args, fn, items) -> list:
 
 
 def _epsilons(args, cfg: ExperimentConfig) -> list[float]:
-    if args.epsilon_override:
+    if args.epsilon_override is not None:
         try:
             vals = _parse_float_list(args.epsilon_override)
         except (ValueError, OverflowError) as exc:

@@ -52,10 +52,11 @@ def kernel_Z(j: int, y: np.ndarray) -> np.ndarray:
     raise ValueError("kernel index must be 0, 1 or 2")
 
 
-def phi2o(y: np.ndarray | float) -> np.ndarray:
-    """Radial solution of Delta p + e^G p + e^G Z0 = 0, p(0) = -8/3."""
+def phi2o(y: np.ndarray) -> np.ndarray:
+    """Radial solution of Delta p + e^G p + e^G Z0 = 0, p(0) = -8/3, at points
+    y of shape (..., 2)."""
     y = np.asarray(y, dtype=float)
-    v = np.einsum("...i,...i->...", y, y) if y.shape and y.shape[-1] == 2 else y * y
+    v = np.einsum("...i,...i->...", y, y)
     return (4.0 / 3.0) * (v - 1.0) / (v + 1.0) * np.log1p(v) - (8.0 / 3.0) / (v + 1.0)
 
 

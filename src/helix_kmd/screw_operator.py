@@ -63,11 +63,10 @@ def div_k(x: np.ndarray, h: float) -> np.ndarray:
     return -x * ((d + 2.0 * h * h) / (d * d))[..., None]
 
 
-def apply_L(field, x: np.ndarray, h: float) -> np.ndarray:
-    """L psi = -div(K grad psi) at x from a field bundle with .grad and .hess."""
+def apply_L(x: np.ndarray, h: float, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """L psi = -div(K grad psi) at x from grad psi (..., 2) and its Hessian (..., 2, 2)."""
     x = np.asarray(x, dtype=float)
-    H = field.hess(x)
-    return -(np.einsum("...ij,...ij->...", k_matrix(x, h), H) + _dot2(div_k(x, h), field.grad(x)))
+    return -(np.einsum("...ij,...ij->...", k_matrix(x, h), hess) + _dot2(div_k(x, h), grad))
 
 
 @dataclass(frozen=True)
@@ -162,24 +161,19 @@ def b_coefficients(z: np.ndarray, R: float, h: float) -> tuple[np.ndarray, ...]:
     return a11, a22, a12, b1, b2
 
 
-def b_operator(field, z: np.ndarray, frame: LocalFrame) -> np.ndarray:
-    """B[Psi](z) for a local field bundle Psi with .grad and .hess.
+def b_operator(frame: LocalFrame, z: np.ndarray, grad: np.ndarray,
+               hess: np.ndarray) -> np.ndarray:
+    """B[Psi](z) from grad Psi (..., 2) and its Hessian (..., 2, 2) at z.
 
-    Each of field.hess(z) and field.grad(z) is called once, so a bundle
-    may evaluate both from intermediates it computed once for z (as the
-    defect density does with the local profile's shared terms).
     Satisfies div(K grad psi)(x) = Delta Psi(z) + B[Psi](z) for
     psi(x) = Psi(M_j^-1 (x - P_j)); B is the same in every vertex frame
     by rotational invariance of the operator.
     """
-    z = np.asarray(z, dtype=float)
     a11, a22, a12, b1, b2 = b_coefficients(z, frame.R, frame.h)
-    H = field.hess(z)
-    g = field.grad(z)
     return (
-        a11 * H[..., 0, 0]
-        + a22 * H[..., 1, 1]
-        + a12 * H[..., 0, 1]
-        + b1 * g[..., 0]
-        + b2 * g[..., 1]
+        a11 * hess[..., 0, 0]
+        + a22 * hess[..., 1, 1]
+        + a12 * hess[..., 0, 1]
+        + b1 * grad[..., 0]
+        + b2 * grad[..., 1]
     )

@@ -46,8 +46,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -221,65 +219,56 @@ def _retained(z: np.ndarray, prof: lv.LocalProfile, weight: float = 1.0) -> np.n
     return weight * prof.a * (-8.0 + prof.kE * z[..., 0]) / (prof.a + _dot2(z, z)) ** 2
 
 
-def _local_defect(prof: lv.LocalProfile, z: np.ndarray, frame1: LocalFrame) -> np.ndarray:
-    """E(z): conjugated operator on Psi minus the retained singular terms.
-
-    The profile's intermediates are computed once and shared by the
-    Laplacian, the Hessian and the gradient.
-    """
-    z = np.asarray(z, dtype=float)
+def _vertex_defect(prof: lv.LocalProfile, z: np.ndarray, f: LocalFrame,
+                   frame1: LocalFrame, on_ring: np.ndarray):
+    """E(z), the conjugated operator on Psi minus the retained singular terms, and
+    Psi and M_j^-T grad Psi at z[on_ring], from one set of the profile's
+    intermediates at vertex f's local points z (freed on return)."""
     t = prof._terms(z)
-    # b_operator's field bundle: the profile's grad and hess at the shared terms
-    at = SimpleNamespace(grad=partial(prof.grad, terms=t), hess=partial(prof.hess, terms=t))
-    return prof.laplacian(z, terms=t) + b_operator(at, z, frame1) - _retained(z, prof)
+    grad = prof.grad(z, terms=t)
+    e = (prof.laplacian(z, terms=t) + b_operator(frame1, z, grad, prof.hess(z, terms=t))
+         - _retained(z, prof))
+    return e, prof.value(z, terms=t)[on_ring], _mat2(f.Mj_inv.T, grad[on_ring])
 
 
-# Points per block of solve_H2's defect sampling: on the default build's 18,524-point
-# defect grid error_g's temporaries peak at 1.7 MB (6.5 MB in one call), inside a 2 MiB
-# L2; on a 2-core Xeon KVM guest it takes 9.0-10.0 ms against 12.3-13.2 ms in one call
-# (three runs of scripts/thread_scaling.py's table 2), and, measured on point blocks,
-# 21 ms at 2,048, 15 at 6,144 and 14 at 8,192 against 16-18 ms at 4,096 (medians of 40
-# interleaved runs, each with a quartile spread of ~5 ms).
+# Points per block of solve_H2's defect sampling.  On the default build's 18,524-point
+# defect grid error_g's temporaries peak at 1.6 MB (6.5 MB in one call), inside a 2 MiB L2,
+# and take 10.2-10.7 ms against 13.4-14.2 ms in one call on a 2-core KVM guest (three runs
+# of scripts/thread_scaling.py's table 2); blocks of 2,048, 6,144 and 8,192 points took 21,
+# 15 and 14 ms against 16-18 ms at 4,096 (medians of 40 interleaved runs, two-pass error_g).
 _POINT_BLOCK = 4096
 # g vanishes at rho >= 1 (eta0's support); solve_H2 samples it on the rings inside this
 _DEFECT_RHO = 1.02
 
 
 def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
-    """Compactly supported defect density driving the H2 correction, from
-    the vertex profile and frames alone (build_context needs it first)."""
+    """Compactly supported defect density driving the H2 correction, from the vertex
+    profile and frames alone (build_context needs it first): eta0 sum_j E_j plus the
+    ring's cutoff commutator sum_j [div(K grad), eta0] Psi_j, in one pass over j."""
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    rho = np.hypot(x1, x2)
-    out = np.zeros(x.shape[:-1])
+    rho = np.hypot(x[..., 0], x[..., 1])
+    near = rho < 1.0                    # eta0's support and the ring 1/2 < rho < 1
+    x1, x2, rho = x[..., 0][near], x[..., 1][near], rho[near]
     e0 = eta0(rho)
-    inside = e0 > 0.0
-    frame1 = frames[0]
-    if np.any(inside):
-        xi1, xi2 = x1[inside], x2[inside]
-        acc = np.zeros(xi1.shape)
-        for f in frames:
-            acc += _local_defect(profile, _soa(_to_local_xy(xi1, xi2, f)), frame1)
-        out[inside] = e0[inside] * acc
-    ring = (rho > 0.5) & (rho < 1.0)
-    if np.any(ring):
-        xr1, xr2 = x1[ring], x2[ring]
-        rr = rho[ring]
-        h = profile.h
-        beta = h * h / (h * h + rr * rr)
-        beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
-        e0p = -2.0 * _smoothstep_prime(2.0 * (rr - 0.5))      # eta0'
-        e0s = -4.0 * _smoothstep_second(2.0 * (rr - 0.5))     # eta0''
-        lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
-        rhat = _soa((xr1 / rr, xr2 / rr))
-        acc = np.zeros(rr.shape)
-        for f in frames:
-            z = _soa(_to_local_xy(xr1, xr2, f))
-            t = profile._terms(z)
-            psi_j = profile.value(z, terms=t)
-            grad_x = _mat2(f.Mj_inv.T, profile.grad(z, terms=t))
-            acc += psi_j * lap_eta + 2.0 * e0p * beta * _dot2(rhat, grad_x)
-        out[ring] += acc
+    on_ring = rho > 0.5
+    rr, h = rho[on_ring], profile.h
+    beta = h * h / (h * h + rr * rr)
+    beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
+    e0p = -2.0 * _smoothstep_prime(2.0 * (rr - 0.5))      # eta0'
+    e0s = -4.0 * _smoothstep_second(2.0 * (rr - 0.5))     # eta0''
+    lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
+    rhat = _soa((x1[on_ring] / rr, x2[on_ring] / rr))
+    acc, ring_acc = np.zeros(rho.shape), np.zeros(rr.shape)
+    for f in frames:
+        e, psi_j, grad_x = _vertex_defect(profile, _soa(_to_local_xy(x1, x2, f)), f,
+                                          frames[0], on_ring)
+        acc += e
+        ring_acc += psi_j * lap_eta + 2.0 * e0p * beta * _dot2(rhat, grad_x)
+    # eta0 rounds to 0 just inside rho = 1, where only the ring term is left
+    g = np.where(e0 > 0.0, e0 * acc, 0.0)
+    g[on_ring] += ring_acc
+    out = np.zeros(x.shape[:-1])
+    out[near] = g
     return out
 
 

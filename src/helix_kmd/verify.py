@@ -111,15 +111,8 @@ def run_checks() -> list[dict]:
     )))
     check("det K = h^2/(h^2+|x|^2)", det_err < 1e-13, f"{det_err:.2e}")
 
-    class Quad:
-        def grad(self, xx):
-            return 2.0 * np.asarray(xx, dtype=float)
-
-        def hess(self, xx):
-            xx = np.asarray(xx, dtype=float)
-            return np.broadcast_to(np.eye(2) * 2.0, xx.shape[:-1] + (2, 2)).copy()
-
-    lval = float(apply_L(Quad(), np.zeros(2), 1.0))
+    # psi = |x|^2: grad 2x and Hessian 2I
+    lval = float(apply_L(np.zeros(2), 1.0, np.zeros(2), 2.0 * np.eye(2)))
     check("L|x|^2 at origin = -4", abs(lval + 4.0) < 1e-14, f"{lval}")
 
     fr = local_frame(2, 4, 0.3, 1.1)

@@ -207,6 +207,7 @@ class TestConfig:
         ("e^x", "bad --epsilon-override: e^x"),
         ("e^1000", "bad --epsilon-override: e^1000"),
         (",", "no epsilon values given"),
+        ("", "no epsilon values given"),
         ("e^-20,", None),
     ])
     def test_epsilon_override_values(self, tmp_path, capsys, value, error):

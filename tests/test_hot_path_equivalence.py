@@ -5,7 +5,9 @@ verbatim: a Horner series on every point selected with np.where, a Hessian
 built from eye/outer-product broadcasts, a Python loop over the stencil of
 the banded mode matrix, an element-wise lil_matrix fill of the radial
 systems, a local defect that lets the Laplacian, Hessian and gradient of
-the profile each recompute the profile's intermediates, a far-profile
+the profile each recompute the profile's intermediates, `stream.error_g`
+assembled in two loops over the vertex frames (the interior defects, then
+the cutoff ring's commutator) instead of one, a far-profile
 increment delta_value that computes its own intermediates and each of its
 dot products with dz twice, a lift-3d box sampled one (x, y) column at
 a time, `stream.error_g` on the whole defect grid instead of in
@@ -126,7 +128,7 @@ def _local_defect_ref(prof, z, frame1):
     v = np.einsum("...i,...i->...", z, z)
     av = prof.a + v
     lap = prof.laplacian(z)
-    bb = b_operator(prof, z, frame1)
+    bb = b_operator(frame1, z, prof.grad(z), prof.hess(z))
     # the retained terms in the one form the residual's terms use too
     retained = prof.a * (-8.0 + prof.kE * z[..., 0]) / av**2
     return lap + bb - retained
@@ -493,11 +495,14 @@ class TestSharedProfileTerms:
     ])
     def test_local_defect_matches_three_call_reference(self, exponent, n, r, h):
         prof, frames, x = _half_sector_frames(math.exp(-exponent), r, h, n)
+        ring = np.hypot(x[..., 0], x[..., 1]) > 0.5
         for f in frames:
             z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
-            new = stream._local_defect(prof, z, frames[0])
+            new, psi, grad_x = stream._vertex_defect(prof, z, f, frames[0], ring)
             assert new.shape == x.shape[:-1]
             assert np.array_equal(new, _local_defect_ref(prof, z, frames[0]))
+            assert np.array_equal(psi, prof.value(z)[ring])
+            assert np.array_equal(grad_x, _mat2_ref(f.Mj_inv.T, prof.grad(z)[ring]))
 
     @pytest.mark.parametrize("exponent", [10.0, 80.0])
     def test_each_method_matches_its_standalone_call(self, rng, exponent):
@@ -530,10 +535,70 @@ class TestSharedProfileTerms:
         phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
         x = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
         stream.error_g(x, ctx.profile, ctx.frames)
-        # inner block: one per frame for grad and hess together; ring block:
-        # one per frame for value and grad together (the three-call path made 12)
+        # one per frame for value, grad and hess on all points together (the
+        # two-pass assembly made 6, the three-call path 12)
         assert len(ctx.frames) == 3
-        assert calls == [70, 70, 70, 30, 30, 30]
+        assert calls == [70, 70, 70]
+
+
+def _error_g_two_pass_ref(x, profile, frames):
+    """error_g as two loops over the frames: the interior defects on the points
+    where eta0 > 0, then Psi and its gradient again for the cutoff commutator
+    on the ring 1/2 < rho < 1."""
+    x = np.asarray(x, dtype=float)
+    rho = np.hypot(x[..., 0], x[..., 1])
+    out = np.zeros(x.shape[:-1])
+    e0 = stream.eta0(rho)
+    inside = e0 > 0.0
+    if np.any(inside):
+        acc = np.zeros(int(inside.sum()))
+        for f in frames:
+            acc += _local_defect_ref(profile, _mat2_ref(f.Mj_inv, x[inside] - f.P), frames[0])
+        out[inside] = e0[inside] * acc
+    ring = (rho > 0.5) & (rho < 1.0)
+    if np.any(ring):
+        xr, rr, h = x[ring], rho[ring], profile.h
+        beta = h * h / (h * h + rr * rr)
+        beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
+        e0p = -2.0 * stream._smoothstep_prime(2.0 * (rr - 0.5))
+        e0s = -4.0 * stream._smoothstep_second(2.0 * (rr - 0.5))
+        lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
+        rhat = xr / rr[:, None]
+        acc = np.zeros(rr.shape)
+        for f in frames:
+            z = _mat2_ref(f.Mj_inv, xr - f.P)
+            grad_x = _mat2_ref(f.Mj_inv.T, profile.grad(z))
+            acc += profile.value(z) * lap_eta + 2.0 * e0p * beta * _dot2_ref(rhat, grad_x)
+        out[ring] += acc
+    return out
+
+
+class TestSinglePassDefect:
+    """error_g's one loop over the frames against the two-loop assembly."""
+
+    @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_two_pass_assembly(self, rng, exponent, n):
+        r, h = (1.3, -0.8) if n % 2 else (1.2, 1.0)
+        prof, frames, x = _half_sector_frames(math.exp(-exponent), r, h, n)
+        rows = np.hypot(x[:, 0, 0], x[:, 0, 1])
+        # blocks of rows inside rho = 1/2, across it, on the ring, across rho = 1
+        # and beyond it
+        half = np.searchsorted(rows, 0.5, side="right")
+        assert 0.5 < rows[half + 3] and rows[-2] < 1.0 < rows[-1]
+        for block in (x[:half - 3], x[half - 3:half + 3], x[half + 3:-2], x[-2:], x[-1:]):
+            _assert_identical(stream.error_g(block, prof, frames),
+                              _error_g_two_pass_ref(block, prof, frames))
+        # eta0 rounds to 0 within ~2e-6 of rho = 1, where the ring term is all of g
+        edge = np.concatenate([1.0 - rng.uniform(0.0, 3e-6, 20), [np.nextafter(1.0, 0.0)]])
+        assert np.any(stream.eta0(edge) == 0.0)
+        for rho in (rng.uniform(0.0, 0.5, 50), rng.uniform(0.5, 1.0, 50),
+                    rng.uniform(0.0, 1.2, 50), rng.uniform(1.0, 1.5, 50), edge,
+                    np.array([0.5, np.nextafter(0.5, 1.0), 1.0])):
+            phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
+            pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+            _assert_identical(stream.error_g(pts, prof, frames),
+                              _error_g_two_pass_ref(pts, prof, frames))
 
 
 class TestDeltaValue:
@@ -1207,7 +1272,7 @@ class TestPointBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 6.4 MB in one whole-array call, 1.7 MB in blocks of rows
+        # 6.5 MB in one whole-array call, 1.6 MB in blocks of rows
         assert peak < 2.5e6
 
 
@@ -1363,11 +1428,9 @@ def _stacked_b_coefficients(z, R, h):
     return a11, a22, a12, b1, b2
 
 
-def _stacked_b_operator(field, z, frame):
+def _stacked_b_operator(frame, z, g, H):
     z = np.asarray(z, dtype=float)
     a11, a22, a12, b1, b2 = _stacked_b_coefficients(z, frame.R, frame.h)
-    H = field.hess(z)
-    g = field.grad(z)
     return (
         a11 * H[..., 0, 0]
         + a22 * H[..., 1, 1]
@@ -1380,9 +1443,7 @@ def _stacked_b_operator(field, z, frame):
 def _stacked_local_defect(prof, z, frame1):
     t = prof._terms(z)
     lap = prof.laplacian(t.z, terms=t)
-    at = types.SimpleNamespace(grad=functools.partial(prof.grad, terms=t),
-                               hess=functools.partial(prof.hess, terms=t))
-    bb = _stacked_b_operator(at, t.z, frame1)
+    bb = _stacked_b_operator(frame1, t.z, prof.grad(t.z, terms=t), prof.hess(t.z, terms=t))
     retained = prof.a * (-8.0 + prof.kE * t.z[..., 0]) / (prof.a + _dot2_ref(t.z, t.z)) ** 2
     return lap + bb - retained
 
@@ -1440,10 +1501,12 @@ class TestComponentKernels:
         for part in (prof.grad(z)[..., 1], prof.hess(z)[..., 0, 1],
                      change_to_local(z, frames[-1])[..., 1]):
             assert np.asarray(part).flags.c_contiguous
-        _assert_identical(stream._local_defect(prof, z, frames[0]),
+        _assert_identical(stream._vertex_defect(prof, z, frames[0], frames[0],
+                                                np.ones(z.shape[:-1], bool))[0],
                           _stacked_local_defect(ref, z, frames[0]))
         for f in frames:
-            _assert_identical(b_operator(prof, z, f), _stacked_b_operator(ref, z, f))
+            _assert_identical(b_operator(f, z, prof.grad(z), prof.hess(z)),
+                              _stacked_b_operator(f, z, ref.grad(z), ref.hess(z)))
             x = f.P + _mat2_ref(f.Mj, z)
             _assert_identical(change_to_local(x, f), _mat2_ref(f.Mj_inv, x - f.P))
             # increments of the far profiles, as the inner assembly takes them
