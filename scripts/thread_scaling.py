@@ -2,10 +2,10 @@
 
 Usage:
 
-    python3 scripts/thread_scaling.py [<repo>] [--repeats 15]
+    python3 scripts/thread_scaling.py [<repo>] [--repeats 15] [--table 1|2|3]
 
 imports helix_kmd from `<repo>/src` (default: this checkout) and prints
-three tables.
+the three tables below, or only the one `--table` names.
 
 1. Two threads against one on a loop of element-wise numpy ops (the mix
    of products, quotients, log1p and exp the stream kernels run) at
@@ -98,18 +98,17 @@ def error_g_table(repeats: int) -> None:
     rows = rows[rows <= 1.02]
     theta = grid.theta_nodes()[: grid.n_angular // n // 2 + 1]
     x = _polar_points(rows, theta)
-    args = (ctx.profile, ctx.frames)
     step = max(1, stream._POINT_BLOCK // theta.size)
 
     def whole():
-        return stream.error_g(x, *args)
+        return stream.error_g(x, ctx.core)
 
     def blocked():
         # solve_H2's blocks of rows without its single-thread rule
         out = np.empty(x.shape[:-1])
         for lo in range(0, rows.size, step):
             b = slice(lo, min(lo + step, rows.size))
-            out[b] = stream.error_g(_polar_points(rows[b], theta), *args)
+            out[b] = stream.error_g(_polar_points(rows[b], theta), ctx.core)
         return out
 
     assert np.array_equal(blocked(), whole())
@@ -197,12 +196,16 @@ def main(argv=None) -> int:
     parser.add_argument("repo", nargs="?", type=Path,
                         default=Path(__file__).resolve().parents[1])
     parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--table", type=int, choices=(1, 2, 3),
+                        help="print only this table (default: all three)")
     args = parser.parse_args(argv)
     src = args.repo.resolve() / "src"
     sys.path.insert(0, str(src))
-    op_table(args.repeats)
-    error_g_table(args.repeats)
-    scan_table(args.repeats, src)
+    tables = (lambda: op_table(args.repeats), lambda: error_g_table(args.repeats),
+              lambda: scan_table(args.repeats, src))
+    for k, table in enumerate(tables, 1):
+        if args.table in (None, k):
+            table()
     return 0
 
 

@@ -137,11 +137,11 @@ def cmd_build_stream(args, cfg: ExperimentConfig, out: Path, man: RunManifest) -
     context = {
         "eps": ctx.eps,
         "log_eps": math.log(ctx.eps),
-        "mu": ctx.profile.mu,
-        "log_mu": ctx.log_mu,
+        "mu": ctx.core.profile.mu,
+        "log_mu": ctx.core.log_mu,
         "alpha": ctx.alpha,
-        "c1": ctx.profile.c1,
-        "c2": ctx.profile.c2,
+        "c1": ctx.core.profile.c1,
+        "c2": ctx.core.profile.c2,
         "delta": ctx.delta,
         "d_eps": ctx.d_eps,
         "vertices": [list(map(float, f.P)) for f in ctx.frames],

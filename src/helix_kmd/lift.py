@@ -169,23 +169,23 @@ def weak_convergence_gap(ctx, test_field, n_axial: int = 48, return_parts: bool 
     ds, u, s_arg = _inner_terms(y, ctx)
     eta, _ = _eta_of_s(ctx, s_arg)
     w_scaled = u * eta * np.exp(ds)                   # w * (eps mu)^2
-    xi1, xi2 = [], []
-    for f in ctx.frames:
+    core, xi1, xi2 = ctx.core, [], []
+    for f in core.frames:
         m1, m2 = _mat2_xy(f.Mj, y[:, 0], y[:, 1])
         xi1.append(f.P[0] + ctx.eps_mu * m1)
         xi2.append(f.P[1] + ctx.eps_mu * m2)
     xi1, xi2 = np.concatenate(xi1), np.concatenate(xi2)
     # one pass per axial slice over all N cores; each core's sum on its own
     pts = np.empty((3, xi1.size))
-    sums = np.empty((ctx.n, n_axial))
+    sums = np.empty((len(core.frames), n_axial))
     for k, x3 in enumerate(s3):
         c, s = np.cos(x3 / h), np.sin(x3 / h)
         pts[0], pts[1], pts[2] = c * xi1 - s * xi2, s * xi1 + c * xi2, x3
         phi = test_field(pts.T)
         integrand = -pts[1] / h * phi[:, 0] + pts[0] / h * phi[:, 1] + phi[:, 2]
-        sums[:, k] = np.sum(w_scaled * integrand.reshape(ctx.n, -1) * wq, axis=1)
+        sums[:, k] = np.sum(w_scaled * integrand.reshape(len(core.frames), -1) * wq, axis=1)
     volume = 0.0
-    det_m = float(np.linalg.det(ctx.frames[0].M))
+    det_m = float(np.linalg.det(core.frames[0].M))
     for s_jk in sums.ravel():       # frame by frame, then slice, as a loop per frame adds them
         volume += det_m * float(s_jk) * (period / n_axial)
     ds_line = period / (n_axial * 4)

@@ -17,7 +17,7 @@ The bubble scale mu is fixed by the vertex relation
                - (alpha/2) |log eps| R^2,
 
 which is independent of i by dihedral symmetry; H2 is normalized to
-vanish at the vertices, and solve_mu closes the relation to rounding.
+vanish at the vertices, and vertex_core closes the relation to rounding.
 
 The vorticity nonlinearity is F(s) = eps^2 eta(s) e^s with a smooth
 switch eta rising across [X + d, X + 2d], X = 2 log|log eps| + 2 log mu
@@ -59,9 +59,10 @@ from .screw_operator import (
 )
 
 __all__ = [
+    "VertexCore",
     "StreamContext",
+    "vertex_core",
     "build_context",
-    "solve_mu",
     "mu_relation_rhs",
     "error_g",
     "solve_H2",
@@ -109,6 +110,18 @@ def eta0(rho: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class VertexCore:
+    """The polygon's vertex core, from vertex_core: the N vertex frames, log mu, the
+    profile Psi of every vertex, and vertex 1's far tables z0, D (_far_geometry)."""
+
+    frames: tuple[LocalFrame, ...]
+    log_mu: float
+    profile: lv.LocalProfile
+    z0: np.ndarray = field(repr=False)
+    D: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
 class StreamContext:
     """Full parameter pack and solved fields of one construction."""
 
@@ -120,21 +133,20 @@ class StreamContext:
     delta: float
     d_eps: float
     grid: PolarGridSpec
-    # derived geometry
-    R: float
-    frames: tuple[LocalFrame, ...]
     # solved quantities
-    log_mu: float
-    profile: lv.LocalProfile
+    core: VertexCore
     h2: H2Correction
     h2_grad: np.ndarray            # (2,) gradient of H2 at vertex 1
-    far_geometry: tuple = field(repr=False, default=())     # vertex 1's, _far_geometry
 
     # -- convenience -------------------------------------------------------
     @property
+    def frames(self) -> tuple[LocalFrame, ...]:
+        return self.core.frames
+
+    @property
     def eps_mu(self) -> float:
         """The concentration scale eps*mu, as the vertex profile holds it."""
-        return self.profile.eps_mu
+        return self.core.profile.eps_mu
 
     @property
     def abs_log_eps(self) -> float:
@@ -149,12 +161,8 @@ class StreamContext:
         return math.log(self.abs_log_eps)
 
     @property
-    def vertices(self) -> np.ndarray:
-        return np.array([f.P for f in self.frames])
-
-    @property
     def thresholds(self) -> tuple[float, float]:
-        x = 2.0 * self.loglog + 2.0 * self.log_mu + math.log(8.0)
+        x = 2.0 * self.loglog + 2.0 * self.core.log_mu + math.log(8.0)
         return x + self.d_eps, x + 2.0 * self.d_eps
 
     @property
@@ -181,8 +189,8 @@ def _far_sum(profile: lv.LocalProfile, z0: np.ndarray) -> float:
     return float(np.sum(profile.value(z0)))
 
 
-def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
-    """log mu from the vertex relation, by _root on its excess rhs - log mu.
+def vertex_core(eps: float, r: float, h: float, n: int, alpha: float) -> VertexCore:
+    """The vertex frames, far tables and log mu, by _root on the relation's rhs - log mu.
 
     H2 does not enter: it vanishes at the vertices by normalization.  The
     excess has slope close to -1 in log mu while the far profiles barely
@@ -192,7 +200,8 @@ def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
     """
     abs_log = -math.log(eps)
     R = r / math.sqrt(abs_log)
-    z0, _ = _far_geometry(tuple(local_frame(j, n, R, h) for j in range(1, n + 1)))
+    frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
+    z0, D = _far_geometry(frames)
     alpha_term = 0.5 * alpha * r * r        # (alpha/2) |log eps| R^2 exactly
 
     def excess(log_mu):                     # rhs(log mu) - log mu
@@ -201,14 +210,16 @@ def solve_mu(eps: float, r: float, h: float, n: int, alpha: float) -> float:
 
     x0 = (n - 1.0) * math.log(abs_log)
     f0 = excess(x0)
-    return _root(excess, x0, f0, x0 + f0, 1e-13, max(1.0, 0.75 * abs(f0)))[0]
+    log_mu = _root(excess, x0, f0, x0 + f0, 1e-13, max(1.0, 0.75 * abs(f0)))[0]
+    return VertexCore(frames, log_mu, lv.LocalProfile(eps, math.exp(log_mu), R, h), z0, D)
 
 
 def mu_relation_rhs(ctx: StreamContext, i: int) -> float:
     """Right-hand side of the mu relation at vertex i (1-based), incl. H2."""
-    far = _far_sum(ctx.profile, _far_geometry(ctx.frames, i - 1)[0])
-    h2_at = float(ctx.h2.value(ctx.frames[i - 1].P))
-    return far + h2_at - 0.5 * ctx.alpha * ctx.r * ctx.r
+    if not 1 <= i <= ctx.n:
+        raise ValueError("vertex index out of range")
+    far = _far_sum(ctx.core.profile, _far_geometry(ctx.frames, i - 1)[0])
+    return far + float(ctx.h2.value(ctx.frames[i - 1].P)) - 0.5 * ctx.alpha * ctx.r * ctx.r
 
 
 # -- error density g and the global correction ----------------------------
@@ -219,14 +230,13 @@ def _retained(z: np.ndarray, prof: lv.LocalProfile, weight: float = 1.0) -> np.n
     return weight * prof.a * (-8.0 + prof.kE * z[..., 0]) / (prof.a + _dot2(z, z)) ** 2
 
 
-def _vertex_defect(prof: lv.LocalProfile, z: np.ndarray, f: LocalFrame,
-                   frame1: LocalFrame, on_ring: np.ndarray):
+def _vertex_defect(prof: lv.LocalProfile, z: np.ndarray, f: LocalFrame, on_ring: np.ndarray):
     """E(z), the conjugated operator on Psi minus the retained singular terms, and
     Psi and M_j^-T grad Psi at z[on_ring], from one set of the profile's
     intermediates at vertex f's local points z (freed on return)."""
     t = prof._terms(z)
     grad = prof.grad(z, terms=t)
-    e = (prof.laplacian(z, terms=t) + b_operator(frame1, z, grad, prof.hess(z, terms=t))
+    e = (prof.laplacian(z, terms=t) + b_operator(f, z, grad, prof.hess(z, terms=t))
          - _retained(z, prof))
     return e, prof.value(z, terms=t)[on_ring], _mat2(f.Mj_inv.T, grad[on_ring])
 
@@ -241,17 +251,17 @@ _POINT_BLOCK = 4096
 _DEFECT_RHO = 1.02
 
 
-def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
+def error_g(x: np.ndarray, core: VertexCore) -> np.ndarray:
     """Compactly supported defect density driving the H2 correction, from the vertex
-    profile and frames alone (build_context needs it first): eta0 sum_j E_j plus the
-    ring's cutoff commutator sum_j [div(K grad), eta0] Psi_j, in one pass over j."""
+    core alone (build_context needs it first): eta0 sum_j E_j plus the ring's cutoff
+    commutator sum_j [div(K grad), eta0] Psi_j, in one pass over j."""
     x = np.asarray(x, dtype=float)
     rho = np.hypot(x[..., 0], x[..., 1])
     near = rho < 1.0                    # eta0's support and the ring 1/2 < rho < 1
     x1, x2, rho = x[..., 0][near], x[..., 1][near], rho[near]
     e0 = eta0(rho)
     on_ring = rho > 0.5
-    rr, h = rho[on_ring], profile.h
+    rr, h = rho[on_ring], core.profile.h
     beta = h * h / (h * h + rr * rr)
     beta_p = -2.0 * rr * h * h / (h * h + rr * rr) ** 2
     e0p = -2.0 * _smoothstep_prime(2.0 * (rr - 0.5))      # eta0'
@@ -259,9 +269,8 @@ def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
     lap_eta = beta * e0s + e0p * (beta / rr + beta_p)
     rhat = _soa((x1[on_ring] / rr, x2[on_ring] / rr))
     acc, ring_acc = np.zeros(rho.shape), np.zeros(rr.shape)
-    for f in frames:
-        e, psi_j, grad_x = _vertex_defect(profile, _soa(_to_local_xy(x1, x2, f)), f,
-                                          frames[0], on_ring)
+    for f in core.frames:
+        e, psi_j, grad_x = _vertex_defect(core.profile, _soa(_to_local_xy(x1, x2, f)), f, on_ring)
         acc += e
         ring_acc += psi_j * lap_eta + 2.0 * e0p * beta * _dot2(rhat, grad_x)
     # eta0 rounds to 0 just inside rho = 1, where only the ring term is left
@@ -272,8 +281,7 @@ def error_g(x: np.ndarray, profile: lv.LocalProfile, frames) -> np.ndarray:
     return out
 
 
-def solve_H2(profile: lv.LocalProfile, frames, h: float,
-             grid: PolarGridSpec) -> H2Correction:
+def solve_H2(core: VertexCore, grid: PolarGridSpec) -> H2Correction:
     """Solve div(K grad H2) = -g on the polar grid, anchored at P_1.
 
     g is invariant under the dihedral group D_N of the polygon (rotations
@@ -284,7 +292,7 @@ def solve_H2(profile: lv.LocalProfile, frames, h: float,
     these samples.  Raises DegenerateConfig when n_angular is not a
     multiple of N.
     """
-    n = len(frames)
+    f1, n = core.frames[0], len(core.frames)
     if grid.n_angular % n:
         raise DegenerateConfig(
             f"n_angular = {grid.n_angular} is not a multiple of N = {n}"
@@ -298,8 +306,8 @@ def solve_H2(profile: lv.LocalProfile, frames, h: float,
     step = max(1, rows.size if threading.active_count() > 1 else _POINT_BLOCK // theta.size)
     for lo in range(0, rows.size, step):
         b = slice(lo, min(lo + step, rows.size))
-        g[b] = error_g(_polar_points(rows[b], theta), profile, frames)
-    return solve_k_poisson(g, grid, h, n, anchor=frames[0].P)
+        g[b] = error_g(_polar_points(rows[b], theta), core)
+    return solve_k_poisson(g, grid, f1.h, n, anchor=f1.P)
 
 
 def build_context(
@@ -350,19 +358,14 @@ def build_context(
     # profile tilt contributes up to ~2 delta r/h^2 + |alpha - alpha*| r delta
     pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25
     d_eps = -4.0 * math.log(delta) + pad
-    frames = tuple(local_frame(j, n, R, h) for j in range(1, n + 1))
-    log_mu = solve_mu(eps, r, h, n, alpha)
+    core = vertex_core(eps, r, h, n, alpha)
     loglog = math.log(abs_log)
-    if not 0.1 * loglog < abs(log_mu) < 10.0 * loglog:
+    if not 0.1 * loglog < abs(core.log_mu) < 10.0 * loglog:
         raise DegenerateConfig("mu escaped the admissible logarithmic band")
-    profile = lv.LocalProfile(eps, math.exp(log_mu), R, h)
-    h2 = solve_H2(profile, frames, h, grid)
-    return StreamContext(
-        eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta,
-        d_eps=d_eps, grid=grid, R=R, frames=frames, log_mu=log_mu, profile=profile,
-        h2=h2, h2_grad=h2.gradient(frames[0].P),
-        far_geometry=_far_geometry(frames),
-    )
+    h2 = solve_H2(core, grid)
+    return StreamContext(eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta,
+                         d_eps=d_eps, grid=grid, core=core, h2=h2,
+                         h2_grad=h2.gradient(core.frames[0].P))
 
 
 # -- assembled fields ------------------------------------------------------
@@ -372,7 +375,7 @@ def psi0_sum(x: np.ndarray, ctx: StreamContext) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
     for f in ctx.frames:
-        out += ctx.profile.value(change_to_local(x, f))
+        out += ctx.core.profile.value(change_to_local(x, f))
     return out
 
 
@@ -426,7 +429,7 @@ def _concentrated_terms(ctx: StreamContext, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     acc = np.zeros(x.shape[:-1])
     for f in ctx.frames:
-        acc += _retained(change_to_local(x, f), ctx.profile)
+        acc += _retained(change_to_local(x, f), ctx.core.profile)
     return eta0(np.hypot(x[..., 0], x[..., 1])) * acc
 
 
@@ -450,12 +453,12 @@ def _inner_terms(y, ctx: StreamContext):
     eps*mu ~ 1e-31.
     """
     y = np.asarray(y, dtype=float)
-    f = ctx.frames[0]
-    prof = ctx.profile
+    core = ctx.core
+    f, prof = core.frames[0], core.profile
     em = ctx.eps_mu
     yn2 = _dot2(y, y)
     gam = math.log(8.0) - 2.0 * np.log1p(yn2)
-    log_em = math.log(ctx.eps) + ctx.log_mu
+    log_em = math.log(ctx.eps) + core.log_mu
     # (a) profile corrections at the vertex itself
     term_a = (gam - 4.0 * log_em) * (
         prof.c1 * em * y[..., 0] + prof.c2 * em * em * yn2
@@ -465,10 +468,9 @@ def _inner_terms(y, ctx: StreamContext):
     p3 = lv._re_cube(y[..., 0], y[..., 1])
     term_b = prof.kH * em * (w0 / 12.0) * p3
     # (c) increments of the other vertex profiles (mu relation cancels)
-    z0, dd = ctx.far_geometry
     my = _mat2(f.Mj, y)
     term_c = np.zeros(y.shape[:-1])
-    for z0_j, d_j in zip(z0, dd):
+    for z0_j, d_j in zip(core.z0, core.D):
         term_c += prof.delta_value(z0_j, em * _mat2(d_j, y))
     # (d) first-order increment of H2 away from its vertex zero
     term_d = em * _dot2(ctx.h2_grad, my)
@@ -477,19 +479,18 @@ def _inner_terms(y, ctx: StreamContext):
     my2 = _dot2(my, my)
     term_e = -0.5 * ctx.alpha * ctx.abs_log_eps * (2.0 * em * pmy + em * em * my2)
     ds = term_a + term_b + term_c + term_d + term_e
-    return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+    return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * core.log_mu + ds
 
 
 def _scaled_residual(y, ctx: StreamContext, ds, u, s) -> np.ndarray:
     """inner_residual_scaled from the inner assembly (ds, u, s) at y."""
     eta, _ = _eta_of_s(ctx, s)
-    core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
-    em = ctx.eps_mu
-    out = u * core + (ctx.profile.kE / 8.0) * em * y[..., 0] * u
+    prof, em = ctx.core.profile, ctx.eps_mu
+    out = u * np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
+    out += (prof.kE / 8.0) * em * y[..., 0] * u
     # far-vertex concentrated tails, O((eps mu)^4 / dist^4)
-    z0, dd = ctx.far_geometry
-    for z0_j, d_j in zip(z0, dd):
-        out += _retained(z0_j + em * _mat2(d_j, y), ctx.profile, em * em)
+    for z0_j, d_j in zip(ctx.core.z0, ctx.core.D):
+        out += _retained(z0_j + em * _mat2(d_j, y), prof, em * em)
     return out
 
 
@@ -715,7 +716,7 @@ def outer_residual_norm(ctx: StreamContext, n_r: int = 96, n_theta: int = 180) -
     under the dihedral group D_N, so the sup is taken on the half-sector
     theta in [0, pi/N], at the n_theta-point rule's spacing (_cell_angles).
     """
-    rr = np.geomspace(ctx.R / 8.0, 1.0, n_r)
+    rr = np.geomspace(ctx.frames[0].R / 8.0, 1.0, n_r)
     x = _polar_points(rr, _cell_angles(n_theta, 2 * ctx.n))
     flat = x.reshape(-1, 2)
     # outer region: every concentrated coordinate beyond delta/sqrt(log)

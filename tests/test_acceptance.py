@@ -40,7 +40,7 @@ from helix_kmd.stream import (
     outer_residual_norm,
     psi0_sum,
     solve_alpha,
-    solve_mu,
+    vertex_core,
 )
 
 from conftest import fd_linearized_residual
@@ -200,8 +200,8 @@ def test_criterion_08_symmetry_suite(ctx_cache, rng):
             psi0_sum(x @ Q.T, ctx) - psi0_sum(x, ctx)
         ))))
         worst = max(worst, float(np.max(np.abs(
-            error_g(x @ Q.T, ctx.profile, ctx.frames)
-            - error_g(x, ctx.profile, ctx.frames)
+            error_g(x @ Q.T, ctx.core)
+            - error_g(x, ctx.core)
         ))))
         f1 = ctx.frames[0]
         z = rng.normal(size=(25, 2)) * 0.3
@@ -211,8 +211,8 @@ def test_criterion_08_symmetry_suite(ctx_cache, rng):
             psi0_sum(f1.P + z @ f1.M.T, ctx) - psi0_sum(f1.P + zm @ f1.M.T, ctx)
         ))))
         worst = max(worst, float(np.max(np.abs(
-            error_g(f1.P + z @ f1.M.T, ctx.profile, ctx.frames)
-            - error_g(f1.P + zm @ f1.M.T, ctx.profile, ctx.frames)
+            error_g(f1.P + z @ f1.M.T, ctx.core)
+            - error_g(f1.P + zm @ f1.M.T, ctx.core)
         ))))
         rhs = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
         worst = max(worst, max(rhs) - min(rhs))
@@ -223,7 +223,7 @@ def test_criterion_08_symmetry_suite(ctx_cache, rng):
 def test_criterion_09_mu_asymptotics():
     worst = 0.0
     for ex in SWEEP:
-        log_mu = solve_mu(math.exp(-ex), 1.0, 1.0, 3, alpha=-2.0)
+        log_mu = vertex_core(math.exp(-ex), 1.0, 1.0, 3, alpha=-2.0).log_mu
         dev = abs(2.0 * log_mu - 4.0 * math.log(ex))
         worst = max(worst, dev)
     ok = worst <= 20.0

@@ -223,7 +223,7 @@ def _g_grid_ref(ctx, spec):
     pts[..., 1] = rho[:, None] * np.sin(theta)[None, :]
     g = np.zeros((spec.n_radial, spec.n_angular))
     mask = rho <= 1.02
-    g[mask] = stream.error_g(pts[mask], ctx.profile, ctx.frames)
+    g[mask] = stream.error_g(pts[mask], ctx.core)
     return g
 
 
@@ -466,20 +466,16 @@ class TestHessian:
         assert np.array_equal(prof.hess(z), _hess_ref(prof, z))
 
 
-def _half_sector_frames(eps, r, h, n):
-    """Profile, vertex frames and the solver's half-sector points of g."""
-    R = r / math.sqrt(-math.log(eps))
-    alpha = 2.0 * (1.0 / h**2 - (n - 1.0) / r**2)
-    mu = math.exp(stream.solve_mu(eps, r, h, n, alpha))
-    prof = LocalProfile(eps, mu, R, h)
-    frames = [local_frame(j, n, R, h) for j in range(1, n + 1)]
+def _half_sector_core(eps, r, h, n):
+    """Vertex core and the solver's half-sector points of g."""
+    core = stream.vertex_core(eps, r, h, n, 2.0 * (1.0 / h**2 - (n - 1.0) / r**2))
     spec = elliptic.PolarGridSpec(n_angular=60)
     rho = spec.radial_nodes()
     rho = rho[rho <= 1.02]
     theta = spec.theta_nodes()[: spec.n_angular // n // 2 + 1]
     x = np.stack(np.broadcast_arrays(rho[:, None] * np.cos(theta),
                                      rho[:, None] * np.sin(theta)), axis=-1)
-    return prof, frames, x
+    return core, x
 
 
 _RANDOM_RH = [tuple(np.random.default_rng(seed).uniform([0.6, 0.5], [1.3, 2.0]))
@@ -494,11 +490,12 @@ class TestSharedProfileTerms:
         *[(20.0, 3, r, h) for r, h in _RANDOM_RH],
     ])
     def test_local_defect_matches_three_call_reference(self, exponent, n, r, h):
-        prof, frames, x = _half_sector_frames(math.exp(-exponent), r, h, n)
+        core, x = _half_sector_core(math.exp(-exponent), r, h, n)
+        prof, frames = core.profile, core.frames
         ring = np.hypot(x[..., 0], x[..., 1]) > 0.5
         for f in frames:
             z = np.einsum("ij,...j->...i", f.Mj_inv, x - f.P)
-            new, psi, grad_x = stream._vertex_defect(prof, z, f, frames[0], ring)
+            new, psi, grad_x = stream._vertex_defect(prof, z, f, ring)
             assert new.shape == x.shape[:-1]
             assert np.array_equal(new, _local_defect_ref(prof, z, frames[0]))
             assert np.array_equal(psi, prof.value(z)[ring])
@@ -534,7 +531,7 @@ class TestSharedProfileTerms:
         rho = np.concatenate([rng.uniform(0.0, 0.5, 40), rng.uniform(0.5, 1.0, 30)])
         phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
         x = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        stream.error_g(x, ctx.profile, ctx.frames)
+        stream.error_g(x, ctx.core)
         # one per frame for value, grad and hess on all points together (the
         # two-pass assembly made 6, the three-call path 12)
         assert len(ctx.frames) == 3
@@ -580,14 +577,15 @@ class TestSinglePassDefect:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_two_pass_assembly(self, rng, exponent, n):
         r, h = (1.3, -0.8) if n % 2 else (1.2, 1.0)
-        prof, frames, x = _half_sector_frames(math.exp(-exponent), r, h, n)
+        core, x = _half_sector_core(math.exp(-exponent), r, h, n)
+        prof, frames = core.profile, core.frames
         rows = np.hypot(x[:, 0, 0], x[:, 0, 1])
         # blocks of rows inside rho = 1/2, across it, on the ring, across rho = 1
         # and beyond it
         half = np.searchsorted(rows, 0.5, side="right")
         assert 0.5 < rows[half + 3] and rows[-2] < 1.0 < rows[-1]
         for block in (x[:half - 3], x[half - 3:half + 3], x[half + 3:-2], x[-2:], x[-1:]):
-            _assert_identical(stream.error_g(block, prof, frames),
+            _assert_identical(stream.error_g(block, core),
                               _error_g_two_pass_ref(block, prof, frames))
         # eta0 rounds to 0 within ~2e-6 of rho = 1, where the ring term is all of g
         edge = np.concatenate([1.0 - rng.uniform(0.0, 3e-6, 20), [np.nextafter(1.0, 0.0)]])
@@ -597,7 +595,7 @@ class TestSinglePassDefect:
                     np.array([0.5, np.nextafter(0.5, 1.0), 1.0])):
             phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
             pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-            _assert_identical(stream.error_g(pts, prof, frames),
+            _assert_identical(stream.error_g(pts, core),
                               _error_g_two_pass_ref(pts, prof, frames))
 
 
@@ -608,11 +606,8 @@ class TestDeltaValue:
         # the increments _inner_terms takes at vertex i = 1, and at every other
         # vertex i: far vertex z0 = M_j^-1 (P_i - P_j), dz = eps mu M_j^-1 M_i y
         # for |y| from the deep core to the sup grid
-        eps = math.exp(-exponent)
-        R = 1.0 / math.sqrt(exponent)
-        mu = math.exp(stream.solve_mu(eps, 1.0, 1.0, n, 2.0 * (2.0 - n)))
-        prof = LocalProfile(eps, mu, R, 1.0)
-        frames = tuple(local_frame(j, n, R, 1.0) for j in range(1, n + 1))
+        core = stream.vertex_core(math.exp(-exponent), 1.0, 1.0, n, 2.0 * (2.0 - n))
+        prof, frames = core.profile, core.frames
         rad = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), 4000))
         phi = rng.uniform(0.0, 2.0 * np.pi, rad.size)
         y = np.stack([rad * np.cos(phi), rad * np.sin(phi)], axis=-1)
@@ -883,7 +878,7 @@ class TestSectorFilledDefect:
             return elliptic.solve_k_poisson(g, grid, h, n, anchor=anchor)
 
         monkeypatch.setattr(stream, "solve_k_poisson", capture)
-        h2 = stream.solve_H2(ctx.profile, ctx.frames, ctx.h, spec)
+        h2 = stream.solve_H2(ctx.core, spec)
         g_ref = _g_grid_ref(ctx, spec)
         # the half-sector columns are evaluated directly, and the symmetry
         # gives every other column to rounding
@@ -1201,7 +1196,7 @@ def _sampled_g(ctx, grid, monkeypatch):
         seen["g"] = g
 
     monkeypatch.setattr(stream, "solve_k_poisson", capture)
-    stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
+    stream.solve_H2(ctx.core, grid)
     rho = grid.radial_nodes()
     theta = grid.theta_nodes()[: grid.n_angular // ctx.n // 2 + 1]
     return seen["g"], rho[rho <= 1.02], theta
@@ -1234,8 +1229,7 @@ class TestPointBlocks:
         step = max(1, block // theta.size)
         assert calls == [min(step, rows.size - lo) for lo in range(0, rows.size, step)]
         assert 0 < rows.size < grid.n_radial
-        assert np.array_equal(g[: rows.size], ref(elliptic._polar_points(rows, theta),
-                                                  ctx.profile, ctx.frames))
+        assert np.array_equal(g[: rows.size], ref(elliptic._polar_points(rows, theta), ctx.core))
         assert not np.any(g[rows.size:])
 
     def test_pool_threads_evaluate_whole_arrays(self, ctx_cache, monkeypatch):
@@ -1265,10 +1259,10 @@ class TestPointBlocks:
         monkeypatch.setattr(stream, "solve_k_poisson", lambda *args, **kwargs: None)
         grid = ctx.grid
         assert (grid.radial_nodes() <= 1.02).sum() * (grid.n_angular // ctx.n // 2 + 1) > 4 * _B
-        stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
+        stream.solve_H2(ctx.core, grid)
         tracemalloc.start()
         try:
-            stream.solve_H2(ctx.profile, ctx.frames, ctx.h, grid)
+            stream.solve_H2(ctx.core, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1501,10 +1495,10 @@ class TestComponentKernels:
         for part in (prof.grad(z)[..., 1], prof.hess(z)[..., 0, 1],
                      change_to_local(z, frames[-1])[..., 1]):
             assert np.asarray(part).flags.c_contiguous
-        _assert_identical(stream._vertex_defect(prof, z, frames[0], frames[0],
-                                                np.ones(z.shape[:-1], bool))[0],
-                          _stacked_local_defect(ref, z, frames[0]))
         for f in frames:
+            # each vertex's own frame gives vertex 1's B, bit for bit
+            _assert_identical(stream._vertex_defect(prof, z, f, np.ones(z.shape[:-1], bool))[0],
+                              _stacked_local_defect(ref, z, frames[0]))
             _assert_identical(b_operator(f, z, prof.grad(z), prof.hess(z)),
                               _stacked_b_operator(f, z, ref.grad(z), ref.hess(z)))
             x = f.P + _mat2_ref(f.Mj, z)

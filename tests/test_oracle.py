@@ -52,7 +52,7 @@ def _oracle(ctx, y):
     """(eps mu)^2 S at P_1 + eps mu M_1 y for the rows of y, in mpmath."""
     with mpmath.workdps(DPS):
         mpf = mpmath.mpf
-        prof = ctx.profile
+        prof = ctx.core.profile
         frames = [(mpmath.matrix(f.P.tolist()), mpmath.matrix(f.Mj.tolist()),
                    mpmath.matrix(f.Mj_inv.tolist())) for f in ctx.frames]
         p1, m1, _ = frames[0]
@@ -64,7 +64,7 @@ def _oracle(ctx, y):
             return alpha / 2 * abs_log * (x[0] ** 2 + x[1] ** 2)
 
         # mu relation at vertex 1: 2 log mu = sum_{j>1} Psi(z_j(P_1)) - rot(P_1)
-        log_mu = mpf(ctx.log_mu)
+        log_mu = mpf(ctx.core.log_mu)
         for _ in range(8):
             a = (eps * mpmath.exp(log_mu)) ** 2
             far = sum(_profile(mi * (p1 - p), a, prof) for p, _, mi in frames[1:])

@@ -31,6 +31,7 @@ from helix_kmd.filaments import galilean_transform
 from helix_kmd.screw_operator import (
     _dot2,
     _mat2,
+    b_operator,
     change_from_local,
     change_to_local,
     local_frame,
@@ -87,7 +88,8 @@ def _points(data, ctx, size=120):
     """Points of the gluing disk at least 0.02 from every vertex."""
     seed = data.draw(st.integers(0, 2**32 - 1))
     x = np.random.default_rng(seed).uniform(-0.95, 0.95, size=(size, 2))
-    gap = np.min(np.linalg.norm(x[:, None] - ctx.vertices[None], axis=-1), axis=1)
+    vertices = np.array([f.P for f in ctx.frames])
+    gap = np.min(np.linalg.norm(x[:, None] - vertices[None], axis=-1), axis=1)
     return x[(gap > 0.02) & (np.hypot(x[:, 0], x[:, 1]) < 0.98)]
 
 
@@ -99,14 +101,30 @@ def test_dihedral_invariance_and_mu_relation(geometry, data):
     # rotation by 2 pi/N and the reflection through P_1; points off the
     # vertices, where rounding the rotated point costs ~1e-16 |grad|
     moved = (x @ _rotation(2.0 * math.pi / ctx.n).T, x * [1.0, -1.0])
-    for field in (lambda p: psi0_sum(p, ctx), lambda p: error_g(p, ctx.profile, ctx.frames)):
+    for field in (lambda p: psi0_sum(p, ctx), lambda p: error_g(p, ctx.core)):
         base = field(x)
         for xm in moved:
             assert np.max(np.abs(field(xm) - base)) <= 1e-12 * max(1.0, np.max(np.abs(base)))
     rhs = [mu_relation_rhs(ctx, i) for i in range(1, ctx.n + 1)]
     assert max(rhs) - min(rhs) < 1e-12
-    # solve_mu closes the relation it solves
-    assert abs(2.0 * ctx.log_mu - rhs[0]) <= 1e-13
+    # vertex_core closes the relation it solves
+    assert abs(2.0 * ctx.core.log_mu - rhs[0]) <= 1e-13
+
+
+@PROPERTY
+@given(geometry=geometries(n_max=6), data=st.data())
+def test_b_operator_is_the_same_in_every_polygon_frame(geometry, data):
+    # b_coefficients reads only R and h, which every polygon frame shares, so
+    # error_g may pass each vertex its own frame and keep every byte
+    eps, r, h, n, _ = geometry
+    R = r / math.sqrt(-math.log(eps))
+    frames = [local_frame(j, n, R, h) for j in range(1, n + 1)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(40, 2)) * np.exp(rng.uniform(-30.0, 0.0, (40, 1)))
+    grad, hess = rng.normal(size=(40, 2)), rng.normal(size=(40, 2, 2))
+    ref = b_operator(frames[0], z, grad, hess)
+    for f in frames[1:]:
+        assert np.array_equal(b_operator(f, z, grad, hess), ref)
 
 
 @PROPERTY
@@ -145,11 +163,10 @@ def _inner_terms_ref(y, ctx, vertex):
     frame, far tables and H2 gradient: (ds, U(y), s) at x = P_i + eps mu M_i y."""
     i = vertex - 1
     f = ctx.frames[i]
-    prof = ctx.profile
-    em = ctx.eps_mu
+    prof, em = ctx.core.profile, ctx.eps_mu
     yn2 = _dot2(y, y)
     gam = math.log(8.0) - 2.0 * np.log1p(yn2)
-    log_em = math.log(ctx.eps) + ctx.log_mu
+    log_em = math.log(ctx.eps) + ctx.core.log_mu
     term_a = (gam - 4.0 * log_em) * (prof.c1 * em * y[..., 0] + prof.c2 * em * em * yn2)
     w0, _, _ = liouville._kernels(yn2)
     term_b = prof.kH * em * (w0 / 12.0) * liouville._re_cube(y[..., 0], y[..., 1])
@@ -162,7 +179,8 @@ def _inner_terms_ref(y, ctx, vertex):
     term_e = -0.5 * ctx.alpha * ctx.abs_log_eps * (2.0 * em * _dot2(f.P, my)
                                                    + em * em * _dot2(my, my))
     ds = term_a + term_b + term_c + term_d + term_e
-    return ds, 8.0 / (1.0 + yn2) ** 2, gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu + ds
+    s = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.core.log_mu + ds
+    return ds, 8.0 / (1.0 + yn2) ** 2, s
 
 
 def _scaled_residual_ref(y, ctx, vertex, ds, u, s):
@@ -171,10 +189,11 @@ def _scaled_residual_ref(y, ctx, vertex, ds, u, s):
     eta, _ = stream._eta_of_s(ctx, s)
     core = np.where(eta >= 1.0, np.expm1(ds), eta * np.exp(ds) - 1.0)
     em = ctx.eps_mu
-    out = u * core + (ctx.profile.kE / 8.0) * em * y[..., 0] * u
+    prof = ctx.core.profile
+    out = u * core + (prof.kE / 8.0) * em * y[..., 0] * u
     z0, dd = _far_tables_ref(ctx.frames)
     for col in range(ctx.n - 1):
-        out += stream._retained(z0[i, col] + em * _mat2(dd[i, col], y), ctx.profile, em * em)
+        out += stream._retained(z0[i, col] + em * _mat2(dd[i, col], y), prof, em * em)
     return out
 
 
@@ -257,7 +276,7 @@ def _outer_orbit_sup(ctx, n_r, n_theta, nu_bar=3.0):
     turns = 2.0 * math.pi * np.arange(ctx.n) / ctx.n
     th = np.concatenate([(cell[None] + turns[:, None]).ravel(),
                          (turns[:, None] - cell[None]).ravel()])
-    rr = np.geomspace(ctx.R / 8.0, 1.0, n_r)
+    rr = np.geomspace(ctx.frames[0].R / 8.0, 1.0, n_r)
     x = (rr[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)).reshape(-1, 2)
     lim = ctx.delta / ctx.sqrt_log
     x = x[np.all([np.hypot(*change_to_local(x, f).T) > lim for f in ctx.frames], axis=0)]

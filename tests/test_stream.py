@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from helix_kmd.errors import DegenerateConfig, HelixKmdError
 from helix_kmd.liouville import liouville_unit
 from helix_kmd.screw_operator import change_to_local
 from helix_kmd.stream import (
+    _far_geometry,
     _inner_terms,
     b_eps_bound_check,
     build_context,
@@ -25,24 +27,29 @@ from helix_kmd.stream import (
     residual_S,
     rotating_argument,
     solve_H2,
-    solve_mu,
+    vertex_core,
 )
+
+
+def _vertices(ctx):
+    return np.array([f.P for f in ctx.frames])
 
 
 class TestVertices:
     def test_quarter_rotation(self, ctx_cache):
         ctx = build_context(math.exp(-10.0), 1.0, 1.0, 4)
-        P = ctx.vertices
+        P = _vertices(ctx)
         R = 1.0 / math.sqrt(10.0)
         assert np.allclose(P[1], [0.0, R], atol=1e-15)
 
     def test_scaled_radius_value(self, ctx_cache):
         ctx = ctx_cache(10.0)
-        assert ctx.R == pytest.approx(10 ** (-0.5), abs=1e-12)
-        assert ctx.R == pytest.approx(0.316228, abs=1e-6)
+        for R in (f.R for f in ctx.frames):
+            assert R == pytest.approx(10 ** (-0.5), abs=1e-12)
+            assert R == pytest.approx(0.316228, abs=1e-6)
 
     def test_equal_norms(self, ctx_cache):
-        P = ctx_cache(20.0).vertices
+        P = _vertices(ctx_cache(20.0))
         norms = np.hypot(P[:, 0], P[:, 1])
         assert np.max(np.abs(norms - norms[0])) < 1e-15
 
@@ -85,7 +92,7 @@ class TestMu:
     def test_one_eps_mu(self, ctx_cache, exponent, alpha):
         # the context's eps*mu is the vertex profile's, bit for bit
         ctx = ctx_cache(exponent, alpha=alpha)
-        assert ctx.eps_mu == ctx.profile.eps_mu
+        assert ctx.eps_mu == ctx.core.profile.eps_mu
 
     def test_vertex_independence(self, ctx_cache):
         ctx = ctx_cache(20.0)
@@ -95,13 +102,13 @@ class TestMu:
     @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
     def test_relation_closed_by_solver(self, ctx_cache, exponent):
         ctx = ctx_cache(exponent)
-        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
+        assert abs(2.0 * ctx.core.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
 
     def test_logarithmic_asymptotics(self):
         # log mu^2 - 2(N-1) log|log eps| stays bounded along the sweep
         vals = []
         for ex in (10.0, 20.0, 40.0):
-            lm = solve_mu(math.exp(-ex), 1.0, 1.0, 3, alpha=-2.0)
+            lm = vertex_core(math.exp(-ex), 1.0, 1.0, 3, alpha=-2.0).log_mu
             vals.append(2.0 * lm - 4.0 * math.log(ex))
         assert max(abs(v) for v in vals) < 5.0
 
@@ -110,8 +117,8 @@ class TestMu:
         # root, far from the -1 of the first estimate's Newton step
         ctx = build_context(math.exp(-10.0), 1.0, 1.0, 5,
                             grid=PolarGridSpec(n_radial=64, n_angular=40))
-        assert ctx.log_mu == 9.031435912259754
-        assert abs(2.0 * ctx.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
+        assert ctx.core.log_mu == 9.031435912259754
+        assert abs(2.0 * ctx.core.log_mu - mu_relation_rhs(ctx, 1)) <= 1e-13
         vals = [mu_relation_rhs(ctx, i) for i in range(1, 6)]
         assert max(vals) - min(vals) < 1e-12
 
@@ -122,7 +129,7 @@ class TestMu:
             raise AssertionError("Brent's method called where the secant converges")
 
         monkeypatch.setattr(stream, "_brent", refuse)
-        lm = solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
+        lm = vertex_core(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0).log_mu
         assert math.isfinite(lm)
 
     @staticmethod
@@ -142,7 +149,7 @@ class TestMu:
     def test_steep_relation_takes_few_profile_builds(self, monkeypatch):
         # N = 5, r = h = 1, e^-10, where the excess's slope is about -3
         calls = self._count_far_sums(monkeypatch)
-        lm = solve_mu(math.exp(-10.0), 1.0, 1.0, 5, alpha=-6.0)
+        lm = vertex_core(math.exp(-10.0), 1.0, 1.0, 5, alpha=-6.0).log_mu
         assert lm == 9.031435912259754
         assert len(calls) <= 10
 
@@ -150,7 +157,7 @@ class TestMu:
     def test_few_profile_builds(self, monkeypatch, exponent):
         # the start, its Newton estimate and at most four secant steps
         calls = self._count_far_sums(monkeypatch)
-        solve_mu(math.exp(-exponent), 1.0, 1.0, 3, alpha=-2.0)
+        vertex_core(math.exp(-exponent), 1.0, 1.0, 3, alpha=-2.0)
         assert len(calls) <= 6
 
     @pytest.mark.parametrize("exponent", [10.0, 20.0, 40.0, 80.0])
@@ -158,7 +165,7 @@ class TestMu:
         from helix_kmd import stream
 
         eps = math.exp(-exponent)
-        secant = solve_mu(eps, 1.0, 1.0, 3, alpha=-2.0)
+        secant = vertex_core(eps, 1.0, 1.0, 3, alpha=-2.0).log_mu
         brent_calls = []
         brent = stream._brent
 
@@ -168,7 +175,7 @@ class TestMu:
 
         monkeypatch.setattr(stream, "_SECANT_MAXITER", 0)
         monkeypatch.setattr(stream, "_brent", spy)
-        bracket = solve_mu(eps, 1.0, 1.0, 3, alpha=-2.0)
+        bracket = vertex_core(eps, 1.0, 1.0, 3, alpha=-2.0).log_mu
         assert len(brent_calls) == 1
         assert abs(bracket - secant) <= 1e-12
 
@@ -180,14 +187,50 @@ class TestMu:
         monkeypatch.setattr(stream, "_far_sum",
                             lambda prof, z0_row: 2.0 * math.log(prof.mu) + 10.0)
         with pytest.raises(NoBracket):
-            solve_mu(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
+            vertex_core(math.exp(-20.0), 1.0, 1.0, 3, alpha=-2.0)
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_relation_rejects_vertex_outside_1_to_n(self, ctx_cache, i):
+        # unchecked, i = 0 reads vertex N's tables with N among them and -1 vertex N's value
+        with pytest.raises(ValueError, match="vertex index out of range"):
+            mu_relation_rhs(ctx_cache(20.0), i)
 
     def test_admissible_band(self, ctx_cache):
         # delta log|log eps| < |log mu| < log|log eps|/delta for delta = 0.1
         for ex in (10.0, 20.0, 40.0):
             ctx = ctx_cache(ex)
             loglog = math.log(ex)
-            assert 0.1 * loglog < abs(ctx.log_mu) < 10.0 * loglog
+            assert 0.1 * loglog < abs(ctx.core.log_mu) < 10.0 * loglog
+
+
+class TestVertexCore:
+    """build_context derives each piece of vertex geometry once, into ctx.core."""
+
+    def test_far_tables_are_vertex_one_tables(self, ctx_cache):
+        ctx = ctx_cache(20.0)
+        z0, d = _far_geometry(ctx.frames)
+        assert np.array_equal(ctx.core.z0, z0) and ctx.core.z0.shape == (2, 2)
+        assert np.array_equal(ctx.core.D, d) and ctx.core.D.shape == (2, 2, 2)
+        assert ctx.frames is ctx.core.frames
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_one_frame_per_vertex_and_build(self, monkeypatch, n):
+        from helix_kmd import stream
+
+        calls = []
+        frame = stream.local_frame
+
+        def counting(*args):
+            calls.append(args[0])
+            return frame(*args)
+
+        monkeypatch.setattr(stream, "local_frame", counting)
+        build_context(math.exp(-20.0), 1.0, 1.0, n, grid=PolarGridSpec(n_radial=64, n_angular=30))
+        assert calls == list(range(1, n + 1))
+
+    def test_context_fields(self, ctx_cache):
+        assert [f.name for f in dataclasses.fields(ctx_cache(20.0))] == [
+            "eps", "r", "h", "n", "alpha", "delta", "d_eps", "grid", "core", "h2", "h2_grad"]
 
 
 class TestVertexSum:
@@ -211,9 +254,9 @@ class TestVertexSum:
     def test_value_at_first_vertex(self, ctx_cache):
         # psi0(P1) = Psi(0) + sum of far-profile values
         ctx = ctx_cache(20.0)
-        z0, _ = ctx.far_geometry
-        expected = ctx.profile.value(np.zeros(2)) + float(
-            np.sum(ctx.profile.value(z0))
+        z0 = ctx.core.z0
+        expected = ctx.core.profile.value(np.zeros(2)) + float(
+            np.sum(ctx.core.profile.value(z0))
         )
         assert psi0_sum(ctx.frames[0].P, ctx) == pytest.approx(expected, rel=1e-14)
 
@@ -223,15 +266,15 @@ class TestErrorDensity:
         ctx = ctx_cache(20.0)
         far = rng.normal(size=(10, 2))
         far = far / np.hypot(far[:, 0], far[:, 1])[:, None] * 1.3
-        assert np.max(np.abs(error_g(far, ctx.profile, ctx.frames))) == 0.0
+        assert np.max(np.abs(error_g(far, ctx.core))) == 0.0
 
     def test_dihedral_invariance(self, ctx_cache, rng):
         ctx = ctx_cache(20.0)
         x = rng.normal(size=(25, 2)) * 0.4
         for i in (1, 2):
             Q = ctx.frames[i].Q
-            diff = (error_g(x @ Q.T, ctx.profile, ctx.frames)
-                    - error_g(x, ctx.profile, ctx.frames))
+            diff = (error_g(x @ Q.T, ctx.core)
+                    - error_g(x, ctx.core))
             assert np.max(np.abs(diff)) < 1e-12
 
     def test_evenness_in_frame_coordinates(self, ctx_cache, rng):
@@ -240,8 +283,8 @@ class TestErrorDensity:
         z = rng.normal(size=(25, 2)) * 0.35
         zm = z.copy()
         zm[:, 1] *= -1.0
-        a = error_g(f1.P + z @ f1.M.T, ctx.profile, ctx.frames)
-        b = error_g(f1.P + zm @ f1.M.T, ctx.profile, ctx.frames)
+        a = error_g(f1.P + z @ f1.M.T, ctx.core)
+        b = error_g(f1.P + zm @ f1.M.T, ctx.core)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -262,7 +305,7 @@ class TestGlobalCorrection:
 
     def test_vanishes_at_all_vertices(self, ctx_cache):
         ctx = ctx_cache(20.0)
-        vals = ctx.h2.value(ctx.vertices)
+        vals = ctx.h2.value(_vertices(ctx))
         assert np.max(np.abs(vals)) < 1e-12
 
     def test_evenness_of_vertex_map(self, ctx_cache, rng):
@@ -278,8 +321,7 @@ class TestGlobalCorrection:
         # the half-sector fill needs n_angular a multiple of N
         ctx = ctx_cache(20.0)
         with pytest.raises(DegenerateConfig, match="multiple of N = 3"):
-            solve_H2(ctx.profile, ctx.frames, ctx.h,
-                     PolarGridSpec(n_radial=64, n_angular=25))
+            solve_H2(ctx.core, PolarGridSpec(n_radial=64, n_angular=25))
         assert issubclass(DegenerateConfig, HelixKmdError)
 
     def test_quadratic_growth_bound(self, ctx_cache):
@@ -320,7 +362,7 @@ class TestPsiStar:
         f1 = ctx.frames[0]
         x = f1.P + em * np.einsum("ij,...j->...i", f1.Mj, y)
         gam = liouville_unit(y)
-        s_stable = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.log_mu \
+        s_stable = gam - 4.0 * math.log(ctx.eps) - 2.0 * ctx.core.log_mu \
             + _inner_terms(y, ctx)[0]
         s_direct = rotating_argument(x, ctx)
         # the stable path keeps the correction field to first order; allow
@@ -396,7 +438,7 @@ class TestResidual:
         sres = inner_residual_scaled(flat, ctx)
         yn2 = np.einsum("...i,...i->...", flat, flat)
         u = 8.0 / (1.0 + yn2) ** 2
-        pred = u * ctx.eps_mu * flat[:, 0] * (ctx.profile.c1 * liouville_unit(flat) + a_emp)
+        pred = u * ctx.eps_mu * flat[:, 0] * (ctx.core.profile.c1 * liouville_unit(flat) + a_emp)
         mismatch = np.max(np.abs(sres - pred))
         scale = ctx.eps_mu * np.max(np.abs(u * flat[:, 0]))
         # the projection constant absorbs the shape up to O(1/sqrt(log)) tilt
