@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -310,6 +311,22 @@ def solve_H2(core: VertexCore, grid: PolarGridSpec) -> H2Correction:
     return solve_k_poisson(g, grid, f1.h, n, anchor=f1.P)
 
 
+def _speed_part(eps: float, r: float, h: float, n: int, alpha: float | None, delta: float):
+    """StreamContext's alpha (None: a*), d_eps and core, after the speed's and mu's band checks."""
+    a_star = theorem_alpha(r, h, n, HelixVariant.POLYGON_HELIX)
+    alpha = a_star if alpha is None else alpha
+    if abs(alpha) > max(10.0, 4.0 * abs(a_star) + 4.0):
+        raise DegenerateConfig("rotation speed outside the admissible band")
+    # support padding: keeps F switched off on the delta-ring, where the
+    # profile tilt contributes up to ~2 delta r/h^2 + |alpha - alpha*| r delta
+    pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25
+    core = vertex_core(eps, r, h, n, alpha)
+    loglog = math.log(-math.log(eps))
+    if not 0.1 * loglog < abs(core.log_mu) < 10.0 * loglog:
+        raise DegenerateConfig("mu escaped the admissible logarithmic band")
+    return {"alpha": float(alpha), "d_eps": -4.0 * math.log(delta) + pad, "core": core}
+
+
 def build_context(
     eps: float,
     r: float,
@@ -324,15 +341,9 @@ def build_context(
         raise DegenerateConfig("need 0 < eps < e^-1")
     if r <= 0.0 or h == 0.0 or n < 2:
         raise DegenerateConfig("invalid geometry")
-    abs_log = -math.log(eps)
-    R = r / math.sqrt(abs_log)
+    R = r / math.sqrt(-math.log(eps))
     if R > 0.45:
         raise DegenerateConfig("polygon radius r/sqrt|log eps| too close to the cutoff")
-    a_star = theorem_alpha(r, h, n, HelixVariant.POLYGON_HELIX)
-    if alpha is None:
-        alpha = a_star
-    if abs(alpha) > max(10.0, 4.0 * abs(a_star) + 4.0):
-        raise DegenerateConfig("rotation speed outside the admissible band")
     r0 = 2.0 * math.sin(math.pi / n)          # unit-scale nearest-vertex gap
     if delta is None:
         delta = 0.8 * min(r0 / 4.0, 0.5)
@@ -354,18 +365,10 @@ def build_context(
     if not (grid.rho_min < R and grid.rho_max > _DEFECT_RHO):
         raise DegenerateConfig(f"polar grid [{grid.rho_min:g}, {grid.rho_max:g}] must have "
                                f"rho_min < R = {R:.4g} and rho_max > {_DEFECT_RHO:g}")
-    # support padding: keeps F switched off on the delta-ring, where the
-    # profile tilt contributes up to ~2 delta r/h^2 + |alpha - alpha*| r delta
-    pad = delta * r * (2.0 / h**2 + abs(alpha - a_star) + 0.25) + 0.25
-    d_eps = -4.0 * math.log(delta) + pad
-    core = vertex_core(eps, r, h, n, alpha)
-    loglog = math.log(abs_log)
-    if not 0.1 * loglog < abs(core.log_mu) < 10.0 * loglog:
-        raise DegenerateConfig("mu escaped the admissible logarithmic band")
-    h2 = solve_H2(core, grid)
-    return StreamContext(eps=eps, r=r, h=h, n=n, alpha=float(alpha), delta=delta,
-                         d_eps=d_eps, grid=grid, core=core, h2=h2,
-                         h2_grad=h2.gradient(core.frames[0].P))
+    speed = _speed_part(eps, r, h, n, alpha, delta)
+    h2 = solve_H2(speed["core"], grid)
+    return StreamContext(eps=eps, r=r, h=h, n=n, delta=delta, grid=grid, h2=h2,
+                         h2_grad=h2.gradient(speed["core"].frames[0].P), **speed)
 
 
 # -- assembled fields ------------------------------------------------------
@@ -518,6 +521,14 @@ def _cell_angles(n_theta: int, cells: int) -> np.ndarray:
     return (np.arange(k) + 0.5) * (2.0 * np.pi / (cells * k))
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n), computed once per n; read-only, as every caller shares the arrays."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _polar_gauss_rule(ctx: StreamContext, frac: float, y_cap: float, floor: float,
                       n_seg: int, n_theta: int, cells: int = 1):
     """Nodes (n_r, K, 2) and weights (n_r, K), K = ceil(n_theta/cells), on the inner disk.
@@ -535,14 +546,10 @@ def _polar_gauss_rule(ctx: StreamContext, frac: float, y_cap: float, floor: floa
     edges = [0.0, 1.0]
     while edges[-1] < ymax:
         edges.append(min(2.0 * edges[-1], ymax))
-    nodes, weights = leggauss(n_seg)
-    rr, ww = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rr.append(mid + half * nodes)
-        ww.append(half * weights)
-    rr = np.concatenate(rr)
-    ww = np.concatenate(ww)
+    nodes, weights = _gauss_legendre(n_seg)
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    half = 0.5 * (hi - lo)
+    rr, ww = (0.5 * (hi + lo) + half * nodes).ravel(), (half * weights).ravel()
     th = _cell_angles(n_theta, cells)
     y = _polar_points(rr, th)
     w2d = (ww * rr)[:, None] * (2.0 * np.pi / th.size)
@@ -553,13 +560,12 @@ def calA(alpha: float, ctx: StreamContext) -> float:
     """Tilt coefficient of the inner residual at rotation speed `alpha`.
 
     The normalized projection of the scaled residual onto the translation
-    kernel element Z1 over the inner disk; the context (mu, g, H2) is
-    rebuilt at `alpha` if it differs.  The residual is even across the
-    vertex axis, as Z1 is, so the rule samples the half-disk theta in (0, pi).
+    kernel element Z1 over the inner disk, with ctx's H2 held: only mu and
+    d_eps follow `alpha`.  The residual is even across the vertex axis, as
+    Z1 is, so the rule samples the half-disk theta in (0, pi).
     """
     if alpha != ctx.alpha:
-        ctx = build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=alpha,
-                            delta=ctx.delta, grid=ctx.grid)
+        ctx = replace(ctx, **_speed_part(ctx.eps, ctx.r, ctx.h, ctx.n, alpha, ctx.delta))
     y, w = _polar_gauss_rule(ctx, 0.98, 50.0, 1.0, 24, 64, cells=2)
     sres = inner_residual_scaled(y, ctx)
     z1 = -4.0 * y[..., 0] / (1.0 + _dot2(y, y))
@@ -570,6 +576,7 @@ def calA(alpha: float, ctx: StreamContext) -> float:
 
 
 _SECANT_MAXITER = 8    # secant steps before falling back to bracket + Brent
+_FIELD_MAXITER = 8     # context builds in one solve_alpha
 _BRENT_MAXITER = 100
 _BRENT_RTOL = 4.0 * np.finfo(float).eps     # brentq's default relative tolerance
 
@@ -581,25 +588,43 @@ def solve_alpha(ctx: StreamContext, xtol: float = 1e-8):
     linear in alpha with slope -r sqrt|log eps|, so _root runs from the
     leading-order speed a* (projected on `ctx` itself) and the first-order
     estimate a* + calA(a*) / (r sqrt|log eps|), with the bracket
-    half-width max(1, 3/4 of the estimate's offset from a*).
-    Besides the root, the leading-order speed and the correction, the
-    diagnostics record the number of empirical projections
-    (`calA_evaluations`) and `root_method`, "secant" or "bracket".
+    half-width max(1, 3/4 of the estimate's offset from a*), on ctx's field
+    held (calA).  While the root is more than `xtol` from the held field's
+    speed, the context is built at the root, projected once, and the root
+    takes a secant step with the slope of _root's last two points.  The
+    diagnostics hold the root, a*, the correction, `calA_evaluations`,
+    `field_builds` (builds here) and `root_method` ("secant" or "bracket");
+    NoBracket when _FIELD_MAXITER builds do not settle the root.
     """
     a_star = ctx.leading_alpha()
     f_star = calA(a_star, ctx)
     center = a_star + f_star / (ctx.r * ctx.sqrt_log)
-    root, method, n_eval = _root(lambda a: calA(a, ctx), a_star, f_star, center, xtol,
+    known = [(a_star, f_star)]
+
+    def held_field(a):
+        known.append((a, calA(a, ctx)))
+        return known[-1][1]
+
+    root, method, n_eval = _root(held_field, a_star, f_star, center, xtol,
                                  max(1.0, 0.75 * abs(center - a_star)))
+    (xa, fa), (xb, fb) = known[-2:]
+    slope = (fb - fa) / (xb - xa) or -ctx.r * ctx.sqrt_log     # a flat pair: first order
+    held, builds = ctx, 0
+    while abs(root - held.alpha) > xtol:
+        if builds == _FIELD_MAXITER:
+            raise NoBracket(f"the root did not settle in {_FIELD_MAXITER} context builds")
+        held = build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=root,
+                             delta=ctx.delta, grid=ctx.grid)
+        builds, n_eval = builds + 1, n_eval + 1
+        root -= calA(root, held) / slope
     corr = root - a_star
     diag = {
         "alpha_root": float(root),
         "alpha_leading": float(a_star),
         "correction": float(corr),
-        "correction_ratio": float(
-            abs(corr) * ctx.abs_log_eps / ctx.loglog
-        ),
+        "correction_ratio": float(abs(corr) * ctx.abs_log_eps / ctx.loglog),
         "calA_evaluations": 1 + n_eval,
+        "field_builds": builds,
         "root_method": method,
     }
     return float(root), diag

@@ -364,7 +364,7 @@ class TestStreamCommands:
                      "--epsilon-override", "e^-15"]) == 0
         rows = json.loads((out / "alpha_solve.json").read_text())
         assert rows[0]["alpha_leading"] == pytest.approx(-2.0)
-        assert {"alpha_root", "correction_ratio", "calA_evaluations",
+        assert {"alpha_root", "correction_ratio", "calA_evaluations", "field_builds",
                 "root_method"} <= set(rows[0])
 
     def test_alpha_solve_thread_independent(self, cfg_file, tmp_path):
@@ -601,9 +601,12 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
                 sys.exit(f"{argv[0]} failed")
         # flat between a* = 0 and the estimate 1: the secant stalls
         stream.calA = lambda alpha, ctx: min(1.0, 7.0 - 4.0 * alpha)
-        ctx = SimpleNamespace(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0,
-                              abs_log_eps=20.0, loglog=math.log(20.0))
-        root, diag = stream.solve_alpha(ctx)
+        stub = dict(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0, abs_log_eps=20.0,
+                    loglog=math.log(20.0), eps=math.exp(-20.0), h=1.0, n=3, delta=0.3,
+                    grid=None)
+        # the context solve_alpha builds at its root is the stub at that speed
+        stream.build_context = lambda *args, alpha, **kwargs: SimpleNamespace(**stub, alpha=alpha)
+        root, diag = stream.solve_alpha(SimpleNamespace(**stub, alpha=0.0))
         if diag["root_method"] != "bracket" or abs(root - 1.75) > 1e-8:
             sys.exit(f"fallback gave {root} by {diag['root_method']}")
     """)

@@ -613,8 +613,94 @@ class TestSolveAlphaRoot:
         assert d_sec["calA_evaluations"] < d_br["calA_evaluations"]
 
     def test_secant_residual_no_larger(self, roots):
+        # the full problem's projection: each root's own context, not ctx's field held
         ctx, (a_sec, _), (a_br, _) = roots
-        assert abs(calA(a_sec, ctx)) <= abs(calA(a_br, ctx))
+        built = [build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=a, grid=self.GRID)
+                 for a in (a_sec, a_br)]
+        assert abs(calA(a_sec, built[0])) <= abs(calA(a_br, built[1]))
+
+
+def _rebuild_solve(ctx, xtol=1e-8):
+    """The full-rebuild solve, as reference: _root from a* with every trial speed
+    projected on a context built at that speed.  (root, root_method, projections)."""
+    from helix_kmd import stream
+
+    def full(a):
+        return calA(a, build_context(ctx.eps, ctx.r, ctx.h, ctx.n, alpha=a,
+                                     delta=ctx.delta, grid=ctx.grid))
+
+    a_star = ctx.leading_alpha()
+    f_star = calA(a_star, ctx)
+    center = a_star + f_star / (ctx.r * ctx.sqrt_log)
+    root, method, n_eval = stream._root(full, a_star, f_star, center, xtol,
+                                        max(1.0, 0.75 * abs(center - a_star)))
+    return root, method, 1 + n_eval
+
+
+# r = 1.3; e^-10 with N = 5 is left out: calA fails there (QuadratureFailure)
+_LOOP_GEOMETRIES = [(e, n, h) for e in (10.0, 20.0, 40.0, 80.0) for n in (2, 3, 4, 5)
+                    for h in (1.0, -1.0) if (e, n) != (10.0, 5)]
+
+
+class TestSolveAlphaFieldLoop:
+    """solve_alpha holds the field while _root runs and builds it again only at its roots."""
+
+    GRID = PolarGridSpec(n_radial=128, n_angular=40)
+
+    @pytest.mark.parametrize("log_eps, n, h", _LOOP_GEOMETRIES,
+                             ids=[f"e-{e:g}-N{n}-h{h:g}" for e, n, h in _LOOP_GEOMETRIES])
+    def test_same_root_as_full_rebuild(self, log_eps, n, h):
+        from helix_kmd.stream import solve_alpha
+
+        ctx = build_context(math.exp(-log_eps), 1.3, h, n, grid=self.GRID)
+        ref_root, ref_method, ref_evals = _rebuild_solve(ctx)
+        root, diag = solve_alpha(ctx)
+        assert abs(root - ref_root) <= 1e-8
+        assert diag["root_method"] == ref_method
+        assert diag["calA_evaluations"] <= ref_evals + diag["field_builds"]
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Events of solve_alpha: ("build", ctx) per build_context, ("calA",) per projection."""
+        from helix_kmd import stream
+
+        build, project, events = stream.build_context, stream.calA, []
+
+        def counting_build(*args, **kwargs):
+            events.append(("build", build(*args, **kwargs)))
+            return events[-1][1]
+
+        def counting_calA(alpha, ctx):
+            events.append(("calA",))
+            return project(alpha, ctx)
+
+        monkeypatch.setattr(stream, "build_context", counting_build)
+        monkeypatch.setattr(stream, "calA", counting_calA)
+        return events
+
+    def test_seed_geometry_builds_once(self, monkeypatch):
+        # the benchmark's alpha workload at seed 0: e^-20, r = h = 1, N = 3, default grid
+        from helix_kmd.stream import solve_alpha
+
+        ctx = build_context(math.exp(-20.0), 1.0, 1.0, 3)
+        events = self._record(monkeypatch)
+        _, diag = solve_alpha(ctx)
+        kinds = [e[0] for e in events]
+        assert (kinds.count("build"), kinds.count("calA")) == (1, 4)
+        assert (diag["field_builds"], diag["calA_evaluations"]) == (1, 4)
+
+    @pytest.mark.parametrize("log_eps", [40.0, 80.0])
+    def test_deep_field_does_not_move(self, monkeypatch, log_eps):
+        # the field built at the root is the held one bit for bit, so the
+        # confirming pass is one projection
+        from helix_kmd.stream import solve_alpha
+
+        ctx = build_context(math.exp(-log_eps), 1.0, 1.0, 3)
+        events = self._record(monkeypatch)
+        solve_alpha(ctx)
+        first = [e[0] for e in events].index("build")
+        assert np.array_equal(events[first][1].h2_grad, ctx.h2_grad)
+        assert [e[0] for e in events[first + 1:]] == ["calA"]
 
 
 # synthetic projections with leading speed 0 and unit slope scale
@@ -630,21 +716,25 @@ class TestSolveAlphaFallback:
     """Synthetic projections that force the bracket path or its failure."""
 
     @staticmethod
-    def _solve(monkeypatch, func):
+    def _solve(monkeypatch, project):
         from types import SimpleNamespace
 
         from helix_kmd import stream
 
-        monkeypatch.setattr(stream, "calA", lambda alpha, ctx: func(alpha))
+        monkeypatch.setattr(stream, "calA", project)
         # leading speed 0 and unit slope scale: the first estimate is f(0)
-        ctx = SimpleNamespace(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0,
-                              abs_log_eps=20.0, loglog=math.log(20.0))
-        return stream.solve_alpha(ctx)
+        stub = dict(leading_alpha=lambda: 0.0, r=1.0, sqrt_log=1.0, abs_log_eps=20.0,
+                    loglog=math.log(20.0), eps=math.exp(-20.0), h=1.0, n=3, delta=0.3,
+                    grid=None)
+        # the context solve_alpha builds at its root is the stub at that speed
+        monkeypatch.setattr(stream, "build_context",
+                            lambda *args, alpha, **kwargs: SimpleNamespace(**stub, alpha=alpha))
+        return stream.solve_alpha(SimpleNamespace(**stub, alpha=0.0))
 
     @pytest.mark.parametrize("func, expected", [(_STALL, 1.75), (_LEAVES_WINDOW, 1.5985)],
                              ids=["stall", "leaves-window"])
     def test_bracket_path(self, monkeypatch, func, expected):
-        root, diag = self._solve(monkeypatch, func)
+        root, diag = self._solve(monkeypatch, lambda alpha, ctx: func(alpha))
         assert diag["root_method"] == "bracket"
         assert root == pytest.approx(expected, abs=1e-8)
         # a*, the estimate and at least one bracket pair before Brent
@@ -654,7 +744,15 @@ class TestSolveAlphaFallback:
         from helix_kmd.errors import NoBracket
 
         with pytest.raises(NoBracket):
-            self._solve(monkeypatch, lambda a: 1.0 + a * a)
+            self._solve(monkeypatch, lambda a, ctx: 1.0 + a * a)
+
+    def test_unsettled_root_raises(self, monkeypatch):
+        # the root lies 1 past the speed of the field it is found on: every
+        # build moves it on, until solve_alpha gives up
+        from helix_kmd.errors import NoBracket
+
+        with pytest.raises(NoBracket, match="did not settle in 8 context builds"):
+            self._solve(monkeypatch, lambda a, ctx: ctx.alpha + 1.0 - a)
 
 
 class TestBrent:
